@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..network.graph import SensorNetwork, UNREACHED
+from ..network.graph import SensorNetwork
 from .params import SkeletonParams
 from .voronoi import SitePair, VoronoiDecomposition
 
@@ -170,22 +170,19 @@ def _batched_site_paths(
     tracer=None,
 ) -> Dict[Tuple[int, int], List[int]]:
     """Resolve ``site -> nodes`` path requests with one lockstep parent
-    walk per site row, returning ``(site, node) -> [node, ..., site]``.
+    walk per site, returning ``(site, node) -> [node, ..., site]``.
 
-    Bit-identical to :meth:`VoronoiDecomposition.path_to_site` per request
-    (the engine kernel reproduces ``path_to_source`` exactly), including
-    the unreached-node error.
+    Each site's table rows are scattered into one dense parent row at a
+    time.  Bit-identical to :meth:`VoronoiDecomposition.path_to_site` per
+    request (the engine kernel reproduces ``path_to_source`` exactly),
+    including the unrecorded-node error.
     """
     engine = voronoi.network.traversal(batch_width)
     out: Dict[Tuple[int, int], List[int]] = {}
     for site in sorted(requests):
-        si = voronoi.site_index(site)
         targets = sorted(set(requests[site]))
-        for node in targets:
-            if voronoi.dist[si, node] == UNREACHED:
-                raise ValueError(f"node {node} was not reached from site {site}")
-        paths = engine.reconstruct_paths(voronoi.parent[si], targets,
-                                         tracer=tracer)
+        paths = engine.reconstruct_paths(
+            voronoi.site_parent_row(site, targets), targets, tracer=tracer)
         for node, path in zip(targets, paths):
             out[(site, node)] = path
     return out

@@ -56,7 +56,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..network.graph import UNREACHED, SensorNetwork
+from ..network.graph import SensorNetwork
+from ..network.traversal import FloodTable
 from ..runtime.async_scheduler import AsyncProfile, AsyncScheduler, live_components
 from ..runtime.faults import FaultPlan, RetryPolicy
 from ..runtime.latency import LatencyModel
@@ -65,7 +66,12 @@ from ..runtime.protocol import NodeApi, NodeProtocol
 from ..runtime.scheduler import SynchronousScheduler
 from ..runtime.stats import RunStats
 from .params import SkeletonParams
-from .voronoi import SitePair, VoronoiDecomposition
+from .voronoi import (
+    VoronoiDecomposition,
+    border_edges_from_cells,
+    records_from_entries,
+    records_to_structures,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Tracer
@@ -653,13 +659,14 @@ def voronoi_from_distributed(
     :class:`VoronoiDecomposition` data model.
 
     Distances and parents come from what each node actually recorded during
-    the (possibly faulty) flood, with :data:`UNREACHED` where a wave never
-    arrived or was discarded — so downstream stages 3 and 4 consume exactly
-    the information the real network gathered.  Reverse paths stay
-    followable because a node only records a parent that itself forwarded
-    (i.e. joined) that site's tree, and stored distances strictly decrease
-    along the chain.  Returns ``None`` when no site was elected (possible
-    only under faults, e.g. every candidate crashed).
+    the (possibly faulty) flood: the table keeps every recorded entry of an
+    elected site, even one a later, better wave left beyond ``alpha`` — so
+    downstream stages 3 and 4 consume exactly the information the real
+    network gathered.  Reverse paths stay followable because a node only
+    records a parent that itself forwarded (i.e. joined) that site's tree,
+    and stored distances strictly decrease along the chain.  Returns
+    ``None`` when no site was elected (possible only under faults, e.g.
+    every candidate crashed).
     """
     network = outcome.network
     params = outcome.params
@@ -668,68 +675,32 @@ def voronoi_from_distributed(
         return None
     site_row = {site: i for i, site in enumerate(sites)}
     n = network.num_nodes
-    dist = np.full((len(sites), n), UNREACHED, dtype=np.int32)
-    parent = np.full((len(sites), n), -1, dtype=np.int32)
-    records: List[List[Tuple[int, int]]] = []
-    cell_of: List[int] = []
-    segment_nodes: Set[int] = set()
-    voronoi_nodes: Set[int] = set()
-    pair_segments: Dict[SitePair, List[int]] = {}
+    entries = np.asarray([
+        (site_row[site], node, d, -1 if par is None else par)
+        for node in range(n)
+        for site, (d, par) in outcome.site_records[node].items()
+        # A wave from a node that later lost election state is dropped.
+        if site in site_row
+    ], dtype=np.int64).reshape(-1, 4)
+    entries = entries[np.lexsort((entries[:, 1], entries[:, 0]))]
+    table = FloodTable(*entries.T.copy())
 
-    for node in range(n):
-        recorded = outcome.site_records[node]
-        for site, (d, par) in recorded.items():
-            row = site_row.get(site)
-            if row is None:
-                continue  # recorded a wave from a node that later lost election state
-            dist[row, node] = d
-            parent[row, node] = par if par is not None else -1
-        reachable = sorted(
-            (d, site) for site, (d, _) in recorded.items() if site in site_row
-        )
-        if not reachable:
-            records.append([])
-            cell_of.append(-1)
-            continue
-        best = reachable[0][0]
-        near = sorted(
-            [(site, d) for d, site in reachable if d - best <= params.alpha],
-            key=lambda item: (item[1], item[0]),
-        )
-        records.append(near)
-        cell_of.append(near[0][0])
-        if len(near) >= 2:
-            segment_nodes.add(node)
-            near_sites = [site for site, _ in near]
-            for i in range(len(near_sites)):
-                for j in range(i + 1, len(near_sites)):
-                    pair = (min(near_sites[i], near_sites[j]),
-                            max(near_sites[i], near_sites[j]))
-                    pair_segments.setdefault(pair, []).append(node)
-        if len(near) >= 3:
-            voronoi_nodes.add(node)
-
-    # Border edges, exactly as the centralized builder derives them.
-    pair_border_edges: Dict[SitePair, List[Tuple[int, int]]] = {}
-    for u in range(n):
-        cu = cell_of[u]
-        if cu < 0:
-            continue
-        for v in network.neighbors(u):
-            if v <= u:
-                continue
-            cv = cell_of[v]
-            if cv < 0 or cv == cu:
-                continue
-            pair = (min(cu, cv), max(cu, cv))
-            edge = (u, v) if cu == pair[0] else (v, u)
-            pair_border_edges.setdefault(pair, []).append(edge)
+    # Records: the entries within alpha of each node's best distance.
+    best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(best, table.node, table.dist)
+    near = table.dist <= best[table.node] + params.alpha
+    records = records_from_entries(
+        n, table.node[near],
+        np.asarray(sites, dtype=np.int64)[table.site_row[near]],
+        table.dist[near])
+    cell_of, segment_nodes, voronoi_nodes, pair_segments = \
+        records_to_structures(records)
+    pair_border_edges = border_edges_from_cells(network, cell_of)
 
     return VoronoiDecomposition(
         network=network,
         sites=sites,
-        dist=dist,
-        parent=parent,
+        table=table,
         records=records,
         cell_of=cell_of,
         segment_nodes=segment_nodes,

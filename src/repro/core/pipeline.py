@@ -12,9 +12,8 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from ..network.graph import UNREACHED, SensorNetwork
+from ..network.graph import SensorNetwork
+from ..network.traversal import FloodTable
 from .byproducts import Segmentation, detect_boundary_nodes, segmentation_from_voronoi
 from .coarse import CoarseSkeleton, build_coarse_skeleton
 from .identification import find_critical_nodes
@@ -57,8 +56,7 @@ def empty_skeleton_result(network: SensorNetwork,
     voronoi = VoronoiDecomposition(
         network=network,
         sites=[],
-        dist=np.full((0, n), UNREACHED, dtype=np.int32),
-        parent=np.full((0, n), -1, dtype=np.int32),
+        table=FloodTable.empty(),
         records=[[] for _ in range(n)],
         cell_of=[-1] * n,
         segment_nodes=set(),

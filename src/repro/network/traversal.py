@@ -18,12 +18,17 @@ immutable, so the cache never needs invalidation):
   ``Σ_{v ∈ N_l(p)} |N_k(v)|`` is accumulated batch-by-batch as
   ``Rᵀ · sizes[batch]`` without ever materialising the full reach matrix
   or re-running the traversal.
-* :meth:`multi_source_distances` — all site waves as level-synchronous
-  frontier sweeps with parent recording.  The frontier is kept *ordered*
-  (BFS enqueue order) and expanded with segment gathers, so the returned
-  ``(dist, parent)`` arrays are **bit-identical** to the reference
-  per-node BFS — downstream Voronoi cells, reverse paths and the coarse
-  skeleton do not change when switching backends.
+* :meth:`voronoi_flood` — the Section III-B site flood: all site waves
+  advance level-synchronously, and a wave survives at a node only within
+  ``alpha`` hops of the node's best distance.  The frontier is kept
+  *ordered* (BFS enqueue order) and expanded with segment gathers, so the
+  sparse :class:`FloodTable` it returns holds exactly the dense BFS's
+  ``(dist, parent)`` entries at every recorded pair — downstream Voronoi
+  cells, reverse paths and the coarse skeleton do not change when
+  switching backends.
+* :meth:`multi_source_distances` — the same sweep without pruning, into
+  dense ``(sites × n)`` arrays; the oracle the pruned kernel is tested
+  against.
 * :meth:`all_local_maxima` — critical-node election for all nodes at once
   by iterated neighbour-max over a rank encoding of the lexicographic
   ``(value, id)`` order.
@@ -37,14 +42,73 @@ equivalence on random UDG/QUDG networks, including disconnected graphs and
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy import sparse
 
-__all__ = ["TraversalEngine", "DEFAULT_BATCH_WIDTH"]
+__all__ = ["TraversalEngine", "FloodTable", "DEFAULT_BATCH_WIDTH"]
 
 UNREACHED = -1
+
+
+class FloodTable(NamedTuple):
+    """Sparse ``(site_row, node, dist, parent)`` records of a site flood.
+
+    One entry per recorded ``(site, node)`` pair, sorted by ``(site_row,
+    node)``; ``parent`` is the FIFO BFS predecessor toward the site (-1 at
+    the site itself).  Replaces dense ``(sites × n)`` matrices: storage is
+    O(records), not O(sites · n).
+    """
+
+    site_row: np.ndarray
+    node: np.ndarray
+    dist: np.ndarray
+    parent: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "FloodTable":
+        none = np.empty(0, dtype=np.int64)
+        return cls(none, none, none, none)
+
+    @classmethod
+    def from_dense(cls, dist: np.ndarray, parent: np.ndarray,
+                   alpha: int) -> "FloodTable":
+        """The pairs of a dense flood within *alpha* of each node's best
+        distance — what the pruned wave records on the same sites."""
+        reached = dist != UNREACHED
+        if not reached.size:
+            return cls.empty()
+        best = np.where(reached, dist, np.iinfo(np.int32).max).min(axis=0)
+        # Row-major nonzero order is (site_row, node) order.
+        rows, nodes = np.nonzero(reached & (dist <= best + alpha))
+        return cls(rows.astype(np.int64), nodes.astype(np.int64),
+                   dist[rows, nodes].astype(np.int64),
+                   parent[rows, nodes].astype(np.int64))
+
+    def row_span(self, row: int) -> Tuple[int, int]:
+        """``[lo, hi)`` bounds of one site row's entries."""
+        lo, hi = np.searchsorted(self.site_row, [row, row + 1])
+        return int(lo), int(hi)
+
+    def recorded(self, row: int, nodes: Sequence[int]) -> np.ndarray:
+        """Boolean mask: which *nodes* recorded site row *row*."""
+        lo, hi = self.row_span(row)
+        members = self.node[lo:hi]
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if not members.size:
+            return np.zeros(nodes.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(members, nodes), members.size - 1)
+        return members[pos] == nodes
+
+    def parent_row(self, row: int, n: int) -> np.ndarray:
+        """One site row's parents scattered into a dense length-*n* row
+        (-1 where unrecorded), the input
+        :meth:`TraversalEngine.reconstruct_paths` walks."""
+        lo, hi = self.row_span(row)
+        out = np.full(n, -1, dtype=np.int64)
+        out[self.node[lo:hi]] = self.parent[lo:hi]
+        return out
 
 
 def _span(tracer, name: str):
@@ -253,6 +317,90 @@ class TraversalEngine:
                 cnt += np.bincount(cols_all, minlength=n)
         return row_sizes, num, cnt
 
+    # -- the α-pruned Voronoi flood ---------------------------------------
+
+    def voronoi_flood(self, sites: Sequence[int], alpha: int,
+                      tracer=None) -> FloodTable:
+        """Section III-B's site flood as one pruned, level-synchronous wave.
+
+        All site waves advance together, one hop per level.  A ``(site,
+        node)`` pair first reached at level ``L`` is recorded, and its
+        wave forwarded, only if ``L - best(node) <= alpha``, where
+        ``best(node)`` is the level at which any wave first reached the
+        node.
+
+        The pruning is exact.  If v records s, every node u on a shortest
+        v→s path records s too: ``best`` changes by at most one per hop,
+        so ``d_s(u) - best(u) <= d_s(v) - best(v) <= alpha``.  Each
+        recorded pair is therefore reached at its true distance, and v's
+        FIFO parent (such a u) is on the wave.  Every row's frontier stays
+        a subsequence of the dense BFS queue in the same order, so the
+        first occurrence of a key selects the parent
+        :meth:`multi_source_distances` records.  The result equals
+        ``FloodTable.from_dense(*multi_source_distances(sites), alpha)``,
+        in O(records) memory instead of O(sites · n).
+        """
+        with _span(tracer, "voronoi_flood"):
+            return self._voronoi_flood(sites, alpha)
+
+    def _voronoi_flood(self, sites: Sequence[int], alpha: int) -> FloodTable:
+        m, n = len(sites), self.n
+        if m == 0 or n == 0:
+            return FloodTable.empty()
+        indptr, indices = self._indptr, self._indices
+        best = np.full(n, UNREACHED, dtype=np.int64)
+        frow = np.arange(m, dtype=np.int64)
+        fnode = np.asarray(sites, dtype=np.int64)
+        best[fnode] = 0
+        start_keys = frow * n + fnode
+        # Keys (row * n + node) recorded so far, kept sorted for the
+        # duplicate filter; per-level parts are merged once at the end.
+        seen = np.sort(start_keys)
+        parts_key = [start_keys]
+        parts_dist = [np.zeros(m, dtype=np.int64)]
+        parts_parent = [np.full(m, -1, dtype=np.int64)]
+        level = 0
+        while frow.size:
+            starts = indptr[fnode]
+            lens = indptr[fnode + 1] - starts
+            total = int(lens.sum())
+            if total == 0:
+                break
+            # The same ordered segment gather as multi_source_distances.
+            seg_ends = np.cumsum(lens)
+            within = np.arange(total) - np.repeat(seg_ends - lens, lens)
+            cand = indices[np.repeat(starts, lens) + within]
+            keys = np.repeat(frow, lens) * n + cand
+            pos = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
+            fresh = seen[pos] != keys
+            keys = keys[fresh]
+            if keys.size == 0:
+                break
+            owner = np.repeat(fnode, lens)[fresh]
+            uniq, first = np.unique(keys, return_index=True)
+            level += 1
+            nodes = uniq % n
+            best[nodes[best[nodes] == UNREACHED]] = level
+            keep = level - best[nodes] <= alpha
+            uniq, first = uniq[keep], first[keep]
+            if uniq.size == 0:
+                break
+            seen = np.insert(seen, np.searchsorted(seen, uniq), uniq)
+            order = np.argsort(first, kind="stable")
+            new_keys = uniq[order]
+            parts_key.append(new_keys)
+            parts_dist.append(np.full(new_keys.size, level, dtype=np.int64))
+            parts_parent.append(owner[first[order]])
+            frow = new_keys // n
+            fnode = new_keys - frow * n
+        keys = np.concatenate(parts_key)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        rows = keys // n
+        return FloodTable(rows, keys - rows * n,
+                          np.concatenate(parts_dist)[order],
+                          np.concatenate(parts_parent)[order])
+
     # -- multi-source BFS with parent recording ---------------------------
 
     def multi_source_distances(
@@ -261,7 +409,10 @@ class TraversalEngine:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Level-synchronous frontier sweep per site, with parent recording.
 
-        Bit-identical to :meth:`SensorNetwork.multi_source_distances`: the
+        Dense ``(sites × n)`` output; the pipeline floods with
+        :meth:`voronoi_flood`, and this unpruned sweep is the oracle the
+        tests check it against.  Bit-identical to
+        :meth:`SensorNetwork.multi_source_distances`: the
         frontier is kept in BFS enqueue order and neighbours are gathered
         in (frontier order, adjacency order), so the first occurrence of
         each newly reached node selects exactly the parent the FIFO

@@ -53,7 +53,9 @@ __all__ = ["ArtifactCache", "CACHE_VERSION", "ARTIFACT_MAGIC",
 #: Bump when a cached artifact's *meaning* changes (pipeline semantics,
 #: serialization layout).  Old disk entries stop matching immediately.
 #: Version 2: disk entries gained the digest-verified integrity header.
-CACHE_VERSION = 2
+#: Version 3: the ``"voronoi"`` artifact holds a sparse flood table in
+#: place of the dense ``dist``/``parent`` matrices.
+CACHE_VERSION = 3
 
 #: Disk-entry format magic; the trailing newline keeps the header
 #: greppable (``head -c 71`` shows magic + digest).

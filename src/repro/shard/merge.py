@@ -25,9 +25,11 @@ from ..core.voronoi import (
     SitePair,
     VoronoiDecomposition,
     border_edges_from_cells,
+    records_from_entries,
     records_to_structures,
 )
-from ..network.graph import UNREACHED, SensorNetwork
+from ..network.graph import SensorNetwork
+from ..network.traversal import FloodTable
 from .tile import _FAR
 
 __all__ = ["merge_stage1", "merge_flood_records", "assemble_voronoi",
@@ -95,18 +97,13 @@ def merge_flood_records(num_nodes: int, alpha: int,
         nodes_parts.append(np.asarray(result["cand_node"], dtype=np.int64))
         sites_parts.append(np.asarray(result["cand_site"], dtype=np.int64))
         dists_parts.append(np.asarray(result["cand_dist"], dtype=np.int64))
-    records: List[List[Tuple[int, int]]] = [[] for _ in range(num_nodes)]
     if not nodes_parts:
-        return records
+        return [[] for _ in range(num_nodes)]
     node = np.concatenate(nodes_parts)
     site = np.concatenate(sites_parts)
     dist = np.concatenate(dists_parts)
     keep = dist <= best[node] + alpha
-    node, site, dist = node[keep], site[keep], dist[keep]
-    order = np.lexsort((site, dist, node))
-    for i in order:
-        records[int(node[i])].append((int(site[i]), int(dist[i])))
-    return records
+    return records_from_entries(num_nodes, node[keep], site[keep], dist[keep])
 
 
 def assemble_voronoi(network: SensorNetwork, sites: Sequence[int],
@@ -115,21 +112,18 @@ def assemble_voronoi(network: SensorNetwork, sites: Sequence[int],
     """A :class:`VoronoiDecomposition` from merged records.
 
     Cell structures derive through the same helpers the monolithic build
-    uses.  The per-site distance/parent matrices are deliberately empty
-    ``(0, n)`` arrays: no downstream stage reads them (loop
-    classification, refinement and the by-products consume records,
-    cells and pair paths only), and materializing them globally is the
-    O(sites × n) memory wall sharding exists to avoid.
+    uses.  The flood table is deliberately empty: the paths phase resolves
+    reverse paths per site batch, and no later stage reads the table
+    (loop classification, refinement and the by-products consume records,
+    cells and pair paths only).
     """
-    n = network.num_nodes
     cell_of, segment_nodes, voronoi_nodes, pair_segments = \
         records_to_structures(records)
     pair_border_edges = border_edges_from_cells(network, cell_of)
     return VoronoiDecomposition(
         network=network,
         sites=sorted(int(s) for s in sites),
-        dist=np.full((0, n), UNREACHED, dtype=np.int32),
-        parent=np.full((0, n), -1, dtype=np.int32),
+        table=FloodTable.empty(),
         records=records,
         cell_of=cell_of,
         segment_nodes=segment_nodes,

@@ -4,8 +4,9 @@ Three task kinds, one per parallel phase of the sharded pipeline:
 
 * :func:`stage1_tile_task` — indices + critical-node election on one
   tile's halo-expanded subgraph, reported for owned nodes only;
-* :func:`flood_batch_task` — Voronoi flooding of one batch of sites over
-  the *full* graph, returning each node's near-best candidate records;
+* :func:`flood_batch_task` — α-pruned Voronoi flooding of one batch of
+  sites over the *full* graph, returning each node's near-best candidate
+  records;
 * :func:`paths_batch_task` — reverse-path realization for one batch of
   sites' connector endpoints.
 
@@ -23,7 +24,8 @@ import numpy as np
 
 from ..core.identification import find_critical_nodes
 from ..core.neighborhood import compute_indices
-from ..network.graph import UNREACHED, SensorNetwork
+from ..core.voronoi import flood_sites, recorded_parent_row
+from ..network.graph import SensorNetwork
 from ..perf import task_context
 
 __all__ = ["stage1_tile_task", "flood_batch_task", "paths_batch_task"]
@@ -66,29 +68,17 @@ def stage1_tile_task(config: Dict) -> Dict:
     }
 
 
-def _flood(network: SensorNetwork, sites: List[int], params,
-           tracer=None) -> Tuple[np.ndarray, np.ndarray]:
-    """``(dist, parent)`` for *sites*, backend-switched.
-
-    Bit-identical across backends and across batch splits: each row of a
-    multi-source flood depends only on its own source, so flooding a
-    subset of sites reproduces exactly those rows of the full flood.
-    """
-    if params.backend == "vectorized":
-        engine = network.traversal(params.traversal_batch_width)
-        return engine.multi_source_distances(sites, tracer=tracer)
-    return network.multi_source_distances(sites)
-
-
 def flood_batch_task(config: Dict) -> Dict:
     """Voronoi flood for one site batch over the full graph.
 
     Returns, per node, the best distance to any batch site (``best``,
     ``_FAR`` where the batch reaches nothing) and every ``(node, site,
-    dist)`` candidate within ``alpha`` of that batch-best.  The batch
-    threshold is at least the global threshold, so the union of batch
-    candidate sets is a superset of the monolithic record set — the merge
-    re-filters against the global best, an associative reduction.
+    dist)`` candidate within ``alpha`` of that batch-best — exactly the
+    table of the α-pruned flood over the batch's sites.  The batch best is
+    never below the global best, so the batch threshold is at least the
+    global one and the union of batch candidate sets is a superset of the
+    monolithic record set — the merge re-filters against the global best,
+    an associative reduction.
     """
     cache, tracer = task_context(config.get("cache_dir"))
     network: SensorNetwork = config["network"]
@@ -96,16 +86,16 @@ def flood_batch_task(config: Dict) -> Dict:
     sites = [int(s) for s in config["sites"]]
 
     def build() -> Dict:
-        dist, _parent = _flood(network, sites, params, tracer=tracer)
-        masked = np.where(dist == UNREACHED, _FAR, dist).astype(np.int64)
-        best = masked.min(axis=0)
-        keep = (masked != _FAR) & (masked <= best + params.alpha)
-        rows, cols = np.nonzero(keep)
+        table = flood_sites(network, sites, params, tracer=tracer)
+        # The first wave to reach a node is always recorded, so the
+        # table's per-node minimum is the batch best.
+        best = np.full(network.num_nodes, _FAR, dtype=np.int64)
+        np.minimum.at(best, table.node, table.dist)
         return {
             "best": best,
-            "cand_node": cols.astype(np.int64),
-            "cand_site": np.asarray(sites, dtype=np.int64)[rows],
-            "cand_dist": masked[rows, cols],
+            "cand_node": table.node,
+            "cand_site": np.asarray(sites, dtype=np.int64)[table.site_row],
+            "cand_dist": table.dist,
         }
 
     if cache is not None:
@@ -121,11 +111,14 @@ def paths_batch_task(config: Dict) -> Dict:
     """Reverse paths from connector endpoints to one batch of sites.
 
     ``config["requests"]`` maps each site of the batch to its sorted
-    endpoint list.  Re-floods exactly the requested sites (row
-    independence again) and walks the stored parents — the same kernels
-    the monolithic coarse builder uses, so every path matches node for
-    node.  Returns ``{(site, endpoint): path}`` with paths running
-    endpoint → site.
+    endpoint list.  Re-floods exactly the requested sites with the
+    α-pruned kernel and walks the recorded parents — the same kernels the
+    monolithic coarse builder uses, so every path matches node for node.
+    Pruning against this batch's best only keeps more pairs than the
+    global flood does, and every endpoint records its site globally, so
+    each endpoint and (by the flood's closure) its whole reverse path is
+    in the batch table.  Returns ``{(site, endpoint): path}`` with paths
+    running endpoint → site.
     """
     cache, tracer = task_context(config.get("cache_dir"))
     network: SensorNetwork = config["network"]
@@ -137,19 +130,17 @@ def paths_batch_task(config: Dict) -> Dict:
     sites = [site for site, _ in requests]
 
     def build() -> Dict:
-        dist, parent = _flood(network, sites, params, tracer=tracer)
+        table = flood_sites(network, sites, params, tracer=tracer)
         out: Dict[Tuple[int, int], List[int]] = {}
-        for si, (site, targets) in enumerate(requests):
-            for node in targets:
-                if dist[si, node] == UNREACHED:
-                    raise ValueError(
-                        f"node {node} was not reached from site {site}")
+        for row, (site, targets) in enumerate(requests):
+            parent = recorded_parent_row(table, row, site, targets,
+                                         network.num_nodes)
             if params.backend == "vectorized":
                 engine = network.traversal(params.traversal_batch_width)
-                paths = engine.reconstruct_paths(parent[si], list(targets),
+                paths = engine.reconstruct_paths(parent, list(targets),
                                                  tracer=tracer)
             else:
-                paths = [network.path_to_source(parent[si], node)
+                paths = [network.path_to_source(parent, node)
                          for node in targets]
             for node, path in zip(targets, paths):
                 out[(site, node)] = path

@@ -36,7 +36,7 @@ class TestEmptyNetwork:
         assert result.critical_nodes == []
         assert result.boundary_nodes == set()
         assert result.voronoi.sites == []
-        assert result.voronoi.dist.shape == (0, 0)
+        assert result.voronoi.table.node.size == 0
         assert result.final_cycle_rank() == 0
         assert result.loops == []
         # Every summary view must survive the vacuous case.
@@ -122,6 +122,6 @@ class TestZeroCriticalNodes:
         net = udg([(0, 0), (1, 0), (2, 0)])
         result = empty_skeleton_result(net, SkeletonParams())
         assert result.skeleton_nodes == set()
-        assert result.voronoi.dist.shape == (0, 3)
+        assert result.voronoi.table.node.size == 0
         assert result.voronoi.cell_of == [-1, -1, -1]
         assert result.stage_summary()["critical_nodes"] == 0

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SkeletonParams
+from repro.core.voronoi import build_voronoi
 from repro.geometry import make_field
 from repro.network import UnitDiskRadio, build_network
 from repro.network.deployment import uniform_deployment
@@ -153,6 +154,9 @@ class TestMergeOrderInvariance:
         order.shuffle(shuffled)
         assert merge_flood_records(network.num_nodes, params.alpha,
                                    shuffled) == reference
+        # Batches prune against their own best, a superset of the global
+        # records: the merge recovers the monolithic records exactly.
+        assert reference == build_voronoi(network, sites, params).records
 
     def test_stage1_merge_rejects_missing_tiles(self):
         network = _random_network(3, 60)
