@@ -47,10 +47,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from ..network.graph import SensorNetwork
 from .coarse import CoarseSkeleton, SkeletonEdge
@@ -66,6 +67,7 @@ __all__ = [
     "enclosed_interior",
     "simplify_closed_walk",
     "site_cycle_rings",
+    "RingEnumerator",
 ]
 
 
@@ -299,68 +301,304 @@ def enclosed_interior(
 # Site-level cycle family (ordered, independent, tight)
 # ---------------------------------------------------------------------------
 
-def site_cycle_rings(graph: "nx.Graph") -> List[List[int]]:
-    """An independent family of ordered tight cycles, cheapest first.
+Adjacency = Dict[int, Dict[int, float]]
+"""A weighted site graph as ``{site: {neighbour: weight}}``; the key order of
+every dict is significant (it fixes shortest-path tie-breaking)."""
 
-    Horton-style construction: for every edge (u, v), the shortest u–v path
-    avoiding that edge closes a candidate ring; candidates are sorted by
-    total weight and greedily reduced to a GF(2)-independent set over edge
-    incidence vectors.  Unlike ``networkx.minimum_cycle_basis`` this yields
-    *ordered* rings, so each element can be realized and classified.
+
+def _bidirectional_search(adjacency: Adjacency, source: int, target: int
+                          ) -> Tuple[Optional[List[int]], List[Tuple[int, int]]]:
+    """Bidirectional Dijkstra, step for step the one in networkx 3.6.1.
+
+    Heap entries are ``(dist, counter, node)`` with one counter shared by
+    both directions; directions alternate starting forward; the search ends
+    when a popped node is already final in the other direction.  Matching
+    the reference push for push makes ties break identically, so the paths
+    equal ``nx.shortest_path(G, source, target, weight="weight")`` on a
+    graph with the same adjacency order.
+
+    Returns ``(path, relaxed)``: the path (``None`` when *target* is
+    unreachable) and every directed edge ``(v, w)`` the search relaxed,
+    i.e. pushed *w* along.  Deleting any other edge leaves the search
+    unchanged: it was never read, or reading it changed nothing.
     """
-    edges = list(graph.edges())
-    if not edges:
-        return []
-    edge_index = {frozenset(e): i for i, e in enumerate(edges)}
-    rank_target = (
-        graph.number_of_edges() - graph.number_of_nodes()
-        + nx.number_connected_components(graph)
-    )
-    if rank_target <= 0:
-        return []
+    if source == target:
+        return [source], []
+    dists: Tuple[Dict[int, float], Dict[int, float]] = ({}, {})
+    preds: Tuple[Dict[int, Optional[int]], Dict[int, Optional[int]]] = (
+        {source: None}, {target: None})
+    seen: Tuple[Dict[int, float], Dict[int, float]] = (
+        {source: 0}, {target: 0})
+    fringe: Tuple[list, list] = ([(0, 0, source)], [(0, 1, target)])
+    counter = count(2)
+    relaxed: List[Tuple[int, int]] = []
+    finaldist = None
+    meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        final = dists[direction]
+        if v in final:
+            continue
+        final[v] = dist
+        if v in dists[1 - direction]:
+            path = []
+            node = meetnode
+            while node is not None:
+                path.append(node)
+                node = preds[0][node]
+            path.reverse()
+            node = preds[1][meetnode]
+            while node is not None:
+                path.append(node)
+                node = preds[1][node]
+            return path, relaxed
+        near, far = seen[direction], seen[1 - direction]
+        pred = preds[direction]
+        heap = fringe[direction]
+        for w, cost in adjacency[v].items():
+            length = dist + cost
+            if w in final:
+                if length < final[w]:
+                    raise ValueError("Contradictory paths found: negative weights?")
+            elif w not in near or length < near[w]:
+                near[w] = length
+                heappush(heap, (length, next(counter), w))
+                pred[w] = v
+                relaxed.append((v, w))
+                if w in far:
+                    total = length + far[w]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, w
+    return None, relaxed
 
-    candidates: List[Tuple[float, List[int]]] = []
-    seen_signatures: Set[int] = set()
-    for u, v in edges:
-        weight = graph[u][v].get("weight", 1)
-        graph.remove_edge(u, v)
-        try:
-            path = nx.shortest_path(graph, u, v, weight="weight")
-        except nx.NetworkXNoPath:
-            path = None
-        graph.add_edge(u, v, weight=weight)
-        if path is None or len(path) < 3:
-            continue
-        ring = list(path)  # u .. v, closed by the (u, v) edge
-        mask = 0
-        for i in range(len(ring)):
-            mask ^= 1 << edge_index[frozenset((ring[i], ring[(i + 1) % len(ring)]))]
-        if mask in seen_signatures:
-            continue
-        seen_signatures.add(mask)
-        total = sum(
-            graph[ring[i]][ring[(i + 1) % len(ring)]].get("weight", 1)
-            for i in range(len(ring))
-        )
-        candidates.append((total, ring))
-    candidates.sort(key=lambda item: (item[0], item[1]))
 
-    basis_masks: List[int] = []
-    rings: List[List[int]] = []
-    for _, ring in candidates:
-        mask = 0
-        for i in range(len(ring)):
-            mask ^= 1 << edge_index[frozenset((ring[i], ring[(i + 1) % len(ring)]))]
-        reduced = mask
-        for bm in basis_masks:
-            reduced = min(reduced, reduced ^ bm)
-        if reduced == 0:
-            continue
-        basis_masks.append(mask)
-        rings.append(ring)
-        if len(rings) >= rank_target:
-            break
-    return rings
+class RingEnumerator:
+    """Horton ring enumeration over a shrinking site graph.
+
+    For every edge (u, v), the shortest u–v path avoiding that edge closes
+    a candidate ring; candidates are sorted by total weight and greedily
+    reduced to a GF(2)-independent set over edge incidence vectors.  Unlike
+    ``networkx.minimum_cycle_basis`` this yields *ordered* rings, so each
+    element can be realized and classified.
+
+    The enumeration replays the networkx one it replaced exactly, adjacency
+    order included: edges come in ``Graph.edges()`` order, and each edge is
+    deleted and reinserted around its search, which moves each endpoint to
+    the end of the other's neighbour dict.
+
+    Between calls the owner may only :meth:`remove_edge`.  Each edge's
+    search is kept and reused on the next call unless the search relaxed
+    along a removed edge.  Reuse is exact when the graph starts the call in
+    the order the cached call started in, minus the removed edges: every
+    search then sees its old adjacency minus edges whose reading pushed
+    nothing, so it pushes the same heap entries with the same counters and
+    returns the same path.  After one full pass each neighbour dict is
+    ordered by that pass's edge ranks, which the ``edges()`` rule
+    reproduces, so the condition holds from the third call on; it is
+    checked on every call and the cache is dropped when it fails.
+    """
+
+    def __init__(self, adjacency: Adjacency):
+        self.adjacency = adjacency
+        #: bidirectional searches run (cache misses), for instrumentation.
+        self.searches = 0
+        # Per edge (u, v): the search's path and the edges it relaxed; and
+        # per relaxed directed edge, the searches that relaxed along it.
+        self._paths: Dict[Tuple[int, int], Optional[List[int]]] = {}
+        self._relaxed: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        self._users: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
+        # Start-of-call order of the last full call, and the edges removed
+        # since; ``None`` until the first full call.
+        self._baseline: Optional[List[Tuple[int, Tuple[int, ...]]]] = None
+        self._removed: Set[FrozenSet[int]] = set()
+
+    @classmethod
+    def from_edges(cls, nodes: Iterable[int],
+                   edges: Iterable[Tuple[int, int, float]]) -> "RingEnumerator":
+        """Build the graph the way ``add_nodes_from`` + ``add_edge`` would."""
+        adjacency: Adjacency = {}
+        for node in nodes:
+            adjacency.setdefault(node, {})
+        for u, v, weight in edges:
+            adjacency.setdefault(u, {})[v] = weight
+            adjacency.setdefault(v, {})[u] = weight
+        return cls(adjacency)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edges())
+
+    def edges(self) -> List[Tuple[int, int]]:
+        """The edges in ``networkx.Graph.edges()`` order."""
+        out: List[Tuple[int, int]] = []
+        visited: Set[int] = set()
+        for u, nbrs in self.adjacency.items():
+            out.extend((u, v) for v in nbrs if v not in visited)
+            visited.add(u)
+        return out
+
+    def remove_edge(self, u: int, v: int) -> None:
+        """Delete edge (u, v) and forget every search that relaxed along
+        it."""
+        adjacency = self.adjacency
+        del adjacency[u][v]
+        if u != v:
+            del adjacency[v][u]
+        self._removed.add(frozenset((u, v)))
+        users = self._users
+        stale = users.pop((u, v), set()) | users.pop((v, u), set())
+        stale.update(((u, v), (v, u)))
+        for key in stale:
+            self._paths.pop(key, None)
+            for edge in self._relaxed.pop(key, ()):
+                if edge in users:
+                    users[edge].discard(key)
+
+    def _components(self) -> int:
+        adjacency = self.adjacency
+        seen: Set[int] = set()
+        components = 0
+        for start in adjacency:
+            if start in seen:
+                continue
+            components += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                for w in adjacency[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return components
+
+    def _order_kept(self, order: List[Tuple[int, Tuple[int, ...]]]) -> bool:
+        """Whether *order* is the baseline order minus the removed edges."""
+        baseline = self._baseline
+        if baseline is None or len(order) != len(baseline):
+            return False
+        removed = self._removed
+        touched = set().union(*removed) if removed else set()
+        for (node, nbrs), (old_node, old_nbrs) in zip(order, baseline):
+            if node != old_node:
+                return False
+            if node in touched:
+                old_nbrs = tuple(w for w in old_nbrs
+                                 if frozenset((node, w)) not in removed)
+            if nbrs != old_nbrs:
+                return False
+        return True
+
+    def _forget_all(self) -> None:
+        self._paths.clear()
+        self._relaxed.clear()
+        self._users.clear()
+
+    def rings(self) -> List[List[int]]:
+        """An independent family of ordered tight cycles, cheapest first."""
+        adjacency = self.adjacency
+        edges = self.edges()
+        if not edges:
+            return []
+        rank_target = len(edges) - len(adjacency) + self._components()
+        if rank_target <= 0:
+            return []
+
+        order = [(node, tuple(nbrs)) for node, nbrs in adjacency.items()]
+        if not self._order_kept(order):
+            self._forget_all()
+        self._baseline = order
+        self._removed = set()
+
+        paths, relaxed, users = self._paths, self._relaxed, self._users
+        found: List[Optional[List[int]]] = []
+        for u, v in edges:
+            key = (u, v)
+            weight = adjacency[u].pop(v)
+            adjacency[v].pop(u, None)
+            if key in paths:
+                path = paths[key]
+            else:
+                path, along = _bidirectional_search(adjacency, u, v)
+                self.searches += 1
+                paths[key] = path
+                relaxed[key] = along
+                for edge in along:
+                    if edge in users:
+                        users[edge].add(key)
+                    else:
+                        users[edge] = {key}
+            adjacency[u][v] = weight
+            adjacency[v][u] = weight
+            found.append(path)
+
+        rank: Dict[int, Dict[int, int]] = {node: {} for node in adjacency}
+        for i, (u, v) in enumerate(edges):
+            rank[u][v] = rank[v][u] = i
+
+        def mask_of(ring: List[int]) -> int:
+            mask = 0
+            for i in range(len(ring)):
+                mask ^= 1 << rank[ring[i]][ring[(i + 1) % len(ring)]]
+            return mask
+
+        candidates: List[Tuple[float, List[int], int]] = []
+        seen_signatures: Set[int] = set()
+        for path in found:
+            if path is None or len(path) < 3:
+                continue
+            mask = mask_of(path)
+            if mask in seen_signatures:
+                continue
+            seen_signatures.add(mask)
+            total = sum(
+                adjacency[path[i]][path[(i + 1) % len(path)]]
+                for i in range(len(path))
+            )
+            candidates.append((total, path, mask))
+        candidates.sort(key=lambda item: (item[0], item[1]))
+
+        # Greedy reduction against the accepted masks, in acceptance order:
+        # ``min(r, r ^ bm)`` takes ``r ^ bm`` exactly when r holds bm's top
+        # bit, which is the cheaper test.
+        basis: List[Tuple[int, int]] = []
+        rings: List[List[int]] = []
+        for _, ring, mask in candidates:
+            reduced = mask
+            for bm, top in basis:
+                if reduced & top:
+                    reduced ^= bm
+            if reduced == 0:
+                continue
+            basis.append((mask, 1 << (mask.bit_length() - 1)))
+            rings.append(list(ring))
+            if len(rings) >= rank_target:
+                break
+        return rings
+
+
+def site_cycle_rings(graph) -> List[List[int]]:
+    """An independent family of ordered tight cycles of a weighted
+    ``networkx.Graph``, cheapest first (see :class:`RingEnumerator`).
+
+    Edge weights come from the ``weight`` attribute (default 1).  The
+    argument is read, not modified: the enumeration runs on a copy of its
+    adjacency.
+    """
+    adjacency: Adjacency = {
+        u: {v: data.get("weight", 1) for v, data in nbrs.items()}
+        for u, nbrs in graph.adjacency()
+    }
+    return RingEnumerator(adjacency).rings()
+
+
+def _span(tracer, name: str):
+    """A wall-clock span over one stage-4 kernel (no-op without a tracer),
+    in the ``loops`` category."""
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(f"loops:{name}", category="loops")
 
 
 def _realize_site_ring(pair_paths: Dict[SitePair, List[int]],
@@ -512,27 +750,36 @@ def identify_loops(
         tracer=tracer,
     )
 
-    graph = nx.Graph()
-    graph.add_nodes_from(skeleton.sites)
-    for pair, path in skeleton.pair_paths.items():
-        graph.add_edge(pair[0], pair[1], weight=max(len(path) - 1, 1))
+    enumerator = RingEnumerator.from_edges(
+        skeleton.sites,
+        ((a, b, max(len(path) - 1, 1))
+         for (a, b), path in skeleton.pair_paths.items()),
+    )
 
     removed_pairs: Set[SitePair] = set()
     fake_records: List[Loop] = []
-    max_iterations = graph.number_of_edges() + 1
+    # Rings recur across iterations; realizing one depends only on the
+    # (fixed) pair paths.
+    realized: Dict[Tuple[int, ...], Optional[List[int]]] = {}
+    max_iterations = enumerator.num_edges + 1
 
     for _ in range(max_iterations):
-        rings = site_cycle_rings(graph)
+        with _span(tracer, "rings"):
+            rings = enumerator.rings()
         opened = False
         genuine_rings: List[Tuple[List[int], List[int], float]] = []
         for site_ring in rings:
-            ordered = _realize_site_ring(skeleton.pair_paths, site_ring)
-            if ordered is None:
+            key = tuple(site_ring)
+            if key not in realized:
+                realized[key] = _realize_site_ring(skeleton.pair_paths,
+                                                   site_ring)
+            if realized[key] is None:
                 continue
+            ordered = list(realized[key])
             is_fake, witnesses, ratio = classifier.classify(site_ring, ordered)
             if is_fake:
                 pair = _weakest_pair(site_ring, skeleton, index)
-                graph.remove_edge(*pair)
+                enumerator.remove_edge(*pair)
                 removed_pairs.add(pair)
                 fake_records.append(
                     Loop(
@@ -553,11 +800,12 @@ def identify_loops(
             # Deduplicate ring variants: two surviving genuine rings that
             # share most of their nodes wrap the same hole (they differ by
             # a braid strand); open the longer one along a non-shared edge.
+            node_sets = [set(ordered) for _, ordered, _ in genuine_rings]
             for i in range(len(genuine_rings)):
                 for j in range(i + 1, len(genuine_rings)):
                     ring_a, ordered_a, _ = genuine_rings[i]
                     ring_b, ordered_b, _ = genuine_rings[j]
-                    shared = len(set(ordered_a) & set(ordered_b))
+                    shared = len(node_sets[i] & node_sets[j])
                     smaller = min(len(ordered_a), len(ordered_b))
                     if smaller and shared / smaller > 0.5:
                         longer_ring, longer_ordered, ratio = max(
@@ -580,7 +828,7 @@ def identify_loops(
                         droppable = [p for p in own_pairs if p not in shorter_pairs]
                         if droppable:
                             pair = _weakest_pair_of(droppable, skeleton, index)
-                            graph.remove_edge(*pair)
+                            enumerator.remove_edge(*pair)
                             removed_pairs.add(pair)
                             fake_records.append(
                                 Loop(
@@ -612,7 +860,7 @@ def identify_loops(
                 for site_ring, ordered, ratio in genuine_rings
             ]
             kept = {
-                (min(a, b), max(a, b)) for a, b in graph.edges()
+                (min(a, b), max(a, b)) for a, b in enumerator.edges()
             }
             return LoopAnalysis(
                 loops=loops, kept_pairs=kept, removed_pairs=removed_pairs

@@ -31,8 +31,15 @@ try:
     # to its deterministic example stream, so a red job is always
     # re-debuggable locally with the same failures.
     _hyp_settings.register_profile("ci", derandomize=True)
+    # A deeper deterministic budget for tests that leave max_examples to
+    # the profile (the stage-4 oracle job sets
+    # REPRO_HYPOTHESIS_PROFILE=thorough); tier-1 keeps the default.
+    _hyp_settings.register_profile("thorough", derandomize=True,
+                                   max_examples=500)
     if os.environ.get("CI"):
         _hyp_settings.load_profile("ci")
+    if os.environ.get("REPRO_HYPOTHESIS_PROFILE"):
+        _hyp_settings.load_profile(os.environ["REPRO_HYPOTHESIS_PROFILE"])
 except ImportError:  # pragma: no cover - hypothesis is a dev extra
     pass
 

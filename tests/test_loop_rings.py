@@ -1,0 +1,333 @@
+"""The incremental ring enumerator against the networkx enumeration it
+replaced (hypothesis).
+
+:class:`repro.core.loops.RingEnumerator` must reproduce the networkx
+``site_cycle_rings`` exactly — the same rings and the same adjacency
+order after every call — because stage 4's tie-breaking, and so every
+skeleton, depends on that order.  The oracle below is that function,
+kept verbatim as a test-only reference.
+"""
+
+from typing import List, Set, Tuple
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import PAPER_SCENARIOS
+from repro.core import LoopStrategy, SkeletonParams, extract_skeleton
+from repro.core import loops as loops_module
+from repro.core.loops import RingEnumerator, site_cycle_rings
+
+
+def oracle_site_cycle_rings(graph: "nx.Graph") -> List[List[int]]:
+    """An independent family of ordered tight cycles, cheapest first.
+
+    Horton-style construction: for every edge (u, v), the shortest u–v path
+    avoiding that edge closes a candidate ring; candidates are sorted by
+    total weight and greedily reduced to a GF(2)-independent set over edge
+    incidence vectors.  Unlike ``networkx.minimum_cycle_basis`` this yields
+    *ordered* rings, so each element can be realized and classified.
+    """
+    edges = list(graph.edges())
+    if not edges:
+        return []
+    edge_index = {frozenset(e): i for i, e in enumerate(edges)}
+    rank_target = (
+        graph.number_of_edges() - graph.number_of_nodes()
+        + nx.number_connected_components(graph)
+    )
+    if rank_target <= 0:
+        return []
+
+    candidates: List[Tuple[float, List[int]]] = []
+    seen_signatures: Set[int] = set()
+    for u, v in edges:
+        weight = graph[u][v].get("weight", 1)
+        graph.remove_edge(u, v)
+        try:
+            path = nx.shortest_path(graph, u, v, weight="weight")
+        except nx.NetworkXNoPath:
+            path = None
+        graph.add_edge(u, v, weight=weight)
+        if path is None or len(path) < 3:
+            continue
+        ring = list(path)  # u .. v, closed by the (u, v) edge
+        mask = 0
+        for i in range(len(ring)):
+            mask ^= 1 << edge_index[frozenset((ring[i], ring[(i + 1) % len(ring)]))]
+        if mask in seen_signatures:
+            continue
+        seen_signatures.add(mask)
+        total = sum(
+            graph[ring[i]][ring[(i + 1) % len(ring)]].get("weight", 1)
+            for i in range(len(ring))
+        )
+        candidates.append((total, ring))
+    candidates.sort(key=lambda item: (item[0], item[1]))
+
+    basis_masks: List[int] = []
+    rings: List[List[int]] = []
+    for _, ring in candidates:
+        mask = 0
+        for i in range(len(ring)):
+            mask ^= 1 << edge_index[frozenset((ring[i], ring[(i + 1) % len(ring)]))]
+        reduced = mask
+        for bm in basis_masks:
+            reduced = min(reduced, reduced ^ bm)
+        if reduced == 0:
+            continue
+        basis_masks.append(mask)
+        rings.append(ring)
+        if len(rings) >= rank_target:
+            break
+    return rings
+
+
+class OracleEnumerator:
+    """:class:`RingEnumerator`'s interface over a networkx graph and the
+    oracle, so ``identify_loops`` can be driven by either."""
+
+    def __init__(self, graph: "nx.Graph"):
+        self.graph = graph
+
+    @classmethod
+    def from_edges(cls, nodes, edges) -> "OracleEnumerator":
+        graph = nx.Graph()
+        graph.add_nodes_from(nodes)
+        for u, v, weight in edges:
+            graph.add_edge(u, v, weight=weight)
+        return cls(graph)
+
+    @property
+    def num_edges(self) -> int:
+        return self.graph.number_of_edges()
+
+    def edges(self):
+        return list(self.graph.edges())
+
+    def remove_edge(self, u, v) -> None:
+        self.graph.remove_edge(u, v)
+
+    def rings(self) -> List[List[int]]:
+        return oracle_site_cycle_rings(self.graph)
+
+
+def nx_order(graph: "nx.Graph"):
+    return [(u, [(v, data["weight"]) for v, data in nbrs.items()])
+            for u, nbrs in graph.adjacency()]
+
+
+def dict_order(adjacency):
+    return [(u, list(nbrs.items())) for u, nbrs in adjacency.items()]
+
+
+def both(nodes, edges):
+    """The same graph as a networkx oracle and a :class:`RingEnumerator`."""
+    oracle = OracleEnumerator.from_edges(nodes, edges)
+    return oracle, RingEnumerator.from_edges(nodes, edges)
+
+
+def assert_same_call(oracle: OracleEnumerator, enumerator: RingEnumerator):
+    assert enumerator.rings() == oracle.rings()
+    assert dict_order(enumerator.adjacency) == nx_order(oracle.graph)
+    assert enumerator.num_edges == oracle.num_edges
+    assert enumerator.edges() == oracle.edges()
+
+
+@st.composite
+def site_graphs(draw):
+    """Small weighted graphs rich in ties (weights 1–3): several
+    components, bridges, pendant trees, self-loops and isolated nodes,
+    with nodes and edges inserted in a drawn order."""
+    n = draw(st.integers(2, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=min(len(pairs), 3 * n)))
+    edges = [(a, b) if draw(st.booleans()) else (b, a) for a, b in chosen]
+    weighted = [(a, b, draw(st.integers(1, 3))) for a, b in edges]
+    listed = draw(st.lists(st.integers(0, n - 1), unique=True))
+    nodes = listed + [v for v in range(n) if v not in listed
+                      and draw(st.booleans())]
+    return nodes, weighted
+
+
+class TestSiteCycleRingsOracle:
+    @given(site_graphs())
+    @settings(deadline=None)
+    def test_one_shot_equals_oracle(self, graph_spec):
+        nodes, edges = graph_spec
+        graph = OracleEnumerator.from_edges(nodes, edges).graph
+        # A fresh build, not graph.copy(): copying re-adds the edges and
+        # so reorders the neighbour dicts.
+        twin = OracleEnumerator.from_edges(nodes, edges).graph
+        assert site_cycle_rings(graph) == oracle_site_cycle_rings(twin)
+
+    @given(site_graphs())
+    @settings(deadline=None)
+    def test_argument_order_unchanged(self, graph_spec):
+        nodes, edges = graph_spec
+        graph = OracleEnumerator.from_edges(nodes, edges).graph
+        before = nx_order(graph)
+        site_cycle_rings(graph)
+        assert nx_order(graph) == before
+
+    def test_argument_order_unchanged_on_a_square(self):
+        graph = nx.Graph()
+        graph.add_weighted_edges_from(
+            [(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 3, 2)])
+        before = nx_order(graph)
+        rings = site_cycle_rings(graph)
+        assert len(rings) == 2
+        assert nx_order(graph) == before
+
+
+class TestIncrementalEnumeration:
+    @given(site_graphs(), st.data())
+    @settings(deadline=None)
+    def test_removal_sequences_match_oracle(self, graph_spec, data):
+        nodes, edges = graph_spec
+        oracle, enumerator = both(nodes, edges)
+        # Two calls first: the second starts in the order the first left,
+        # which usually differs from insertion order, so nothing carries.
+        assert_same_call(oracle, enumerator)
+        assert_same_call(oracle, enumerator)
+        while enumerator.edges():
+            current = enumerator.edges()
+            # Bias towards the two removals that matter: edges some cached
+            # search relaxed along (it must rerun), and unrelaxed edges at
+            # nodes a cached search expanded (it must be reused intact).
+            users = enumerator._users
+            relaxed = [(u, v) for u, v in current
+                       if (u, v) in users or (v, u) in users]
+            expanded = {v for along in enumerator._relaxed.values()
+                        for v, _ in along}
+            read_only = [(u, v) for u, v in current
+                         if (u in expanded or v in expanded)
+                         and (u, v) not in relaxed]
+            pools = [pool for pool in (current, relaxed, read_only) if pool]
+            pool = pools[data.draw(st.integers(0, len(pools) - 1))]
+            u, v = data.draw(st.sampled_from(pool))
+            if data.draw(st.booleans()):
+                u, v = v, u
+            oracle.remove_edge(u, v)
+            enumerator.remove_edge(u, v)
+            assert_same_call(oracle, enumerator)
+
+    @given(site_graphs(), st.data())
+    @settings(deadline=None)
+    def test_batched_removals_match_oracle(self, graph_spec, data):
+        """Zero to three removals between calls, and calls that return
+        early."""
+        nodes, edges = graph_spec
+        oracle, enumerator = both(nodes, edges)
+        assert_same_call(oracle, enumerator)
+        repeats = 0
+        while enumerator.edges():
+            current = enumerator.edges()
+            batch = data.draw(st.lists(st.sampled_from(current), unique=True,
+                                       min_size=0 if repeats < 2 else 1,
+                                       max_size=3))
+            repeats = 0 if batch else repeats + 1
+            for u, v in batch:
+                oracle.remove_edge(u, v)
+                enumerator.remove_edge(u, v)
+            assert_same_call(oracle, enumerator)
+
+    def test_searches_are_reused(self):
+        # A 4x4 grid of unit squares, inserted row by row: its neighbour
+        # dicts already follow the edge ranks, so repeat calls search
+        # nothing, and dropping a corner edge reruns only the searches
+        # that pushed along it.
+        nodes = list(range(16))
+        edges = []
+        for r in range(4):
+            for c in range(4):
+                v = 4 * r + c
+                if c < 3:
+                    edges.append((v, v + 1, 1))
+                if r < 3:
+                    edges.append((v, v + 4, 1))
+        oracle, enumerator = both(nodes, edges)
+        for _ in range(3):
+            assert_same_call(oracle, enumerator)
+        assert enumerator.searches == len(edges)
+        oracle.remove_edge(14, 15)
+        enumerator.remove_edge(14, 15)
+        assert_same_call(oracle, enumerator)
+        assert 0 < enumerator.searches - len(edges) < len(edges) // 2
+
+    def test_stale_reuse_would_pick_another_tied_path(self):
+        """Dropping the pendant edge (0, 4) changes no cycle and lies on
+        no cached path, but the search for edge (2, 4) relaxed along it.
+        Without (0, 4) that search pushes one entry fewer, meets on the
+        other weight-9 path, 2-5-6-3-4 instead of 2-1-3-4, and the ring
+        family changes.  Reusing it because its path survived would be
+        wrong."""
+        nodes = [2, 6, 0, 1, 5, 3, 4]
+        edges = [(5, 6, 2), (2, 4, 1), (2, 1, 3), (4, 3, 3), (6, 3, 3),
+                 (2, 5, 1), (1, 3, 3), (0, 4, 3)]
+        oracle, enumerator = both(nodes, edges)
+        stale = _PathOnlyInvalidation.from_edges(nodes, edges)
+        for _ in range(2):
+            assert_same_call(oracle, enumerator)
+            stale.rings()
+        assert enumerator._paths[(2, 4)] == [2, 1, 3, 4]
+        assert (4, 0) in enumerator._relaxed[(2, 4)]
+        for target in (oracle, enumerator, stale):
+            target.remove_edge(0, 4)
+        expected = oracle.rings()
+        assert stale.rings() != expected
+        assert enumerator.rings() == expected
+        assert enumerator._paths[(2, 4)] == [2, 5, 6, 3, 4]
+
+
+class _PathOnlyInvalidation(RingEnumerator):
+    """A wrong variant that forgets a search only when the dropped edge
+    lies on its path."""
+
+    def remove_edge(self, u, v):
+        on_path = [key for key, path in self._paths.items()
+                   if path and _has_edge(path, u, v)]
+        keep = {key: (self._paths[key], self._relaxed[key])
+                for key in self._paths if key not in on_path
+                and key not in ((u, v), (v, u))}
+        super().remove_edge(u, v)
+        for key, (path, reads) in keep.items():
+            self._paths[key] = path
+            self._relaxed[key] = reads
+
+
+def _has_edge(path, u, v) -> bool:
+    return any({path[i], path[(i + 1) % len(path)]} == {u, v}
+               for i in range(len(path)))
+
+
+class TestIdentifyLoopsOracle:
+    """Stage 4 driven by the enumerator equals stage 4 driven by the
+    networkx oracle: every loop field, kept and removed pairs."""
+
+    @pytest.mark.parametrize("strategy", list(LoopStrategy))
+    @pytest.mark.parametrize("scenario", ["window", "two_holes", "spiral"])
+    def test_loop_analysis_equals_oracle(self, scenario, strategy,
+                                         monkeypatch):
+        network = PAPER_SCENARIOS[scenario].build(seed=1, num_nodes=500)
+        params = SkeletonParams(loop_strategy=strategy)
+        fresh = extract_skeleton(network, params)
+        monkeypatch.setattr(loops_module, "RingEnumerator", OracleEnumerator)
+        reference = extract_skeleton(network, params)
+        assert loop_fields(fresh.loop_analysis) == \
+            loop_fields(reference.loop_analysis)
+        assert fresh.skeleton.nodes == reference.skeleton.nodes
+        assert fresh.skeleton.edges == reference.skeleton.edges
+
+
+def loop_fields(analysis):
+    return (
+        [(loop.sites, loop.ordered, loop.is_fake, loop.witnesses,
+          loop.iso_ratio, loop.removed_pair) for loop in analysis.loops],
+        analysis.kept_pairs,
+        analysis.removed_pairs,
+    )
+

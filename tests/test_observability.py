@@ -463,6 +463,14 @@ class TestCacheCounters:
             assert timings[stage] >= 0.0
         assert "traversal:khop_stats" in timings
 
+    def test_stage_timings_split_stage4_ring_enumeration(self, small_network):
+        tracer = Tracer(record_events=False)
+        extract_skeleton(small_network, tracer=tracer)
+        spans = [s for s in tracer.spans if s.name == "loops:rings"]
+        assert spans and all(s.category == "loops" for s in spans)
+        timings = build_metrics(tracer).stage_timings
+        assert 0.0 <= timings["loops:rings"] <= timings["stage4:refine"]
+
     def test_stage_timings_excluded_from_report_equality(self, small_network):
         reports = []
         for _ in range(2):
