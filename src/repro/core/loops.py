@@ -238,8 +238,10 @@ def opposite_width(network: SensorNetwork, ordered: Sequence[int],
     The reference path bounds each BFS by the best width so far; that only
     skips distances which could not lower the minimum (both endpoints sit
     on the cycle, so every pair distance is at most the cycle length), so
-    the *engine* path — exact distances for all sample pairs in one batched
-    sweep, then the minimum — returns the same value.
+    the *engine* path returns the same value.  It runs one batched sweep
+    from all sample points that stops at the first level where some pair
+    meets: that pair reads exactly the minimum, and every other pair reads
+    the same level or ``UNREACHED`` (it is at least as far apart).
     """
     length = len(ordered)
     if length < 4:
@@ -251,7 +253,8 @@ def opposite_width(network: SensorNetwork, ordered: Sequence[int],
         starts = [(i * length) // count for i in range(count)]
         sources = [ordered[s] for s in starts]
         targets = [ordered[(s + half) % length] for s in starts]
-        dist = engine.hop_distances(sources, tracer=tracer)
+        dist = engine.hop_distances(sources, targets=targets,
+                                    tracer=tracer)
         for i, b in enumerate(targets):
             d = int(dist[i, b])
             if d >= 0:

@@ -14,7 +14,7 @@ Two interchangeable backends compute them: the pure-Python per-node BFS
 :class:`repro.network.TraversalEngine` (``backend="vectorized"``, the
 default).  Sums are integral in both, so outputs are bit-identical; with
 the paper's default ``k = l = 4`` the vectorized path computes sizes and
-centrality in a single frontier sweep.
+centrality in a single sweep of sparse ball products.
 """
 
 from __future__ import annotations

@@ -69,9 +69,9 @@ class SkeletonParams:
             ``"reference"`` keeps the pure-Python per-node BFS oracle.
             Both produce identical results (equivalence-tested); the
             vectorized backend is simply faster.
-        traversal_batch_width: number of BFS sources expanded per batch by
-            the vectorized backend — bounds peak memory at roughly
-            ``batch_width × n`` bytes per boolean working matrix.
+        traversal_batch_width: number of nodes whose k-hop reach rows the
+            vectorized backend builds per batch — bounds the stage-1
+            working set to one sparse ``batch_width × |N_k|`` reach block.
     """
 
     k: int = 4

@@ -7,10 +7,10 @@ those loops with array kernels over a cached :mod:`scipy.sparse` CSR
 adjacency matrix (built lazily on :class:`SensorNetwork`; the graph is
 immutable, so the cache never needs invalidation):
 
-* :meth:`all_khop_sizes` — ``|N_k(p)|`` for **all** nodes at once, via k
-  rounds of boolean frontier expansion (sparse frontier × CSR adjacency)
-  over node batches.  Batch width bounds peak memory, so the kernel scales
-  past what an ``n × n`` dense reach matrix would allow.
+* :meth:`all_khop_sizes` — ``|N_k(p)|`` for **all** nodes at once: each
+  node batch's reach block is a product of cached sparse ball operators
+  (``A + I`` and its square).  The block is ``batch × |N_k|``, so memory
+  grows with the neighbourhood, not with ``n``.
 * :meth:`khop_stats` — sizes *and* l-centrality.  When ``l == k`` (the
   paper's default ``k = l = 4``) the k-hop reach rows are reused for the
   centrality accumulation inside the same sweep: because hop-reachability
@@ -18,6 +18,9 @@ immutable, so the cache never needs invalidation):
   ``Σ_{v ∈ N_l(p)} |N_k(v)|`` is accumulated batch-by-batch as
   ``Rᵀ · sizes[batch]`` without ever materialising the full reach matrix
   or re-running the traversal.
+* :meth:`hop_distances` — exact distances from a few sources; given one
+  target per source, the sweep stops at the first level where some source
+  meets its target (the stage-4 opposite-width test).
 * :meth:`voronoi_flood` — the Section III-B site flood: all site waves
   advance level-synchronously, and a wave survives at a node only within
   ``alpha`` hops of the node's best distance.  The frontier is kept
@@ -124,7 +127,7 @@ def _span(tracer, name: str):
     return tracer.span(f"traversal:{name}", category="traversal")
 
 DEFAULT_BATCH_WIDTH = 1024
-"""Default number of BFS sources expanded per batch (memory knob)."""
+"""Default number of reach rows built per batch (memory knob)."""
 
 
 class TraversalEngine:
@@ -132,7 +135,8 @@ class TraversalEngine:
 
     Construct via :meth:`SensorNetwork.traversal`, which caches one engine
     per network (the adjacency is immutable).  ``batch_width`` bounds the
-    dense working set of the k-hop sweep to ``batch_width × n`` bytes.
+    k-hop sweep's working set to one sparse ``batch_width × |N_k|`` reach
+    block (plus scipy's O(n) product workspace).
     """
 
     def __init__(self, network, batch_width: int = DEFAULT_BATCH_WIDTH):
@@ -152,12 +156,11 @@ class TraversalEngine:
         """Reach operators whose radii sum to *hops*.
 
         ``ball1 = A + I`` and the cached ``ball2 = saturate(ball1²)`` cover
-        two hops per round, halving the number of frontier expansions for
-        the paper's ``k = 4``.  Expanding a frontier *ring* with a ball
-        operator stays exact: a node at distance ``S + d`` (``d ≤ radius``)
-        has a node at distance exactly ``S`` on its shortest path, and that
-        node is always in the last ring.  The single odd step runs first,
-        while the ring is smallest.
+        two hops per product, halving the number of products for the
+        paper's ``k = 4``.  The product of balls of radii ``a`` and ``b``
+        has the pattern of the ball of radius ``a + b``, so the chain's
+        pattern is exactly ``N_hops``.  The single odd step runs first,
+        while the block is smallest.
         """
         if self._ball1 is None:
             eye = sparse.identity(self.n, dtype=np.int32, format="csr")
@@ -175,7 +178,7 @@ class TraversalEngine:
 
     def all_khop_sizes(self, k: int, include_self: bool = True,
                        tracer=None) -> np.ndarray:
-        """``|N_k(p)|`` for every node — batched boolean frontier expansion.
+        """``|N_k(p)|`` for every node — batched sparse ball products.
 
         Matches :meth:`SensorNetwork.k_hop_sizes` exactly (integer array).
         """
@@ -257,64 +260,32 @@ class TraversalEngine:
         cnt = np.zeros(n, dtype=np.int64) if accumulate else None
         if n == 0:
             return row_sizes, num, cnt
-        operators = self._ball_operators(hops)
+        first, *rest = self._ball_operators(hops)
         width = self.batch_width
         for start in range(0, n, width):
-            batch = np.arange(start, min(start + width, n))
-            b = len(batch)
-            # Frontier as a sparse b×n row block (expanded by one CSR
-            # product per round, O(Σ deg(frontier))); reach as dense bool
-            # flags so membership filtering is a flat gather.  Peak memory
-            # is the batch_width × n flag matrix.
-            reached = np.zeros((b, n), dtype=bool)
-            reached[np.arange(b), batch] = True
-            reached_flat = reached.reshape(-1)
-            ent_rows = [np.arange(b, dtype=np.int64)]
-            ent_cols = [batch]
-            frontier = None
-            for op in operators:
-                if frontier is None:
-                    # First round from the identity block: the product is
-                    # just the operator's rows.
-                    cand = op[batch]
-                else:
-                    if frontier.nnz == 0:
-                        break
-                    cand = frontier @ op
-                if cand.nnz == 0:
-                    break
-                crows = np.repeat(np.arange(b), np.diff(cand.indptr))
-                fresh = ~reached_flat[crows * n + cand.indices]
-                if not fresh.any():
-                    break
-                frows = crows[fresh]
-                fcols = cand.indices[fresh].astype(np.int64)
-                reached_flat[frows * n + fcols] = True
-                ent_rows.append(frows)
-                ent_cols.append(fcols)
-                # cand's columns are sorted within each row and the fresh
-                # filter preserves that, so the next frontier's CSR can be
-                # assembled directly from the filtered triplets.
-                indptr_new = np.zeros(b + 1, dtype=np.int64)
-                np.cumsum(np.bincount(frows, minlength=b), out=indptr_new[1:])
-                frontier = sparse.csr_matrix(
-                    (np.ones(len(fcols), dtype=np.int32), fcols, indptr_new),
-                    shape=(b, n),
-                )
-            rows_all = np.concatenate(ent_rows)
-            cols_all = np.concatenate(ent_cols)
-            raw = np.bincount(rows_all, minlength=b)
-            row_sizes[batch] = raw
+            stop = min(start + width, n)
+            # The batch's reach block is the product of the ball operators
+            # (the radii sum to *hops*), a sparse batch × |N_hops| block.
+            # Resetting the data to 1 after each product keeps entries
+            # at most n, so int32 path counts never overflow (a wrap to 0
+            # would drop the entry from the product's pattern).
+            reach = first[start:stop]
+            for op in rest:
+                reach = reach @ op
+                reach.data.fill(1)
+            raw = np.diff(reach.indptr)
+            row_sizes[start:stop] = raw
             if accumulate:
                 if isinstance(weights, str):  # "row_sizes": the l == k reuse
                     w = raw + weight_offset
                 else:
-                    w = weights[batch]
+                    w = weights[start:stop]
                 # Weighted bincount sums are integral and < 2^53, so the
                 # float64 accumulator is exact.
-                num += np.bincount(cols_all, weights=w.astype(np.float64)[rows_all],
+                w_entries = np.repeat(w.astype(np.float64), raw)
+                num += np.bincount(reach.indices, weights=w_entries,
                                    minlength=n)
-                cnt += np.bincount(cols_all, minlength=n)
+                cnt += np.bincount(reach.indices, minlength=n)
         return row_sizes, num, cnt
 
     # -- the α-pruned Voronoi flood ---------------------------------------
@@ -478,6 +449,7 @@ class TraversalEngine:
     # -- distance-only sweeps ----------------------------------------------
 
     def hop_distances(self, sources: Sequence[int],
+                      targets: Optional[Sequence[int]] = None,
                       tracer=None) -> np.ndarray:
         """Exact hop distances from each source to every node.
 
@@ -485,6 +457,12 @@ class TraversalEngine:
         parent recording, so the per-level bookkeeping is a plain boolean
         dedup instead of the ordered first-occurrence scan.  Returns an
         ``(m, n)`` int32 array with :data:`UNREACHED` where unreached.
+
+        With *targets* (one per source), the sweep stops after the first
+        level ``L = min_i d(sources[i], targets[i])`` at which some row
+        reaches its own target: every entry up to ``L`` is filled and
+        exact, entries beyond it stay :data:`UNREACHED`.  If no target is
+        reachable, the sweep runs to exhaustion as without targets.
         """
         with _span(tracer, "hop_distances"):
             m, n = len(sources), self.n
@@ -496,8 +474,15 @@ class TraversalEngine:
             frow = np.arange(m, dtype=np.int64)
             fnode = np.asarray(sources, dtype=np.int64)
             dist[frow, fnode] = 0
+            goal = None
+            if targets is not None:
+                if len(targets) != m:
+                    raise ValueError("need exactly one target per source")
+                goal = frow * n + np.asarray(targets, dtype=np.int64)
             level = 0
             while frow.size:
+                if goal is not None and (dist_flat[goal] != UNREACHED).any():
+                    break
                 starts = indptr[fnode]
                 lens = indptr[fnode + 1] - starts
                 total = int(lens.sum())

@@ -1,7 +1,12 @@
 """Tests for loop identification and fake-loop removal (§III-D)."""
 
+import random
+from collections import deque
+
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import SkeletonExtractor, SkeletonParams, identify_loops
 from repro.core.loops import (
@@ -176,3 +181,64 @@ class TestBackendBitIdentity:
         assert vec.removed_pairs == ref.removed_pairs
         assert [(l.ordered, l.is_fake, l.iso_ratio) for l in vec.loops] == \
             [(l.ordered, l.is_fake, l.iso_ratio) for l in ref.loops]
+
+
+@st.composite
+def udg_cycles(draw):
+    """A random UDG network and a random simple cycle in it: the
+    fundamental cycle of a non-tree edge against a BFS tree, rotated and
+    possibly reversed.  Half the draws take one of the three longest
+    cycles, since those with fewer than 4 hops never reach the sweep."""
+    n = draw(st.integers(6, 70))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.sampled_from([3.0, 4.0, 6.0]))
+    net = build_network([Point(rng.uniform(0, 24), rng.uniform(0, 24))
+                         for _ in range(n)], radio=UnitDiskRadio(radius))
+    root = draw(st.integers(0, n - 1))
+    parent = {root: None}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in net.neighbors(u):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+
+    def to_root(x):
+        chain = []
+        while x is not None:
+            chain.append(x)
+            x = parent[x]
+        return chain
+
+    cycles = []
+    for u in parent:
+        for v in net.neighbors(u):
+            if u < v and parent[u] != v and parent[v] != u:
+                up_u, up_v = to_root(u), to_root(v)
+                on_v = set(up_v)
+                i = next(i for i, x in enumerate(up_u) if x in on_v)
+                j = up_v.index(up_u[i])
+                cycles.append(up_u[:i + 1] + up_v[:j][::-1])
+    assume(cycles)
+    cycles.sort(key=len, reverse=True)
+    top = 2 if draw(st.booleans()) else len(cycles) - 1
+    cycle = cycles[draw(st.integers(0, min(top, len(cycles) - 1)))]
+    shift = draw(st.integers(0, len(cycle) - 1))
+    cycle = cycle[shift:] + cycle[:shift]
+    if draw(st.booleans()):
+        cycle.reverse()
+    return net, cycle
+
+
+class TestOppositeWidthFuzz:
+    @given(udg_cycles(), st.data())
+    @settings(deadline=None)
+    def test_engine_equals_reference(self, drawn, data):
+        net, cycle = drawn
+        samples = data.draw(st.one_of(
+            st.sampled_from([1, 4, 6, 9]),
+            st.integers(len(cycle) + 1, len(cycle) + 6)))
+        assert opposite_width(net, cycle, samples=samples,
+                              engine=net.traversal()) == \
+            opposite_width(net, cycle, samples=samples)

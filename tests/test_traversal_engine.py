@@ -6,13 +6,16 @@ Python reference traversals exactly — k-hop sizes, l-centrality, multi-
 source distances *and* parents (the engine is bit-identical by design),
 parent-path validity, and the elected critical nodes.  Disconnected
 graphs, isolated nodes and ``k`` beyond the diameter are covered
-explicitly.
+explicitly, and hypothesis fuzzes the k-hop census and the targeted
+``hop_distances`` sweep over random graphs.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SkeletonExtractor
 from repro.core.identification import find_critical_nodes, is_locally_maximal
@@ -303,3 +306,156 @@ def test_reconstruct_paths_match_path_to_source(seed):
         assert len(paths) == len(targets)
         for node, path in zip(targets, paths):
             assert path == net.path_to_source(parent[si], node)
+
+
+# -- k-hop census and targeted hop_distances against the BFS oracle ------
+
+
+def graph_from_edges(n, edges):
+    """A :class:`SensorNetwork` with the given undirected edges (positions
+    are irrelevant to every kernel here)."""
+    from repro.geometry.primitives import Point
+
+    adjacency = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    positions = [Point(float(i), 0.0) for i in range(n)]
+    return SensorNetwork(positions, [sorted(a) for a in adjacency])
+
+
+def census_graphs():
+    """A random UDG deployment (fragmented at this density), and a hand-made
+    graph of a 6-node path, a triangle and an isolated node — diameter 5,
+    so k = 8 runs past it."""
+    path = [(i, i + 1) for i in range(5)]
+    triangle = [(6, 7), (7, 8), (6, 8)]
+    return [random_network(5, n=70), graph_from_edges(10, path + triangle)]
+
+
+def assert_census_exact(net, engine, k, l, include_self):
+    """Sizes and centralities equal the pure-Python oracle exactly."""
+    sizes_ref = net.k_hop_sizes(k, include_self=include_self)
+    assert engine.all_khop_sizes(k, include_self=include_self).tolist() == \
+        sizes_ref
+    cent_ref = compute_l_centrality(net, l, sizes_ref,
+                                    include_self=include_self)
+    sizes, cent = engine.khop_stats(k, l, include_self=include_self)
+    assert sizes.tolist() == sizes_ref
+    assert cent.tolist() == cent_ref
+    assert engine.l_centrality(l, sizes_ref,
+                               include_self=include_self).tolist() == cent_ref
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_khop_census_exact_across_batch_widths(k):
+    for net in census_graphs():
+        n = net.num_nodes
+        for width in (1, 7, n, n + 5):
+            engine = net.traversal(batch_width=width)
+            for l in (k, k % 3 + 1):
+                for include_self in (True, False):
+                    assert_census_exact(net, engine, k, l, include_self)
+
+
+def test_khop_census_saturated_dense_graph():
+    # K_16 next to a 12-node path: at k = 20 the reach block chains 10
+    # ball operators.  Without the data reset after every product, the
+    # clique rows would count 16^t paths after t products, and at
+    # 16^8 = 2^32 int32 wraps to 0, which drops the entries.
+    clique = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+    path = [(i, i + 1) for i in range(16, 27)]
+    net = graph_from_edges(28, clique + path)
+    for width in (1, 7, 28):
+        engine = net.traversal(batch_width=width)
+        for l in (20, 3):
+            assert_census_exact(net, engine, 20, l, include_self=True)
+
+
+@st.composite
+def edge_graphs(draw):
+    """Random simple graphs: isolated nodes, several components, density
+    from trees to near-cliques."""
+    n = draw(st.integers(1, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=len(pairs))) if pairs else []
+    return graph_from_edges(n, edges)
+
+
+@given(edge_graphs(), st.integers(1, 9), st.integers(1, 9),
+       st.booleans(), st.integers(1, 30))
+@settings(deadline=None)
+def test_khop_census_fuzz(net, k, l, include_self, width):
+    assert_census_exact(net, net.traversal(batch_width=width), k, l,
+                        include_self)
+
+
+def oracle_distances(net, source):
+    ref = net.bfs_distances(source)
+    return np.array([ref.get(v, UNREACHED) for v in net.nodes()])
+
+
+def assert_targeted_contract(net, sources, targets):
+    """``hop_distances(targets=)`` is the untargeted sweep truncated at
+    ``L = min_i d(s_i, t_i)``; with no reachable target it is the full
+    sweep."""
+    engine = net.traversal()
+    dist = engine.hop_distances(sources, targets=targets)
+    oracle = np.array([oracle_distances(net, s) for s in sources])
+    meet = [oracle[i, t] for i, t in enumerate(targets)
+            if oracle[i, t] != UNREACHED]
+    if not meet:
+        assert np.array_equal(dist, engine.hop_distances(sources))
+        return
+    stop = min(meet)
+    expect = np.where(oracle <= stop, oracle, UNREACHED)
+    assert np.array_equal(dist, expect)
+    assert dist.max() == stop
+    reached = [dist[i, t] for i, t in enumerate(targets)
+               if dist[i, t] != UNREACHED]
+    assert min(reached) == stop
+
+
+@given(edge_graphs(), st.data())
+@settings(deadline=None)
+def test_hop_distances_targets_fuzz(net, data):
+    nodes = st.integers(0, net.num_nodes - 1)
+    m = data.draw(st.integers(1, 6))
+    sources = data.draw(st.lists(nodes, min_size=m, max_size=m))
+    targets = data.draw(st.lists(nodes, min_size=m, max_size=m))
+    assert_targeted_contract(net, sources, targets)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hop_distances_targets_on_udg(seed):
+    for net in network_grid(seed):
+        rng = random.Random(seed + 29)
+        sources = rng.sample(range(net.num_nodes), 6)
+        targets = rng.sample(range(net.num_nodes), 6)
+        assert_targeted_contract(net, sources, targets)
+
+
+def test_hop_distances_target_equal_to_source_stops_at_level_zero():
+    net = random_network(2, n=60)
+    dist = net.traversal().hop_distances([3, 10], targets=[9, 10])
+    expect = np.full((2, net.num_nodes), UNREACHED)
+    expect[0, 3] = expect[1, 10] = 0
+    assert np.array_equal(dist, expect)
+
+
+def test_hop_distances_unreachable_targets_run_to_exhaustion():
+    # Two triangles plus an isolated node; no source reaches its target.
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    net = graph_from_edges(7, triangles)
+    engine = net.traversal()
+    dist = engine.hop_distances([0, 3, 6], targets=[4, 6, 0])
+    assert np.array_equal(dist, engine.hop_distances([0, 3, 6]))
+    assert dist[0].tolist() == [0, 1, 1] + [UNREACHED] * 4
+
+
+def test_hop_distances_needs_one_target_per_source():
+    engine = random_network(1, n=40).traversal()
+    with pytest.raises(ValueError):
+        engine.hop_distances([0, 1], targets=[2])
