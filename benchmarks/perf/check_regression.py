@@ -1,7 +1,7 @@
 """Perf-regression guard: diff a fresh BENCH JSON vs a committed baseline.
 
 Compares every timing the two reports share — traversal stage times per
-(scenario, nodes, backend) for ``BENCH_traversal.json``, per-arm suite
+(scenario, nodes, arm) for ``BENCH_traversal.json``, per-arm suite
 wall clocks for ``BENCH_parallel.json``, per-scenario shard phase times
 for ``BENCH_shard.json``, per-arm wall clocks and p99 latencies for
 ``BENCH_serving.json`` — and *warns* when the fresh number is more than
@@ -37,11 +37,11 @@ def timing_entries(report: Dict) -> Dict[str, float]:
     entries: Dict[str, float] = {}
     for row in report.get("results", ()):  # BENCH_traversal.json shape
         tag = f"{row['scenario']}/n={row['nodes']}"
-        for backend in ("reference", "vectorized"):
-            stages = row.get(backend, {})
+        for arm in ("reference", "vectorized"):
+            stages = row.get(arm, {})
             for stage in ("stage1_s", "stage2_s"):
                 if stage in stages:
-                    entries[f"{tag}/{backend}/{stage}"] = stages[stage]
+                    entries[f"{tag}/{arm}/{stage}"] = stages[stage]
     # BENCH_parallel.json and BENCH_serving.json both use an "arms" map;
     # the serving report is distinguished by its benchmark name and also
     # contributes its p99 latencies (converted to seconds).

@@ -1,4 +1,4 @@
-"""Perf gate: vectorized stage 1 must stay ≥5× the reference backend.
+"""Perf gate: vectorized stage 1 must stay ≥5× the reference engine.
 
 Marked ``perf`` — excluded from tier-1; run with::
 
@@ -29,7 +29,7 @@ def test_traversal_backend_speedup():
             f"{row['scenario']}: n={row['nodes']} "
             f"stage1 {row['speedup_stage1']}x stage2 {row['speedup_stage2']}x"
         )
-        # Both backends must elect the same critical nodes (also covered
+        # Both arms must elect the same critical nodes (also covered
         # kernel-by-kernel in tests/test_traversal_engine.py).
         assert row["reference"]["critical_nodes"] == row["vectorized"]["critical_nodes"]
         assert row["speedup_stage2"] > 1.0

@@ -1,13 +1,15 @@
-"""Micro-benchmark: traversal backends on the hop-count hot path.
+"""Micro-benchmark: the CSR traversal kernels against the BFS oracle.
 
 Times stage 1 (index computation + critical-node election) and stage 2
 (Voronoi cell construction) of the extraction pipeline on the Window and
-two-holes scenarios, for both the ``reference`` (pure-Python BFS) and
-``vectorized`` (CSR frontier-expansion) backends, and emits
-``BENCH_traversal.json`` at the repository root so the speedup is tracked
-across PRs.
+two-holes scenarios in two arms: ``vectorized`` runs the pipeline as
+shipped, on the CSR frontier-expansion kernels; ``reference`` runs the
+same pipeline with every network's engine replaced by the pure-Python
+:class:`repro.reference.ReferenceEngine` (a ``mock.patch.object`` of
+``SensorNetwork.traversal``).  Emits ``BENCH_traversal.json`` at the
+repository root so the speedup is tracked across PRs.
 
-Timing protocol: one untimed warm-up run per backend (populates the lazy
+Timing protocol: one untimed warm-up run per arm (populates the lazy
 CSR/ball-operator caches and the CPU caches alike), then best of
 ``repeats`` timed runs — steady-state numbers, the regime a long-lived
 extraction service operates in.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import platform
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -34,12 +37,13 @@ from repro.core.neighborhood import compute_indices
 from repro.core.params import SkeletonParams
 from repro.core.voronoi import build_voronoi
 from repro.network import get_scenario
+from repro.reference import use_reference_engine
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 OUTPUT_PATH = REPO_ROOT / "BENCH_traversal.json"
 
 SCENARIOS = ("window", "two_holes")
-BACKENDS = ("reference", "vectorized")
+ARMS = ("reference", "vectorized")
 
 
 def time_stages(network, params: SkeletonParams, repeats: int = 5) -> Dict:
@@ -66,7 +70,7 @@ def time_stages(network, params: SkeletonParams, repeats: int = 5) -> Dict:
 def run_traversal_bench(scale: float = 1.0, seed: int = 1,
                         repeats: int = 5,
                         scenarios=SCENARIOS) -> Dict:
-    """Benchmark every scenario × backend combination."""
+    """Benchmark every scenario × arm combination."""
     results = []
     for name in scenarios:
         scenario = get_scenario(name)
@@ -78,19 +82,21 @@ def run_traversal_bench(scale: float = 1.0, seed: int = 1,
             "nodes": network.num_nodes,
             "avg_degree": round(network.average_degree, 3),
         }
-        for backend in BACKENDS:
-            params = SkeletonParams(backend=backend)
-            row[backend] = time_stages(network, params, repeats=repeats)
+        for arm in ARMS:
+            with (use_reference_engine() if arm == "reference"
+                  else nullcontext()):
+                row[arm] = time_stages(network, SkeletonParams(),
+                                       repeats=repeats)
         ref, vec = row["reference"], row["vectorized"]
         assert ref["critical_nodes"] == vec["critical_nodes"], (
-            "backends disagree on critical nodes — equivalence broken"
+            "oracle and kernels disagree on critical nodes — equivalence broken"
         )
         row["speedup_stage1"] = round(ref["stage1_s"] / vec["stage1_s"], 2)
         row["speedup_stage2"] = round(ref["stage2_s"] / vec["stage2_s"], 2)
         results.append(row)
     return {
         "benchmark": "traversal-backend micro-benchmark",
-        "protocol": f"best of {repeats} after 1 warm-up run per backend",
+        "protocol": f"best of {repeats} after 1 warm-up run per arm",
         "scale": scale,
         "seed": seed,
         "python": platform.python_version(),

@@ -22,6 +22,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.byproducts import detect_boundary_nodes
+from ..core.neighborhood import compute_khop_sizes
 from ..network.graph import SensorNetwork
 
 __all__ = [
@@ -58,7 +59,7 @@ def connectivity_boundary_nodes(network: SensorNetwork, k: int = 4,
     This is the detector the paper inherits from Fekete et al. [8]; the
     paper's Fig. 3(b) by-product uses the same signal.
     """
-    sizes = network.k_hop_sizes(k)
+    sizes = compute_khop_sizes(network, k)
     return detect_boundary_nodes(network, sizes, threshold_factor)
 
 

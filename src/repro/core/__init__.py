@@ -7,7 +7,7 @@ engine with Theorem 5 accounting).
 
 from .params import LoopStrategy, SkeletonParams
 from .neighborhood import IndexData, compute_indices, compute_khop_sizes, compute_l_centrality
-from .identification import find_critical_nodes, is_locally_maximal
+from .identification import find_critical_nodes
 from .voronoi import VoronoiDecomposition, build_voronoi
 from .coarse import CoarseSkeleton, build_coarse_skeleton
 from .loops import Loop, LoopAnalysis, identify_loops
@@ -37,7 +37,6 @@ __all__ = [
     "compute_khop_sizes",
     "compute_l_centrality",
     "find_critical_nodes",
-    "is_locally_maximal",
     "VoronoiDecomposition",
     "build_voronoi",
     "CoarseSkeleton",

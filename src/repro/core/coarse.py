@@ -173,9 +173,8 @@ def _batched_site_paths(
     walk per site, returning ``(site, node) -> [node, ..., site]``.
 
     Each site's table rows are scattered into one dense parent row at a
-    time.  Bit-identical to :meth:`VoronoiDecomposition.path_to_site` per
-    request (the engine kernel reproduces ``path_to_source`` exactly),
-    including the unrecorded-node error.
+    time.  Raises ``ValueError`` if a requested node did not record its
+    site.
     """
     engine = voronoi.network.traversal(batch_width)
     out: Dict[Tuple[int, int], List[int]] = {}
@@ -200,10 +199,8 @@ def build_coarse_skeleton(
     among all segment nodes recording both sites (ties broken by node id,
     the discrete stand-in for "the chosen segment node" being unique).
 
-    Path emission is backend-switched: ``"reference"`` walks one parent
-    chain per path endpoint, ``"vectorized"`` groups all endpoints of a
-    site and reconstructs them in one lockstep gather per hop level.  Both
-    produce the same paths node for node.
+    Path emission groups all endpoints of a site and reconstructs them in
+    one lockstep gather per hop level.
     """
     params = params if params is not None else SkeletonParams()
     network = voronoi.network
@@ -218,26 +215,18 @@ def build_coarse_skeleton(
         voronoi.pair_border_edges, index,
     )
 
-    # Pass 2 — resolve every reverse path, batched per site row on the
-    # vectorized backend, one chain walk per endpoint on the reference.
-    if params.backend == "vectorized":
-        requests: Dict[int, List[int]] = {}
-        for _, (sa, na), (sb, nb), _joined in plans:
-            requests.setdefault(sa, []).append(na)
-            requests.setdefault(sb, []).append(nb)
-        resolved = _batched_site_paths(
-            voronoi, requests, params.traversal_batch_width, tracer
-        )
-
-        def path_of(site: int, node: int) -> List[int]:
-            return resolved[(site, node)]
-    else:
-        def path_of(site: int, node: int) -> List[int]:
-            return voronoi.path_to_site(node, site)
+    # Pass 2 — resolve every reverse path, batched per site row.
+    requests: Dict[int, List[int]] = {}
+    for _, (sa, na), (sb, nb), _joined in plans:
+        requests.setdefault(sa, []).append(na)
+        requests.setdefault(sb, []).append(nb)
+    resolved = _batched_site_paths(
+        voronoi, requests, params.traversal_batch_width, tracer
+    )
 
     for pair, (site_a, node_a), (site_b, node_b), joined in plans:
-        full = compose_pair_path(path_of(site_a, node_a),
-                                 path_of(site_b, node_b), joined)
+        full = compose_pair_path(resolved[(site_a, node_a)],
+                                 resolved[(site_b, node_b)], joined)
         pair_paths[pair] = full
         nodes.update(full)
         edges.update(path_edges(full))

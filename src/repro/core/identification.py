@@ -10,30 +10,15 @@ targets make exact ties common at small k.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
+
+import numpy as np
 
 from ..network.graph import SensorNetwork
 from .neighborhood import IndexData, compute_indices
 from .params import SkeletonParams
 
-__all__ = ["find_critical_nodes", "is_locally_maximal"]
-
-
-def is_locally_maximal(network: SensorNetwork, node: int,
-                       values: Sequence[float], hops: int = 1) -> bool:
-    """True when ``(values[node], node)`` beats all of node's *hops*-hop
-    neighbours lexicographically."""
-    mine = (values[node], node)
-    if hops == 1:
-        # Fast path: the 1-hop ball is exactly the adjacency list — no BFS.
-        return all((values[v], v) < mine for v in network.adjacency[node])
-    reach = network.bfs_distances(node, max_hops=hops)
-    for other in reach:
-        if other == node:
-            continue
-        if (values[other], other) > mine:
-            return False
-    return True
+__all__ = ["find_critical_nodes"]
 
 
 def find_critical_nodes(network: SensorNetwork,
@@ -47,15 +32,7 @@ def find_critical_nodes(network: SensorNetwork,
     params = params if params is not None else SkeletonParams()
     if index_data is None:
         index_data = compute_indices(network, params)
-    values = index_data.index
-    if params.backend == "vectorized" and network.num_nodes:
-        import numpy as np
-
-        engine = network.traversal(params.traversal_batch_width)
-        maxima = engine.all_local_maxima(values, hops=params.local_max_hops)
-        return np.flatnonzero(maxima).tolist()
-    return [
-        node
-        for node in network.nodes()
-        if is_locally_maximal(network, node, values, hops=params.local_max_hops)
-    ]
+    engine = network.traversal(params.traversal_batch_width)
+    maxima = engine.all_local_maxima(index_data.index,
+                                     hops=params.local_max_hops)
+    return np.flatnonzero(maxima).tolist()

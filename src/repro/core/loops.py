@@ -53,6 +53,8 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..network.graph import SensorNetwork
 from .coarse import CoarseSkeleton, SkeletonEdge
 from .params import LoopStrategy, SkeletonParams
@@ -151,36 +153,18 @@ def simplify_closed_walk(walk: Sequence[int]) -> List[int]:
 
 
 def hop_clearance(network: SensorNetwork,
-                  boundary_nodes: Set[int],
-                  engine=None, tracer=None) -> List[int]:
+                  boundary_nodes: Set[int], tracer=None) -> List[int]:
     """Hop distance from every node to the nearest detected boundary node.
 
     The connectivity analogue of the Euclidean distance transform; one
-    multi-source BFS.  Nodes unreachable from any boundary node (possible
-    only in degenerate networks) get distance ``network.num_nodes``.
-
-    With an *engine* (:class:`repro.network.TraversalEngine`) the merged
-    wave runs on the CSR arrays; BFS distances are unique, so the result
-    is bit-identical to the deque sweep.
+    merged multi-source wave
+    (:meth:`~repro.network.TraversalEngine.min_hop_distance`).  Nodes
+    unreachable from any boundary node (possible only in degenerate
+    networks) get distance ``network.num_nodes``.
     """
-    unreached = network.num_nodes
-    if engine is not None:
-        import numpy as np
-
-        dist_arr = engine.min_hop_distance(sorted(boundary_nodes), tracer=tracer)
-        return np.where(dist_arr < 0, unreached, dist_arr).tolist()
-    dist = [unreached] * network.num_nodes
-    queue = deque()
-    for b in boundary_nodes:
-        dist[b] = 0
-        queue.append(b)
-    while queue:
-        u = queue.popleft()
-        for v in network.neighbors(u):
-            if dist[v] > dist[u] + 1:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    dist = network.traversal().min_hop_distance(sorted(boundary_nodes),
+                                                tracer=tracer)
+    return np.where(dist < 0, network.num_nodes, dist).tolist()
 
 
 def _components_without(network: SensorNetwork,
@@ -227,7 +211,7 @@ def isoperimetric_ratio(network: SensorNetwork, ordered: Sequence[int],
 
 
 def opposite_width(network: SensorNetwork, ordered: Sequence[int],
-                   samples: int = 6, engine=None, tracer=None) -> int:
+                   samples: int = 6, tracer=None) -> int:
     """Smallest hop distance between opposite points of the cycle.
 
     A braid — two parallel strands closing a long thin cycle — has opposite
@@ -235,37 +219,26 @@ def opposite_width(network: SensorNetwork, ordered: Sequence[int],
     them separated by the hole's diameter plus two corridor widths.  This
     catches the rare long braid whose isoperimetric ratio looks genuine.
 
-    The reference path bounds each BFS by the best width so far; that only
-    skips distances which could not lower the minimum (both endpoints sit
-    on the cycle, so every pair distance is at most the cycle length), so
-    the *engine* path returns the same value.  It runs one batched sweep
-    from all sample points that stops at the first level where some pair
-    meets: that pair reads exactly the minimum, and every other pair reads
-    the same level or ``UNREACHED`` (it is at least as far apart).
+    One batched sweep from all sample points stops at the first level
+    where some pair meets: that pair reads exactly the minimum, and every
+    other pair reads the same level or ``UNREACHED`` (it is at least as
+    far apart).  The answer is capped at the cycle length, which bounds
+    every pair distance since both endpoints sit on the cycle.
     """
     length = len(ordered)
     if length < 4:
         return 0
     half = length // 2
     count = min(samples, length)
+    starts = [(i * length) // count for i in range(count)]
+    sources = [ordered[s] for s in starts]
+    targets = [ordered[(s + half) % length] for s in starts]
+    dist = network.traversal().hop_distances(sources, targets=targets,
+                                             tracer=tracer)
     best = length
-    if engine is not None:
-        starts = [(i * length) // count for i in range(count)]
-        sources = [ordered[s] for s in starts]
-        targets = [ordered[(s + half) % length] for s in starts]
-        dist = engine.hop_distances(sources, targets=targets,
-                                    tracer=tracer)
-        for i, b in enumerate(targets):
-            d = int(dist[i, b])
-            if d >= 0:
-                best = min(best, d)
-        return best
-    for i in range(count):
-        start = (i * length) // count
-        a = ordered[start]
-        b = ordered[(start + half) % length]
-        d = network.bfs_distances(a, max_hops=best).get(b)
-        if d is not None:
+    for i, b in enumerate(targets):
+        d = int(dist[i, b])
+        if d >= 0:
             best = min(best, d)
     return best
 
@@ -638,13 +611,7 @@ class _CycleClassifier:
         self.params = params
         self.skeleton_nodes = skeleton_nodes
         self.tracer = tracer
-        self.engine = (
-            network.traversal(params.traversal_batch_width)
-            if params.backend == "vectorized" and network.num_nodes
-            else None
-        )
-        self.clearance = hop_clearance(network, boundary_nodes,
-                                       engine=self.engine, tracer=tracer)
+        self.clearance = hop_clearance(network, boundary_nodes, tracer=tracer)
         self.witness_records: List[Tuple[int, FrozenSet[int]]] = [
             (w, frozenset(voronoi.sites_recorded_by(w)))
             for w in sorted(voronoi.voronoi_nodes)
@@ -688,7 +655,7 @@ class _CycleClassifier:
                 # genuine ring are a hole-diameter apart.
                 median_clr = sorted(self.clearance[v] for v in ordered)[len(ordered) // 2]
                 width = opposite_width(self.network, ordered,
-                                       engine=self.engine, tracer=self.tracer)
+                                       tracer=self.tracer)
                 is_fake = width < 2 * median_clr + 1
         result = (is_fake, witnesses, ratio)
         self._cache[key] = result
@@ -742,7 +709,7 @@ def identify_loops(
         from .neighborhood import compute_khop_sizes
         sizes = compute_khop_sizes(
             network, params.k, include_self=params.include_self,
-            backend=params.backend, batch_width=params.traversal_batch_width,
+            batch_width=params.traversal_batch_width,
         )
         boundary_nodes = detect_boundary_nodes(
             network, sizes, params.boundary_threshold_factor

@@ -9,12 +9,12 @@ These are the discrete analogues of the paper's continuous quantities:
 * ``i(p) = (|N_k(p)| + c_l(p)) / 2`` — the index of Definition 4, the single
   scalar each node uses to decide whether it is a critical skeleton node.
 
-Two interchangeable backends compute them: the pure-Python per-node BFS
-(``backend="reference"``, the oracle) and the batched CSR kernels of
-:class:`repro.network.TraversalEngine` (``backend="vectorized"``, the
-default).  Sums are integral in both, so outputs are bit-identical; with
-the paper's default ``k = l = 4`` the vectorized path computes sizes and
-centrality in a single sweep of sparse ball products.
+All three come from the batched CSR kernels of
+:class:`repro.network.TraversalEngine`; with the paper's default
+``k = l = 4`` the engine computes sizes and centrality in a single sweep
+of sparse ball products.  Sums are integral, so each centrality is one
+correctly rounded division, bit-identical to the per-node BFS of the
+pure-Python reference engine the tests check it against.
 """
 
 from __future__ import annotations
@@ -42,40 +42,24 @@ class IndexData:
 
 def compute_khop_sizes(network: SensorNetwork, k: int,
                        include_self: bool = True,
-                       backend: str = "reference",
                        batch_width: Optional[int] = None) -> List[int]:
     """``|N_k(p)|`` for every node.
 
     This matches what the first round of controlled flooding delivers to
-    each node in the distributed implementation.  ``backend="reference"``
-    runs one bounded BFS per node; ``"vectorized"`` runs the batched CSR
-    sweep of :class:`repro.network.TraversalEngine`.
+    each node in the distributed implementation.
     """
-    if backend == "vectorized":
-        engine = network.traversal(batch_width)
-        return [int(s) for s in engine.all_khop_sizes(k, include_self=include_self)]
-    return network.k_hop_sizes(k, include_self=include_self)
+    engine = network.traversal(batch_width)
+    return engine.all_khop_sizes(k, include_self=include_self).tolist()
 
 
 def compute_l_centrality(network: SensorNetwork, l: int,
                          khop_sizes: Sequence[int],
                          include_self: bool = True,
-                         backend: str = "reference",
                          batch_width: Optional[int] = None) -> List[float]:
     """Definition 3: average k-hop size over each node's l-hop neighbours."""
-    if len(khop_sizes) != network.num_nodes:
-        raise ValueError("khop_sizes length must equal the node count")
-    if backend == "vectorized":
-        engine = network.traversal(batch_width)
-        cent = engine.l_centrality(l, khop_sizes, include_self=include_self)
-        return [float(c) for c in cent]
-    centrality = []
-    for node in network.nodes():
-        reach = network.bfs_distances(node, max_hops=l)
-        members = [v for v in reach if include_self or v != node]
-        total = sum(khop_sizes[v] for v in members)
-        centrality.append(total / len(members) if members else 0.0)
-    return centrality
+    engine = network.traversal(batch_width)
+    return engine.l_centrality(l, khop_sizes,
+                               include_self=include_self).tolist()
 
 
 def compute_indices(network: SensorNetwork,
@@ -84,16 +68,15 @@ def compute_indices(network: SensorNetwork,
     """Definition 4: the per-node index combining size and centrality.
 
     Using both metrics suppresses density noise better than the raw k-hop
-    size alone (Section II-C) — the E-ABL bench quantifies that.  With the
-    vectorized backend and ``l == k`` (the paper default) the k-hop reach
-    is reused for the centrality accumulation instead of re-traversing.
+    size alone (Section II-C) — the E-ABL bench quantifies that.  With
+    ``l == k`` (the paper default) the k-hop reach is reused for the
+    centrality accumulation instead of re-traversing.
 
     When *cache* (an :class:`repro.perf.ArtifactCache`) is given, the
     result is memoized under the graph's content hash and the parameters
     that actually determine it — ``k``, ``l``, ``include_self``.  The
-    backend is deliberately *not* part of the key: the backends are
-    bit-identical by contract (the cross-backend tests pin it), so runs
-    that differ only in backend share the artifact.
+    batch width is not part of the key: it bounds the working set and
+    never changes the result.
     """
     params = params if params is not None else SkeletonParams()
     if cache is not None:
@@ -103,21 +86,12 @@ def compute_indices(network: SensorNetwork,
             lambda: compute_indices(network, params, tracer=tracer),
             tracer=tracer,
         )
-    if params.backend == "vectorized":
-        engine = network.traversal(params.traversal_batch_width)
-        sizes_arr, cent_arr = engine.khop_stats(
-            params.k, params.l, include_self=params.include_self, tracer=tracer
-        )
-        # (s + c) / 2.0 in float64 is the same IEEE operation the
-        # reference list comprehension performs element-wise.
-        return IndexData(
-            khop_sizes=sizes_arr.tolist(),
-            centrality=cent_arr.tolist(),
-            index=((sizes_arr + cent_arr) / 2.0).tolist(),
-        )
-    sizes = compute_khop_sizes(network, params.k, include_self=params.include_self)
-    centrality = compute_l_centrality(
-        network, params.l, sizes, include_self=params.include_self
+    engine = network.traversal(params.traversal_batch_width)
+    sizes, centrality = engine.khop_stats(
+        params.k, params.l, include_self=params.include_self, tracer=tracer
     )
-    index = [(s + c) / 2.0 for s, c in zip(sizes, centrality)]
-    return IndexData(khop_sizes=sizes, centrality=centrality, index=index)
+    return IndexData(
+        khop_sizes=sizes.tolist(),
+        centrality=centrality.tolist(),
+        index=((sizes + centrality) / 2.0).tolist(),
+    )

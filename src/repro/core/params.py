@@ -10,7 +10,8 @@ algorithm is not sensitive to k and l — the parameter-sensitivity bench
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 __all__ = ["LoopStrategy", "SkeletonParams"]
 
@@ -63,15 +64,10 @@ class SkeletonParams:
         min_loop_hops: cycles shorter than this many hops are always fake —
             they cannot wrap a hole that matters at hop resolution (the
             discrete analogue of the paper's end-node-loop threshold).
-        backend: traversal backend for the hop-count hot path.
-            ``"vectorized"`` (default) runs batched CSR frontier-expansion
-            kernels (:class:`repro.network.TraversalEngine`);
-            ``"reference"`` keeps the pure-Python per-node BFS oracle.
-            Both produce identical results (equivalence-tested); the
-            vectorized backend is simply faster.
         traversal_batch_width: number of nodes whose k-hop reach rows the
-            vectorized backend builds per batch — bounds the stage-1
-            working set to one sparse ``batch_width × |N_k|`` reach block.
+            traversal engine (:class:`repro.network.TraversalEngine`)
+            builds per batch — bounds the stage-1 working set to one
+            sparse ``batch_width × |N_k|`` reach block.
     """
 
     k: int = 4
@@ -85,12 +81,13 @@ class SkeletonParams:
     isoperimetric_threshold: float = 1.4
     interior_factor: float = 0.5
     min_loop_hops: int = 10
-    backend: str = "vectorized"
     traversal_batch_width: int = 1024
 
     def __post_init__(self) -> None:
-        if self.backend not in ("vectorized", "reference"):
-            raise ValueError("backend must be 'vectorized' or 'reference'")
+        if not isinstance(self.loop_strategy, LoopStrategy):
+            valid = ", ".join(f"LoopStrategy.{s.name}" for s in LoopStrategy)
+            raise ValueError(f"loop_strategy must be one of {valid}, "
+                             f"got {self.loop_strategy!r}")
         if self.traversal_batch_width < 1:
             raise ValueError("traversal_batch_width must be >= 1")
         if self.k < 1:
@@ -103,3 +100,11 @@ class SkeletonParams:
             raise ValueError("local_max_hops must be >= 1")
         if self.prune_length < 0:
             raise ValueError("prune_length must be >= 0")
+        if self.min_loop_hops < 0:
+            raise ValueError("min_loop_hops must be >= 0")
+        for name in ("boundary_threshold_factor", "isoperimetric_threshold",
+                     "interior_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value!r}")

@@ -113,11 +113,6 @@ class VoronoiDecomposition:
         return recorded_parent_row(self.table, self.site_index(site), site,
                                    nodes, self.network.num_nodes)
 
-    def path_to_site(self, node: int, site: int) -> List[int]:
-        """The recorded reverse path from *node* to *site* (inclusive)."""
-        return self.network.path_to_source(
-            self.site_parent_row(site, [node]), node)
-
     def sites_recorded_by(self, node: int) -> List[int]:
         return [site for site, _ in self.records[node]]
 
@@ -144,17 +139,10 @@ class VoronoiDecomposition:
 
 def flood_sites(network: SensorNetwork, sites: Sequence[int],
                 params: SkeletonParams, tracer=None) -> FloodTable:
-    """The α-pruned site flood as a :class:`FloodTable`, backend-switched.
-
-    ``"vectorized"`` runs :meth:`TraversalEngine.voronoi_flood`;
-    ``"reference"`` prunes the pure-Python dense BFS, the oracle the
-    kernel is bit-identical to.
-    """
-    if params.backend == "vectorized":
-        engine = network.traversal(params.traversal_batch_width)
-        return engine.voronoi_flood(sites, params.alpha, tracer=tracer)
-    return FloodTable.from_dense(*network.multi_source_distances(sites),
-                                 params.alpha)
+    """The α-pruned site flood as a :class:`FloodTable`
+    (:meth:`TraversalEngine.voronoi_flood`)."""
+    engine = network.traversal(params.traversal_batch_width)
+    return engine.voronoi_flood(sites, params.alpha, tracer=tracer)
 
 
 def recorded_parent_row(table: FloodTable, row: int, site: int,
@@ -259,10 +247,9 @@ def build_voronoi(network: SensorNetwork, sites: Sequence[int],
     "first wave to arrive").
 
     With *cache*, the decomposition is memoized under the graph's content
-    hash, the site set and ``alpha`` (backend excluded — bit-identical by
-    contract).  The cached artifact stores ``network=None`` so the graph is
-    hashed once, never pickled per artifact; the caller's network is
-    rebound on every hit.
+    hash, the site set and ``alpha``.  The cached artifact stores
+    ``network=None`` so the graph is hashed once, never pickled per
+    artifact; the caller's network is rebound on every hit.
     """
     params = params if params is not None else SkeletonParams()
     sites = sorted(set(sites))
@@ -280,8 +267,8 @@ def build_voronoi(network: SensorNetwork, sites: Sequence[int],
         )
         return dataclasses.replace(detached, network=network)
     # The pruned table holds exactly the record set (and the dense BFS's
-    # distances and parents at those pairs), on either backend.  Nodes no
-    # site reaches get no records.
+    # distances and parents at those pairs).  Nodes no site reaches get no
+    # records.
     table = flood_sites(network, sites, params, tracer=tracer)
     records = records_from_entries(
         network.num_nodes, table.node,

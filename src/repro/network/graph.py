@@ -7,9 +7,11 @@ field's boundary (holes are physical obstacles, so links may not cross
 structure — positions are retained purely for evaluation and rendering,
 mirroring the paper's "connectivity information only" constraint.
 
-The traversal kernels here (bounded BFS, multi-source BFS with parent
-pointers) are the discrete primitives behind every stage: k-hop neighbourhood
-sizes, Voronoi-cell flooding and path reconstruction.
+The hop-count kernels behind every stage (k-hop neighbourhood sizes,
+Voronoi-cell flooding, path reconstruction) run on the CSR
+:class:`~repro.network.traversal.TraversalEngine` that
+:meth:`SensorNetwork.traversal` hands out; the plain BFS here serves
+connectivity queries.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from ..geometry.primitives import Point, segments_intersect
 from .radio import RadioModel, UnitDiskRadio
 
 __all__ = ["SensorNetwork", "build_network", "line_of_sight_blocked"]
-
-UNREACHED = -1
 
 
 class _BoundaryEdgeGrid:
@@ -263,7 +263,7 @@ class SensorNetwork:
             self._engines[width] = engine
         return engine
 
-    # -- traversal kernels -------------------------------------------------
+    # -- breadth-first search ----------------------------------------------
 
     def bfs_distances(self, source: int, max_hops: Optional[int] = None,
                       blocked: Optional[Set[int]] = None) -> Dict[int, int]:
@@ -288,74 +288,6 @@ class SensorNetwork:
                 dist[v] = du + 1
                 queue.append(v)
         return dist
-
-    def k_hop_sizes(self, k: int, include_self: bool = True) -> List[int]:
-        """``|N_k(p)|`` for every node p — the paper's k-hop neighbourhood
-        size, computed by bounded BFS from each node.
-
-        With ``include_self`` the node itself counts (it is at hop 0 of
-        itself); the paper's definition "nodes at most k hops from p" admits
-        either convention and the index is unaffected up to a constant.
-        """
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        sizes = []
-        offset = 0 if include_self else -1
-        for node in self.nodes():
-            sizes.append(len(self.bfs_distances(node, max_hops=k)) + offset)
-        return sizes
-
-    def multi_source_distances(
-        self, sources: Sequence[int], blocked: Optional[Set[int]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Full BFS from every source.
-
-        Returns ``(dist, parent)`` arrays of shape ``(len(sources), n)``;
-        ``dist`` holds hop counts (:data:`UNREACHED` where unreached) and
-        ``parent`` the BFS predecessor toward each source (-1 at the source
-        and at unreached nodes).  This is the centralized equivalent of the
-        concurrent site flooding of Section III-B; parents encode the
-        "reverse paths" each node keeps.
-        """
-        m, n = len(sources), self.num_nodes
-        dist = np.full((m, n), UNREACHED, dtype=np.int32)
-        parent = np.full((m, n), -1, dtype=np.int32)
-        for si, src in enumerate(sources):
-            drow = dist[si]
-            prow = parent[si]
-            drow[src] = 0
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                du = drow[u]
-                for v in self.adjacency[u]:
-                    if drow[v] != UNREACHED:
-                        continue
-                    if blocked is not None and v in blocked:
-                        continue
-                    drow[v] = du + 1
-                    prow[v] = u
-                    queue.append(v)
-        return dist, parent
-
-    def path_to_source(self, parent_row: np.ndarray, node: int) -> List[int]:
-        """Reconstruct the stored reverse path from *node* to the source of
-        one multi-source BFS row (the source has parent -1).
-
-        Callers must only pass nodes the corresponding BFS reached; parent
-        chains are acyclic by construction, but a defensive cycle guard is
-        kept because a wrong (dist, parent) pairing is an easy bug.
-        """
-        path = [node]
-        current = node
-        seen = {node}
-        while parent_row[current] != -1:
-            current = int(parent_row[current])
-            if current in seen:
-                raise RuntimeError("cycle in parent pointers")
-            seen.add(current)
-            path.append(current)
-        return path
 
     # -- connectivity ------------------------------------------------------
 

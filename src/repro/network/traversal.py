@@ -1,8 +1,8 @@
 """Vectorized CSR traversal engine — the hop-count hot path.
 
 Every stage of the paper's pipeline reduces to hop-count BFS over pure
-connectivity, and the reference implementation runs it as ~3n independent
-pure-Python traversals per extraction.  :class:`TraversalEngine` replaces
+connectivity; run naively, that is ~3n independent pure-Python
+traversals per extraction.  :class:`TraversalEngine` replaces
 those loops with array kernels over a cached :mod:`scipy.sparse` CSR
 adjacency matrix (built lazily on :class:`SensorNetwork`; the graph is
 immutable, so the cache never needs invalidation):
@@ -27,8 +27,8 @@ immutable, so the cache never needs invalidation):
   *ordered* (BFS enqueue order) and expanded with segment gathers, so the
   sparse :class:`FloodTable` it returns holds exactly the dense BFS's
   ``(dist, parent)`` entries at every recorded pair — downstream Voronoi
-  cells, reverse paths and the coarse skeleton do not change when
-  switching backends.
+  cells, reverse paths and the coarse skeleton are exactly those of the
+  dense per-site BFS.
 * :meth:`multi_source_distances` — the same sweep without pruning, into
   dense ``(sites × n)`` arrays; the oracle the pruned kernel is tested
   against.
@@ -36,10 +36,11 @@ immutable, so the cache never needs invalidation):
   by iterated neighbour-max over a rank encoding of the lexicographic
   ``(value, id)`` order.
 
-The pure-Python traversals on :class:`SensorNetwork` remain the reference
-oracle; ``tests/test_traversal_engine.py`` asserts kernel-for-kernel
-equivalence on random UDG/QUDG networks, including disconnected graphs and
-``k`` beyond the diameter.
+A pure-Python reference engine with the same methods (one textbook BFS
+per node or per source) is the oracle; ``tests/test_traversal_engine.py``
+asserts kernel-for-kernel equivalence on random UDG/QUDG networks,
+including disconnected graphs and ``k`` beyond the diameter, and the
+pipeline tests run whole extractions on it.
 """
 
 from __future__ import annotations
@@ -74,21 +75,6 @@ class FloodTable(NamedTuple):
         none = np.empty(0, dtype=np.int64)
         return cls(none, none, none, none)
 
-    @classmethod
-    def from_dense(cls, dist: np.ndarray, parent: np.ndarray,
-                   alpha: int) -> "FloodTable":
-        """The pairs of a dense flood within *alpha* of each node's best
-        distance — what the pruned wave records on the same sites."""
-        reached = dist != UNREACHED
-        if not reached.size:
-            return cls.empty()
-        best = np.where(reached, dist, np.iinfo(np.int32).max).min(axis=0)
-        # Row-major nonzero order is (site_row, node) order.
-        rows, nodes = np.nonzero(reached & (dist <= best + alpha))
-        return cls(rows.astype(np.int64), nodes.astype(np.int64),
-                   dist[rows, nodes].astype(np.int64),
-                   parent[rows, nodes].astype(np.int64))
-
     def row_span(self, row: int) -> Tuple[int, int]:
         """``[lo, hi)`` bounds of one site row's entries."""
         lo, hi = np.searchsorted(self.site_row, [row, row + 1])
@@ -119,7 +105,7 @@ def _span(tracer, name: str):
 
     Spans land in the ``traversal`` category, so
     :class:`~repro.observability.metrics.MetricsReport` breaks the
-    vectorized backend's cost out per kernel just like it does for the
+    engine's cost out per kernel just like it does for the
     message-passing runtimes.
     """
     if tracer is None:
@@ -180,7 +166,7 @@ class TraversalEngine:
                        tracer=None) -> np.ndarray:
         """``|N_k(p)|`` for every node — batched sparse ball products.
 
-        Matches :meth:`SensorNetwork.k_hop_sizes` exactly (integer array).
+        Matches one bounded BFS per node exactly (integer array).
         """
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -197,9 +183,8 @@ class TraversalEngine:
         When ``l == k`` the k-hop reach rows are reused for the centrality
         accumulation in a single sweep; otherwise a second sweep at hop
         radius ``l`` runs with the finished size vector as weights.
-        Results are exactly equal to the reference
-        :func:`repro.core.neighborhood.compute_khop_sizes` /
-        ``compute_l_centrality`` pair (integer sums, identical division).
+        Results are exactly equal to per-node BFS sizes and averages
+        (integer sums, identical division).
         """
         if k < 1 or l < 1:
             raise ValueError("k and l must be at least 1")
@@ -308,8 +293,8 @@ class TraversalEngine:
         a subsequence of the dense BFS queue in the same order, so the
         first occurrence of a key selects the parent
         :meth:`multi_source_distances` records.  The result equals
-        ``FloodTable.from_dense(*multi_source_distances(sites), alpha)``,
-        in O(records) memory instead of O(sites · n).
+        :meth:`multi_source_distances` at the pairs within ``alpha`` of
+        each node's best distance, in O(records) memory instead of O(sites · n).
         """
         with _span(tracer, "voronoi_flood"):
             return self._voronoi_flood(sites, alpha)
@@ -382,9 +367,8 @@ class TraversalEngine:
 
         Dense ``(sites × n)`` output; the pipeline floods with
         :meth:`voronoi_flood`, and this unpruned sweep is the oracle the
-        tests check it against.  Bit-identical to
-        :meth:`SensorNetwork.multi_source_distances`: the
-        frontier is kept in BFS enqueue order and neighbours are gathered
+        tests check it against.  Bit-identical to one FIFO BFS per
+        source: the frontier is kept in BFS enqueue order and neighbours are gathered
         in (frontier order, adjacency order), so the first occurrence of
         each newly reached node selects exactly the parent the FIFO
         reference BFS records.
@@ -506,8 +490,7 @@ class TraversalEngine:
         """Hop distance from every node to the nearest of *sources*.
 
         One merged wave (all sources at distance 0) instead of one wave
-        per source — the vectorized equivalent of the multi-source BFS
-        behind :func:`repro.core.loops.hop_clearance`.  Returns an
+        per source; :func:`repro.core.loops.hop_clearance` runs on it.  Returns an
         ``(n,)`` int32 array with :data:`UNREACHED` where no source
         reaches.
         """
@@ -544,8 +527,8 @@ class TraversalEngine:
                           tracer=None) -> List[List[int]]:
         """Walk many parent chains of one BFS row in lockstep.
 
-        Equivalent to calling :meth:`SensorNetwork.path_to_source` once per
-        node, but every step is a single gather across all still-walking
+        Equivalent to walking each node's parent chain on its own, but
+        every step is a single gather across all still-walking
         paths, so the per-hop cost is one vectorized op instead of one
         Python loop iteration per path.  Paths are returned in input order,
         each ``[node, ..., source]`` exactly as the reference produces.

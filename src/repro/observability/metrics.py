@@ -95,7 +95,7 @@ class MetricsReport:
     task_failures: Mapping[str, int] = field(default_factory=dict)
     #: total wall-clock seconds per recorded span name — pipeline stages
     #: and the vectorized :class:`~repro.network.traversal.TraversalEngine`
-    #: kernels alike, so the report covers the array backend and not just
+    #: kernels alike, so the report covers the array kernels and not just
     #: the message-passing runtimes.  Excluded from equality: wall time is
     #: the one non-deterministic quantity in the report, and report
     #: equality is the determinism contract the tests pin.

@@ -41,7 +41,7 @@ Determinism is the design constraint throughout: the service never
 resolves a request from anything but the cache or a pipeline run, both
 of which are bit-identical to a direct monolithic extraction — the
 serial-equivalence battery in ``tests/test_serving.py`` pins that for
-every artifact kind and both traversal backends.  Timing-dependent
+every artifact kind.  Timing-dependent
 behaviour (queueing, deadlines, shedding) runs on a pluggable clock;
 see :mod:`repro.serving.clock`.
 """

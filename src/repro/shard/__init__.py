@@ -4,7 +4,7 @@ Partition a deployment into overlapping spatial tiles, run the pipeline's
 parallelizable phases per shard through the
 :class:`~repro.perf.ParallelRunner`, and merge — with the guarantee that
 the merged result is bit-identical to the monolithic
-:class:`~repro.core.SkeletonExtractor` at every tile count and backend.
+:class:`~repro.core.SkeletonExtractor` at every tile count.
 """
 
 from .api import ShardRun, extract_skeleton_sharded, run_sharded

@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--local-max-hops", type=int, default=None,
                         help="election radius override (default: the "
                              "scenario's recommendation)")
-    parser.add_argument("--backend", default="vectorized",
-                        choices=("vectorized", "reference"))
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write Chrome trace-event JSON of the run here")
     parser.add_argument("--compare-monolithic", action="store_true",
@@ -84,7 +82,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.scale != 1.0:
             spec = spec.scaled(args.scale)
         network = spec.build(seed=args.seed)
-        overrides = {"backend": args.backend}
+        overrides = {}
         if args.local_max_hops is not None:
             overrides["local_max_hops"] = args.local_max_hops
         params = spec.params(**overrides)
@@ -92,10 +90,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         network = get_scenario(args.scenario).build(seed=args.seed,
                                                     num_nodes=args.nodes)
         params = SkeletonParams(
-            backend=args.backend,
             **({"local_max_hops": args.local_max_hops}
-               if args.local_max_hops is not None else {}),
-        )
+               if args.local_max_hops is not None else {}))
 
     cache = ArtifactCache(disk_dir=args.cache_dir) if args.cache_dir else None
     tracer = Tracer(record_events=bool(args.trace_out))

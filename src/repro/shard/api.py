@@ -7,7 +7,7 @@ the exact artifacts the monolithic :class:`SkeletonExtractor` would have
 produced — same critical nodes, same records, same paths, same loops,
 same final skeleton.  The equivalence battery in
 ``tests/test_shard_equivalence.py`` asserts that identity on every
-fig-4 scenario, tile grid and backend.
+fig-4 scenario and tile grid.
 
 Phase layout (DESIGN.md §12):
 

@@ -11,9 +11,8 @@ Three task kinds, one per parallel phase of the sharded pipeline:
   sites' connector endpoints.
 
 All three are pure functions of their config dicts (the ParallelRunner
-contract), read the shared :func:`~repro.perf.task_context` for the
-artifact cache and tracer, and honour ``params.backend`` so the sharded
-pipeline is exact under either traversal implementation.
+contract), and read the shared :func:`~repro.perf.task_context` for the
+artifact cache and tracer.
 """
 
 from __future__ import annotations
@@ -131,17 +130,13 @@ def paths_batch_task(config: Dict) -> Dict:
 
     def build() -> Dict:
         table = flood_sites(network, sites, params, tracer=tracer)
+        engine = network.traversal(params.traversal_batch_width)
         out: Dict[Tuple[int, int], List[int]] = {}
         for row, (site, targets) in enumerate(requests):
             parent = recorded_parent_row(table, row, site, targets,
                                          network.num_nodes)
-            if params.backend == "vectorized":
-                engine = network.traversal(params.traversal_batch_width)
-                paths = engine.reconstruct_paths(parent, list(targets),
-                                                 tracer=tracer)
-            else:
-                paths = [network.path_to_source(parent, node)
-                         for node in targets]
+            paths = engine.reconstruct_paths(parent, list(targets),
+                                             tracer=tracer)
             for node, path in zip(targets, paths):
                 out[(site, node)] = path
         return out

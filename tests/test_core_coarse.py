@@ -9,6 +9,7 @@ from repro.core import (
     compute_indices,
     find_critical_nodes,
 )
+from repro.reference import use_reference_engine
 
 
 @pytest.fixture(scope="module")
@@ -77,29 +78,31 @@ class TestCoarseSkeleton:
 
 
 class TestBackendBitIdentity:
-    """The vectorized batched path emission must reproduce the reference
-    per-path walk exactly — same connectors, same pair paths, same edges."""
+    """Stages 1–3 on the batched kernels must reproduce the same stages run
+    on the reference engine's per-node BFS and per-path walks exactly —
+    same connectors, same pair paths, same edges."""
+
+    @staticmethod
+    def _coarse(network):
+        data = compute_indices(network)
+        voronoi = build_voronoi(network, find_critical_nodes(network, data))
+        return build_coarse_skeleton(voronoi, data.index)
 
     @pytest.fixture(scope="class", params=["rectangle", "annulus"])
-    def both_backends(self, request, rectangle_network, annulus_network):
+    def both_engines(self, request, rectangle_network, annulus_network):
         network = {"rectangle": rectangle_network,
                    "annulus": annulus_network}[request.param]
-        results = {}
-        for backend in ("reference", "vectorized"):
-            params = SkeletonParams(backend=backend)
-            data = compute_indices(network, params)
-            critical = find_critical_nodes(network, data, params)
-            voronoi = build_voronoi(network, critical, params)
-            results[backend] = build_coarse_skeleton(voronoi, data.index, params)
-        return results
+        with use_reference_engine():
+            reference = self._coarse(network)
+        return {"reference": reference, "vectorized": self._coarse(network)}
 
-    def test_nodes_edges_identical(self, both_backends):
-        ref, vec = both_backends["reference"], both_backends["vectorized"]
+    def test_nodes_edges_identical(self, both_engines):
+        ref, vec = both_engines["reference"], both_engines["vectorized"]
         assert vec.nodes == ref.nodes
         assert vec.edges == ref.edges
         assert vec.sites == ref.sites
 
-    def test_connectors_and_paths_identical(self, both_backends):
-        ref, vec = both_backends["reference"], both_backends["vectorized"]
+    def test_connectors_and_paths_identical(self, both_engines):
+        ref, vec = both_engines["reference"], both_engines["vectorized"]
         assert vec.connectors == ref.connectors
         assert vec.pair_paths == ref.pair_paths

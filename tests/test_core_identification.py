@@ -6,11 +6,11 @@ from repro.core import (
     SkeletonParams,
     compute_indices,
     find_critical_nodes,
-    is_locally_maximal,
 )
 from repro.core.neighborhood import IndexData
 from repro.geometry.primitives import Point
 from repro.network import UnitDiskRadio, build_network
+from repro.reference import is_locally_maximal
 
 
 def path_network(n=7):

@@ -18,6 +18,24 @@ from repro.core.loops import (
 )
 from repro.geometry.primitives import Point
 from repro.network import UnitDiskRadio, build_network
+from repro.reference import use_reference_engine
+
+
+def oracle_opposite_width(net, ordered, samples=6):
+    """The minimum BFS distance over the sampled opposite pairs, capped at
+    the cycle length — the definition the batched sweep must meet."""
+    length = len(ordered)
+    if length < 4:
+        return 0
+    count = min(samples, length)
+    best = length
+    for i in range(count):
+        start = (i * length) // count
+        target = ordered[(start + length // 2) % length]
+        d = net.bfs_distances(ordered[start]).get(target)
+        if d is not None:
+            best = min(best, d)
+    return best
 
 
 class TestSimplifyClosedWalk:
@@ -144,39 +162,41 @@ class TestEndToEndLoops:
 
 
 class TestBackendBitIdentity:
-    """The CSR engine ports of the loop scans must equal the references."""
+    """The loop scans on the CSR kernels must equal the same scans on the
+    pure-Python reference engine."""
 
     def test_hop_clearance_engine_matches_reference(self, annulus_network):
         net = annulus_network
         boundary = set(list(net.nodes())[::7])
-        engine = net.traversal()
-        assert hop_clearance(net, boundary, engine=engine) == \
-            hop_clearance(net, boundary)
+        with use_reference_engine():
+            expected = hop_clearance(net, boundary)
+        assert hop_clearance(net, boundary) == expected
 
     def test_hop_clearance_engine_empty_boundary(self, annulus_network):
-        engine = annulus_network.traversal()
-        assert hop_clearance(annulus_network, set(), engine=engine) == \
-            hop_clearance(annulus_network, set())
+        with use_reference_engine():
+            expected = hop_clearance(annulus_network, set())
+        assert expected == [annulus_network.num_nodes] * \
+            annulus_network.num_nodes
+        assert hop_clearance(annulus_network, set()) == expected
 
     def test_opposite_width_engine_matches_reference(self, annulus_result):
         net = annulus_result.network
-        engine = net.traversal()
         for loop in annulus_result.loop_analysis.loops:
             ordered = loop.ordered
             if len(ordered) < 4:
                 continue
             for samples in (4, 6, 9):
-                assert opposite_width(net, ordered, samples=samples,
-                                      engine=engine) == \
-                    opposite_width(net, ordered, samples=samples)
+                expected = oracle_opposite_width(net, ordered, samples)
+                assert opposite_width(net, ordered, samples=samples) == \
+                    expected
+                with use_reference_engine():
+                    assert opposite_width(net, ordered,
+                                          samples=samples) == expected
 
     def test_identify_loops_identical_across_backends(self, annulus_network):
-        outcomes = {}
-        for backend in ("reference", "vectorized"):
-            params = SkeletonParams(backend=backend)
-            result = SkeletonExtractor(params).extract(annulus_network)
-            outcomes[backend] = result.loop_analysis
-        ref, vec = outcomes["reference"], outcomes["vectorized"]
+        with use_reference_engine():
+            ref = SkeletonExtractor().extract(annulus_network).loop_analysis
+        vec = SkeletonExtractor().extract(annulus_network).loop_analysis
         assert vec.kept_pairs == ref.kept_pairs
         assert vec.removed_pairs == ref.removed_pairs
         assert [(l.ordered, l.is_fake, l.iso_ratio) for l in vec.loops] == \
@@ -239,6 +259,5 @@ class TestOppositeWidthFuzz:
         samples = data.draw(st.one_of(
             st.sampled_from([1, 4, 6, 9]),
             st.integers(len(cycle) + 1, len(cycle) + 6)))
-        assert opposite_width(net, cycle, samples=samples,
-                              engine=net.traversal()) == \
-            opposite_width(net, cycle, samples=samples)
+        assert opposite_width(net, cycle, samples=samples) == \
+            oracle_opposite_width(net, cycle, samples)

@@ -5,6 +5,7 @@ import pytest
 from repro.core import SkeletonParams, build_voronoi, compute_indices, find_critical_nodes
 from repro.geometry.primitives import Point
 from repro.network import UnitDiskRadio, build_network
+from repro.reference import path_to_site
 
 
 def path_network(n):
@@ -58,7 +59,7 @@ class TestPathVoronoi:
     def test_path_to_site_endpoints(self):
         net = path_network(9)
         vor = build_voronoi(net, [0, 8])
-        path = vor.path_to_site(4, 0)
+        path = path_to_site(vor, 4, 0)
         assert path[0] == 4 and path[-1] == 0
         assert len(path) == 5
 

@@ -6,17 +6,22 @@ networks, disconnected deployments, and runs where no critical node exists
 least one node per component).
 """
 
+import math
+
 import pytest
 
 from repro.core import (
+    LoopStrategy,
     SkeletonParams,
     build_voronoi,
     empty_skeleton_result,
     extract_skeleton,
     extract_skeleton_distributed,
+    find_critical_nodes,
     run_distributed_stages,
     voronoi_from_distributed,
 )
+from repro.core.loops import hop_clearance
 from repro.geometry.primitives import Point
 from repro.network import UnitDiskRadio, build_network
 from repro.runtime import CrashWindow, FaultPlan
@@ -43,6 +48,14 @@ class TestEmptyNetwork:
         summary = result.stage_summary()
         assert summary["nodes"] == 0
         assert summary["final_nodes"] == 0
+
+    def test_find_critical_nodes_elects_nobody(self):
+        # extract_skeleton returns before stage 1 at n = 0; the stage
+        # function itself must still cope.
+        assert find_critical_nodes(udg([])) == []
+
+    def test_hop_clearance_is_empty(self):
+        assert hop_clearance(udg([]), set()) == []
 
     def test_distributed_returns_complete_empty_result(self):
         result = extract_skeleton_distributed(udg([]))
@@ -125,3 +138,38 @@ class TestZeroCriticalNodes:
         assert result.voronoi.table.node.size == 0
         assert result.voronoi.cell_of == [-1, -1, -1]
         assert result.stage_summary()["critical_nodes"] == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    {"traversal_batch_width": 0},
+    {"k": 0},
+    {"l": 0},
+    {"alpha": -1},
+    {"local_max_hops": 0},
+    {"prune_length": -1},
+    # The classifier compares strategies by identity, so a string would
+    # silently run the BOUNDARY branch.
+    {"loop_strategy": "interior"},
+    {"loop_strategy": None},
+    {"min_loop_hops": -1},
+    {"boundary_threshold_factor": -0.1},
+    {"boundary_threshold_factor": math.nan},
+    {"isoperimetric_threshold": math.inf},
+    {"isoperimetric_threshold": -1.0},
+    {"interior_factor": -math.inf},
+    {"interior_factor": math.nan},
+], ids=lambda overrides: "{}={}".format(*next(iter(overrides.items()))))
+def test_params_reject_invalid(overrides):
+    (name,) = overrides
+    with pytest.raises(ValueError, match=rf"^{name} must") as err:
+        SkeletonParams(**overrides)
+    if name == "loop_strategy":
+        for strategy in LoopStrategy:
+            assert f"LoopStrategy.{strategy.name}" in str(err.value)
+
+
+def test_params_accept_every_strategy_and_zero_bounds():
+    for strategy in LoopStrategy:
+        SkeletonParams(loop_strategy=strategy, min_loop_hops=0,
+                       boundary_threshold_factor=0.0,
+                       isoperimetric_threshold=0.0, interior_factor=0.0)

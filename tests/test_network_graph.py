@@ -8,7 +8,9 @@ import pytest
 from repro.geometry import Field, Point, make_field
 from repro.geometry.shapes import rectangle_ring
 from repro.network import UnitDiskRadio, build_network, line_of_sight_blocked
-from repro.network.graph import UNREACHED, SensorNetwork
+from repro.network.graph import SensorNetwork
+from repro.network.traversal import UNREACHED
+from repro.reference import ReferenceEngine, path_to_source
 
 
 def chain(n):
@@ -109,13 +111,14 @@ class TestTraversal:
         assert set(dist) == {0, 1}
 
     def test_khop_sizes_chain(self):
-        net = chain(5)
-        assert net.k_hop_sizes(1) == [2, 3, 3, 3, 2]
-        assert net.k_hop_sizes(1, include_self=False) == [1, 2, 2, 2, 1]
+        oracle = ReferenceEngine(chain(5))
+        assert oracle.all_khop_sizes(1).tolist() == [2, 3, 3, 3, 2]
+        assert oracle.all_khop_sizes(1, include_self=False).tolist() == \
+            [1, 2, 2, 2, 1]
 
     def test_khop_rejects_zero(self):
         with pytest.raises(ValueError):
-            chain(3).k_hop_sizes(0)
+            ReferenceEngine(chain(3)).all_khop_sizes(0)
 
     def test_bfs_matches_networkx(self, rectangle_network):
         import networkx as nx
@@ -126,16 +129,16 @@ class TestTraversal:
 
     def test_multi_source_distances_and_paths(self):
         net = chain(6)
-        dist, parent = net.multi_source_distances([0, 5])
+        dist, parent = ReferenceEngine(net).multi_source_distances([0, 5])
         assert dist[0, 3] == 3
         assert dist[1, 3] == 2
-        path = net.path_to_source(parent[0], 3)
+        path = path_to_source(parent[0], 3)
         assert path == [3, 2, 1, 0]
 
     def test_multi_source_unreached(self):
         positions = [Point(0, 0), Point(100, 100)]
         net = build_network(positions, radio=UnitDiskRadio(1.0))
-        dist, _ = net.multi_source_distances([0])
+        dist, _ = ReferenceEngine(net).multi_source_distances([0])
         assert dist[0, 1] == UNREACHED
 
 

@@ -283,7 +283,7 @@ class TestSpans:
                        if s.category == "pipeline"]
         assert stage_names == ["stage1:identification", "stage2:voronoi",
                                "stage3:coarse", "stage4:refine"]
-        # The vectorized backend reports its kernel timings too.
+        # The traversal engine reports its kernel timings too.
         kernel_names = {s.name for s in tracer.spans
                         if s.category == "traversal"}
         assert "traversal:khop_stats" in kernel_names

@@ -56,10 +56,8 @@ def test_digest_ndarray_content_addressed():
 def test_digest_covers_params_and_radio_models():
     assert stable_digest(SkeletonParams()) == stable_digest(SkeletonParams())
     assert stable_digest(SkeletonParams(k=5)) != stable_digest(SkeletonParams())
-    # Backends must hash differently in general (callers deliberately leave
-    # the backend out of cache keys via explicit key parts).
-    assert (stable_digest(SkeletonParams(backend="reference"))
-            != stable_digest(SkeletonParams(backend="vectorized")))
+    assert (stable_digest(SkeletonParams(alpha=2))
+            != stable_digest(SkeletonParams(alpha=1)))
     assert stable_digest(UnitDiskRadio(2.0)) == stable_digest(UnitDiskRadio(2.0))
     assert stable_digest(UnitDiskRadio(2.0)) != stable_digest(
         QuasiUnitDiskRadio(2.0))

@@ -5,9 +5,9 @@ deployments rather than a handful of fixed seeds:
 
 * **Theorem 4** — every Voronoi cell induces a connected subgraph, for any
   site set, on any connected deployment;
-* **backend equivalence** — the vectorized CSR traversal backend is
-  bit-identical to the pure-Python reference on every stage-1/-2 artifact,
-  across all three radio models;
+* **oracle equivalence** — a whole extraction on the CSR traversal
+  kernels is bit-identical, artifact for artifact, to the same pipeline
+  run on the pure-Python reference engine, across all three radio models;
 * **distributed equivalence** — the message-passing protocols over a
   zero-drop fault fabric elect exactly the centralized critical nodes;
 * **tracing purity** — attaching a tracer never changes a run: results
@@ -24,7 +24,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SkeletonParams, run_distributed_stages
+from repro.core import SkeletonParams, extract_skeleton, run_distributed_stages
 from repro.core.identification import find_critical_nodes
 from repro.core.neighborhood import compute_indices
 from repro.core.voronoi import build_voronoi
@@ -37,7 +37,9 @@ from repro.network import (
 )
 from repro.network.deployment import uniform_deployment
 from repro.observability import Tracer
+from repro.reference import use_reference_engine
 from repro.runtime import FaultPlan, LatencyModel, RetryPolicy
+from repro.shard import diff_results
 
 SHAPES = ("rectangle", "annulus", "cross")
 RADIO_KINDS = ("udg", "qudg", "lognormal")
@@ -94,31 +96,19 @@ class TestTheorem4:
         assert voronoi.cells_are_connected()
 
 
-class TestBackendEquivalence:
+class TestOracleEquivalence:
+    # max_examples is left to the hypothesis profile, so the thorough
+    # profile of the stage4-oracle CI job runs it deeper.
     @given(shapes, deployment_seeds, radio_kinds)
-    @settings(max_examples=15, deadline=None)
+    @settings(deadline=None)
     def test_stage_artifacts_bit_identical(self, shape, seed, radio_kind):
         network = fuzz_network(shape, seed, False, radio_kind=radio_kind)
-        reference = SkeletonParams(backend="reference")
-        vectorized = SkeletonParams(backend="vectorized")
-        data_ref = compute_indices(network, reference)
-        data_vec = compute_indices(network, vectorized)
-        assert data_ref.khop_sizes == data_vec.khop_sizes
-        assert data_ref.centrality == data_vec.centrality
-        assert data_ref.index == data_vec.index
-
-        crit_ref = find_critical_nodes(network, data_ref, reference)
-        crit_vec = find_critical_nodes(network, data_vec, vectorized)
-        assert crit_ref == crit_vec
-        if not crit_ref:
-            return
-        vor_ref = build_voronoi(network, crit_ref, reference)
-        vor_vec = build_voronoi(network, crit_vec, vectorized)
-        for ref, vec in zip(vor_ref.table, vor_vec.table):
+        with use_reference_engine():
+            oracle = extract_skeleton(network)
+        kernel = extract_skeleton(network)
+        for ref, vec in zip(oracle.voronoi.table, kernel.voronoi.table):
             assert (ref == vec).all()
-        assert vor_ref.cell_of == vor_vec.cell_of
-        assert vor_ref.segment_nodes == vor_vec.segment_nodes
-        assert vor_ref.pair_segments == vor_vec.pair_segments
+        assert diff_results(oracle, kernel) == []
 
 
 class TestDistributedEquivalence:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import compute_khop_sizes
 from repro.geometry.primitives import Point
 from repro.network import UnitDiskRadio, build_network
 from repro.runtime import (
@@ -83,7 +84,7 @@ class TestNeighborhoodGossip:
         )
         sched.run()
         distributed = [p.neighborhood_size for p in sched.protocols]
-        assert distributed == rectangle_network.k_hop_sizes(k)
+        assert distributed == compute_khop_sizes(rectangle_network, k)
 
     def test_message_bound_is_k_per_node(self, rectangle_network):
         k = 3

@@ -4,7 +4,7 @@ The contract under test: :class:`~repro.serving.SkeletonService` changes
 *when* the pipeline runs — cache hits, dedup coalescing, shedding,
 deadline budgets — but never *what* it produces.  Every served artifact
 must be bit-identical to a direct pipeline run on the same network, for
-every artifact kind, both traversal backends, and both compute routes;
+every artifact kind and both compute routes;
 the lifecycle semantics (dedup invariants, bounded-queue admission,
 deadline actions, chaos recovery, cache-poisoning recovery) are pinned
 on a virtual clock so they are exact statements, not races.
@@ -46,12 +46,11 @@ def third_net():
     return get_scenario("flower").build(seed=5, num_nodes=160)
 
 
-# -- serial equivalence: served == direct, every kind, both backends -------
+# -- serial equivalence: served == direct, every kind ----------------------
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
-def test_served_artifacts_bit_identical_to_direct(window_net, backend):
-    params = SkeletonParams(backend=backend)
+@pytest.mark.parametrize("params", [SkeletonParams()], ids=["vectorized"])
+def test_served_artifacts_bit_identical_to_direct(window_net, params):
     direct = extract_skeleton(window_net, params)
     service = SkeletonService()
 
@@ -137,8 +136,8 @@ def test_threaded_workers_dedup_and_match(window_net):
 def test_different_params_do_not_dedup(window_net):
     service = SkeletonService()
     service.pause()
-    a = service.submit(window_net, params=SkeletonParams(backend="vectorized"))
-    b = service.submit(window_net, params=SkeletonParams(backend="reference"))
+    a = service.submit(window_net, params=SkeletonParams())
+    b = service.submit(window_net, params=SkeletonParams(k=5))
     assert service.queue_depth == 2
     service.resume()
     assert a.result().content_key != b.result().content_key

@@ -1,11 +1,12 @@
 """Cross-shard equivalence battery: sharded extraction is bit-identical.
 
 The load-bearing guarantee of :mod:`repro.shard` (DESIGN.md §12): for any
-tile grid and either backend, the merged sharded result must match the
-monolithic pipeline on *every* artifact — stage 1 indices through final
-segmentation — on every fig-4-scale scenario.  One divergent broadcast,
-record ordering, or tie-break anywhere in the tiled path fails here with
-the first divergent stage named.
+tile grid, on the CSR kernels or on the pure-Python reference engine, the
+merged sharded result must match the monolithic pipeline on *every*
+artifact — stage 1 indices through final segmentation — on every
+fig-4-scale scenario.  One divergent broadcast, record ordering, or
+tie-break anywhere in the tiled path fails here with the first divergent
+stage named.
 """
 
 import functools
@@ -18,6 +19,7 @@ from repro.geometry import make_field
 from repro.geometry.primitives import Point
 from repro.network import UnitDiskRadio, build_network, get_scenario
 from repro.network.deployment import uniform_deployment
+from repro.reference import use_reference_engine
 from repro.shard import (
     assert_equivalent,
     diff_results,
@@ -43,18 +45,18 @@ def _network(name: str):
 
 
 @functools.lru_cache(maxsize=None)
-def _monolithic(name: str, backend: str):
-    return extract_skeleton(_network(name), SkeletonParams(backend=backend))
+def _monolithic(name: str):
+    return extract_skeleton(_network(name), SkeletonParams())
 
 
 class TestEquivalenceAcrossScenarios:
-    """11 scenarios x 3 grids, vectorized backend (the default)."""
+    """11 scenarios x 3 grids on the CSR kernels."""
 
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_bit_identical(self, name, grid):
         run = run_sharded(_network(name), SkeletonParams(), grid=grid)
-        assert_equivalent(_monolithic(name, "vectorized"), run.result)
+        assert_equivalent(_monolithic(name), run.result)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_tile_counts_agree_with_each_other(self, name):
@@ -67,14 +69,17 @@ class TestEquivalenceAcrossScenarios:
 
 
 class TestEquivalenceReferenceBackend:
-    """The per-node reference backend through the same tiled path."""
+    """The tiled path run on the pure-Python reference engine must equal
+    the monolithic run on the kernels.  Serial, so every task sees the
+    substituted engine."""
 
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_bit_identical(self, name, grid):
-        params = SkeletonParams(backend="reference")
-        run = run_sharded(_network(name), params, grid=grid)
-        assert_equivalent(_monolithic(name, "reference"), run.result)
+        with use_reference_engine():
+            run = run_sharded(_network(name), SkeletonParams(), grid=grid,
+                              jobs=1)
+        assert_equivalent(_monolithic(name), run.result)
 
 
 class TestDisconnectedComponents:

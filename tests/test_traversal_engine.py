@@ -2,12 +2,14 @@
 
 Property-style checks on random UDG/QUDG networks across seeds: every
 kernel of :class:`repro.network.TraversalEngine` must reproduce the pure
-Python reference traversals exactly — k-hop sizes, l-centrality, multi-
-source distances *and* parents (the engine is bit-identical by design),
-parent-path validity, and the elected critical nodes.  Disconnected
-graphs, isolated nodes and ``k`` beyond the diameter are covered
-explicitly, and hypothesis fuzzes the k-hop census and the targeted
-``hop_distances`` sweep over random graphs.
+Python :class:`repro.reference.ReferenceEngine` exactly — k-hop sizes,
+l-centrality, multi-source distances *and* parents (the engine is
+bit-identical by design), parent-path validity, and the elected critical
+nodes.  Whole-pipeline checks run the unchanged pipeline with the oracle
+substituted for every network's engine.  Disconnected graphs, isolated
+nodes and ``k`` beyond the diameter are covered explicitly, and
+hypothesis fuzzes the k-hop census and the targeted ``hop_distances``
+sweep over random graphs.
 """
 
 import random
@@ -18,13 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SkeletonExtractor
-from repro.core.identification import find_critical_nodes, is_locally_maximal
+from repro.core.identification import find_critical_nodes
 from repro.core.neighborhood import (
     compute_indices,
     compute_khop_sizes,
     compute_l_centrality,
 )
-from repro.core.params import SkeletonParams
 from repro.core.voronoi import build_voronoi
 from repro.geometry import make_field
 from repro.network import (
@@ -34,7 +35,14 @@ from repro.network import (
     build_network,
 )
 from repro.network.deployment import uniform_deployment
-from repro.network.graph import UNREACHED
+from repro.network.traversal import UNREACHED, TraversalEngine
+from repro.reference import (
+    ReferenceEngine,
+    is_locally_maximal,
+    path_to_source,
+    use_reference_engine,
+)
+from repro.shard import diff_results
 
 
 def random_network(seed, n=180, radio=None, shape="rectangle", radio_range=5.0):
@@ -66,28 +74,29 @@ def test_khop_sizes_match_reference(seed):
         # k = 64 far exceeds the diameter of these 180-node deployments.
         for k in (1, 2, 3, 4, 64):
             for include_self in (True, False):
-                ref = net.k_hop_sizes(k, include_self=include_self)
+                ref = ReferenceEngine(net).all_khop_sizes(
+                    k, include_self=include_self)
                 vec = engine.all_khop_sizes(k, include_self=include_self)
-                assert vec.tolist() == ref
+                assert vec.tolist() == ref.tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_khop_stats_match_reference(seed):
     for net in network_grid(seed):
         engine = net.traversal(batch_width=48)
+        oracle = ReferenceEngine(net)
         for k, l in ((4, 4), (3, 3), (2, 4), (4, 2), (1, 1)):
             for include_self in (True, False):
-                sizes_ref = net.k_hop_sizes(k, include_self=include_self)
-                cent_ref = compute_l_centrality(
-                    net, l, sizes_ref, include_self=include_self
+                sizes_ref, cent_ref = oracle.khop_stats(
+                    k, l, include_self=include_self
                 )
                 sizes_vec, cent_vec = engine.khop_stats(
                     k, l, include_self=include_self
                 )
-                assert sizes_vec.tolist() == sizes_ref
-                # Sums are integral in both backends, so the division
+                assert sizes_vec.tolist() == sizes_ref.tolist()
+                # Sums are integral in both engines, so the division
                 # results are bit-identical, not merely close.
-                assert cent_vec.tolist() == cent_ref
+                assert cent_vec.tolist() == cent_ref.tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -96,11 +105,12 @@ def test_l_centrality_kernel_matches_reference(seed):
     engine = net.traversal()
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 50, size=net.num_nodes).tolist()
+    oracle = ReferenceEngine(net)
     for l in (1, 3):
-        ref = compute_l_centrality(net, l, sizes)
+        ref = oracle.l_centrality(l, sizes).tolist()
         assert engine.l_centrality(l, sizes).tolist() == ref
-    vec = compute_l_centrality(net, 2, sizes, backend="vectorized")
-    assert vec == compute_l_centrality(net, 2, sizes, backend="reference")
+    assert compute_l_centrality(net, 2, sizes) == \
+        oracle.l_centrality(2, sizes).tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -111,7 +121,8 @@ def test_multi_source_distances_bit_identical(seed):
         sites = sorted(rng.sample(range(net.num_nodes), 9))
         blocked = set(rng.sample(range(net.num_nodes), 15)) - set(sites)
         for blk in (None, blocked):
-            dist_ref, parent_ref = net.multi_source_distances(sites, blocked=blk)
+            dist_ref, parent_ref = ReferenceEngine(net).multi_source_distances(
+                sites, blocked=blk)
             dist_vec, parent_vec = engine.multi_source_distances(sites, blocked=blk)
             assert np.array_equal(dist_ref, dist_vec)
             assert np.array_equal(parent_ref, parent_vec)
@@ -130,7 +141,7 @@ def test_multi_source_parent_paths_valid(seed):
             if d == UNREACHED:
                 assert parent[si, node] == -1
                 continue
-            path = net.path_to_source(parent[si], node)
+            path = path_to_source(parent[si], node)
             assert len(path) == d + 1
             assert path[0] == node and path[-1] == site
             for a, b in zip(path, path[1:]):
@@ -144,50 +155,52 @@ def test_local_maxima_match_reference(seed):
         rng = np.random.default_rng(seed)
         # Quantized values force plateaus, exercising the id tie-break.
         values = np.round(rng.random(net.num_nodes) * 4, 1).tolist()
+        oracle = ReferenceEngine(net)
         for hops in (1, 2, 3):
-            ref = [
-                is_locally_maximal(net, node, values, hops=hops)
-                for node in net.nodes()
-            ]
+            ref = oracle.all_local_maxima(values, hops=hops).tolist()
             assert engine.all_local_maxima(values, hops=hops).tolist() == ref
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_critical_node_election_identical(seed):
     for net in network_grid(seed):
-        ref_params = SkeletonParams(backend="reference")
-        vec_params = SkeletonParams(backend="vectorized")
-        idx_ref = compute_indices(net, ref_params)
-        idx_vec = compute_indices(net, vec_params)
+        with use_reference_engine():
+            idx_ref = compute_indices(net)
+            crit_ref = find_critical_nodes(net, idx_ref)
+        idx_vec = compute_indices(net)
         assert idx_vec.khop_sizes == idx_ref.khop_sizes
         assert idx_vec.centrality == idx_ref.centrality
         assert idx_vec.index == idx_ref.index
-        crit_ref = find_critical_nodes(net, idx_ref, ref_params)
-        crit_vec = find_critical_nodes(net, idx_vec, vec_params)
-        assert crit_vec == crit_ref
+        assert find_critical_nodes(net, idx_vec) == crit_ref
+
+
+def test_use_reference_engine_substitutes_every_network():
+    net = random_network(1, n=40)
+    with use_reference_engine():
+        assert isinstance(net.traversal(), ReferenceEngine)
+        assert isinstance(net.traversal(batch_width=7), ReferenceEngine)
+    assert isinstance(net.traversal(), TraversalEngine)
 
 
 def test_full_extraction_identical_across_backends():
     net = random_network(3, n=260)
     if not net.is_connected():
         net = net.largest_component_subgraph()
-    res_ref = SkeletonExtractor(SkeletonParams(backend="reference")).extract(net)
-    res_vec = SkeletonExtractor(SkeletonParams(backend="vectorized")).extract(net)
+    with use_reference_engine():
+        res_ref = SkeletonExtractor().extract(net)
+    res_vec = SkeletonExtractor().extract(net)
     assert res_vec.critical_nodes == res_ref.critical_nodes
     for vec, ref in zip(res_vec.voronoi.table, res_ref.voronoi.table):
         assert np.array_equal(vec, ref)
-    assert res_vec.coarse.nodes == res_ref.coarse.nodes
-    assert res_vec.coarse.edges == res_ref.coarse.edges
-    assert res_vec.skeleton.nodes == res_ref.skeleton.nodes
+    assert not diff_results(res_ref, res_vec)
 
 
 def test_voronoi_identical_across_backends():
     net = random_network(7, n=200)
-    params_ref = SkeletonParams(backend="reference")
-    idx = compute_indices(net, params_ref)
-    sites = find_critical_nodes(net, idx, params_ref)
-    vor_ref = build_voronoi(net, sites, params_ref)
-    vor_vec = build_voronoi(net, sites, SkeletonParams(backend="vectorized"))
+    with use_reference_engine():
+        sites = find_critical_nodes(net)
+        vor_ref = build_voronoi(net, sites)
+    vor_vec = build_voronoi(net, sites)
     assert vor_vec.cell_of == vor_ref.cell_of
     assert vor_vec.segment_nodes == vor_ref.segment_nodes
     assert vor_vec.voronoi_nodes == vor_ref.voronoi_nodes
@@ -202,9 +215,11 @@ def test_disconnected_and_isolated_nodes():
     positions = [Point(float(i), 0.0) for i in range(7)]
     net = SensorNetwork(positions, adjacency)
     engine = net.traversal()
+    oracle = ReferenceEngine(net)
     for k in (1, 2, 5):
-        assert engine.all_khop_sizes(k).tolist() == net.k_hop_sizes(k)
-    dist_ref, parent_ref = net.multi_source_distances([0, 6])
+        assert engine.all_khop_sizes(k).tolist() == \
+            oracle.all_khop_sizes(k).tolist()
+    dist_ref, parent_ref = oracle.multi_source_distances([0, 6])
     dist_vec, parent_vec = engine.multi_source_distances([0, 6])
     assert np.array_equal(dist_ref, dist_vec)
     assert np.array_equal(parent_ref, parent_vec)
@@ -227,22 +242,16 @@ def test_has_edge_bisect_matches_membership():
 
 
 def test_compute_khop_sizes_backend_switch():
+    """Substituting the oracle engine leaves ``compute_khop_sizes`` exact."""
     net = random_network(4)
-    ref = compute_khop_sizes(net, 3, backend="reference")
-    vec = compute_khop_sizes(net, 3, backend="vectorized")
-    assert ref == vec
-
-
-def test_params_validate_backend():
-    with pytest.raises(ValueError):
-        SkeletonParams(backend="gpu")
-    with pytest.raises(ValueError):
-        SkeletonParams(traversal_batch_width=0)
+    with use_reference_engine():
+        ref = compute_khop_sizes(net, 3)
+    assert compute_khop_sizes(net, 3) == ref
 
 
 def test_engine_batch_width_boundaries():
     net = random_network(2, n=50)
-    ref = net.k_hop_sizes(4)
+    ref = ReferenceEngine(net).all_khop_sizes(4).tolist()
     for width in (1, 7, 50, 4096):
         engine = net.traversal(batch_width=width)
         assert engine.all_khop_sizes(4).tolist() == ref
@@ -284,6 +293,8 @@ def test_min_hop_distance_matches_merged_wave(seed):
             assert merged[node] == expect
         for src in sources:
             assert merged[src] == 0
+        oracle = ReferenceEngine(net).min_hop_distance(sources)
+        assert merged.tolist() == oracle.tolist()
 
 
 def test_min_hop_distance_no_sources():
@@ -303,9 +314,8 @@ def test_reconstruct_paths_match_path_to_source(seed):
         reached = [v for v in net.nodes() if dist[si, v] != UNREACHED]
         targets = rng.sample(reached, min(40, len(reached)))
         paths = engine.reconstruct_paths(parent[si], targets)
-        assert len(paths) == len(targets)
-        for node, path in zip(targets, paths):
-            assert path == net.path_to_source(parent[si], node)
+        assert paths == ReferenceEngine(net).reconstruct_paths(parent[si],
+                                                               targets)
 
 
 # -- k-hop census and targeted hop_distances against the BFS oracle ------
@@ -336,11 +346,12 @@ def census_graphs():
 
 def assert_census_exact(net, engine, k, l, include_self):
     """Sizes and centralities equal the pure-Python oracle exactly."""
-    sizes_ref = net.k_hop_sizes(k, include_self=include_self)
+    oracle = ReferenceEngine(net)
+    sizes_ref = oracle.all_khop_sizes(k, include_self=include_self).tolist()
     assert engine.all_khop_sizes(k, include_self=include_self).tolist() == \
         sizes_ref
-    cent_ref = compute_l_centrality(net, l, sizes_ref,
-                                    include_self=include_self)
+    cent_ref = oracle.l_centrality(l, sizes_ref,
+                                   include_self=include_self).tolist()
     sizes, cent = engine.khop_stats(k, l, include_self=include_self)
     assert sizes.tolist() == sizes_ref
     assert cent.tolist() == cent_ref
@@ -403,6 +414,8 @@ def assert_targeted_contract(net, sources, targets):
     sweep."""
     engine = net.traversal()
     dist = engine.hop_distances(sources, targets=targets)
+    assert np.array_equal(
+        ReferenceEngine(net).hop_distances(sources, targets=targets), dist)
     oracle = np.array([oracle_distances(net, s) for s in sources])
     meet = [oracle[i, t] for i, t in enumerate(targets)
             if oracle[i, t] != UNREACHED]

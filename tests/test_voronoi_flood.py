@@ -36,8 +36,13 @@ from repro.network import (
     build_network,
 )
 from repro.network.deployment import uniform_deployment
-from repro.network.graph import UNREACHED
-from repro.network.traversal import FloodTable
+from repro.network.traversal import UNREACHED
+from repro.reference import (
+    ReferenceEngine,
+    path_to_site,
+    path_to_source,
+    use_reference_engine,
+)
 from repro.runtime import FaultPlan, RetryPolicy
 
 alphas = st.integers(min_value=0, max_value=3)
@@ -89,9 +94,9 @@ def flood_inputs(draw):
 
 def check_against_dense(network, sites, alpha):
     table = network.traversal().voronoi_flood(sites, alpha)
-    dist, parent = network.multi_source_distances(sites)
-    expected = FloodTable.from_dense(dist, parent, alpha)
-    for got, want in zip(table, expected):
+    oracle = ReferenceEngine(network)
+    dist, parent = oracle.multi_source_distances(sites)
+    for got, want in zip(table, oracle.voronoi_flood(sites, alpha)):
         assert np.array_equal(got, want)
     # Restricted to the recorded pairs, the table *is* the dense flood.
     assert np.array_equal(table.dist, dist[table.site_row, table.node])
@@ -134,7 +139,8 @@ class TestPrunedFlood:
         rng = random.Random(network.num_nodes)
         sites = sorted(rng.sample(range(network.num_nodes), 10))
         voronoi = build_voronoi(network, sites, SkeletonParams(alpha=alpha))
-        _, parent = network.multi_source_distances(voronoi.sites)
+        _, parent = ReferenceEngine(network).multi_source_distances(
+            voronoi.sites)
         index = [float(v % 7) for v in range(network.num_nodes)]
         _, plans = plan_connectors(voronoi.adjacent_pairs(),
                                    voronoi.pair_segments,
@@ -142,8 +148,8 @@ class TestPrunedFlood:
         for _pair, (sa, na), (sb, nb), _joined in plans:
             for site, node in ((sa, na), (sb, nb)):
                 row = voronoi.site_index(site)
-                assert voronoi.path_to_site(node, site) == \
-                    network.path_to_source(parent[row], node)
+                assert path_to_site(voronoi, node, site) == \
+                    path_to_source(parent[row], node)
 
     def test_isolated_site_records_only_itself(self):
         network = SensorNetwork([Point(float(i), 0.0) for i in range(4)],
@@ -161,16 +167,17 @@ class TestPrunedFlood:
         voronoi = build_voronoi(network, [0, 8], SkeletonParams(alpha=0))
         # Node 1 is 1 hop from site 0 and 7 from site 8: pruned.
         with pytest.raises(ValueError, match="not reached"):
-            voronoi.path_to_site(1, 8)
-        assert voronoi.path_to_site(1, 0) == [1, 0]
+            path_to_site(voronoi, 1, 8)
+        assert path_to_site(voronoi, 1, 0) == [1, 0]
 
     @given(flood_inputs())
     @settings(max_examples=25, deadline=None)
     def test_reference_backend_builds_the_same_voronoi(self, inputs):
         network, sites, alpha = inputs
-        ref = build_voronoi(network, sites,
-                            SkeletonParams(alpha=alpha, backend="reference"))
-        vec = build_voronoi(network, sites, SkeletonParams(alpha=alpha))
+        params = SkeletonParams(alpha=alpha)
+        with use_reference_engine():
+            ref = build_voronoi(network, sites, params)
+        vec = build_voronoi(network, sites, params)
         for got, want in zip(vec.table, ref.table):
             assert np.array_equal(got, want)
         assert vec.records == ref.records
