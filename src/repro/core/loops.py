@@ -46,12 +46,14 @@ first:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -281,25 +283,30 @@ Adjacency = Dict[int, Dict[int, float]]
 """A weighted site graph as ``{site: {neighbour: weight}}``; the key order of
 every dict is significant (it fixes shortest-path tie-breaking)."""
 
+Row = List[Tuple[int, int, float]]
+"""One node's neighbours as ``(edge id, neighbour, weight)`` entries."""
 
-def _bidirectional_search(adjacency: Adjacency, source: int, target: int
-                          ) -> Tuple[Optional[List[int]], List[Tuple[int, int]]]:
+
+def _bidirectional_search(view: Callable[[int], Row], source: int,
+                          target: int) -> Tuple[Optional[List[int]], Set[int]]:
     """Bidirectional Dijkstra, step for step the one in networkx 3.6.1.
 
-    Heap entries are ``(dist, counter, node)`` with one counter shared by
-    both directions; directions alternate starting forward; the search ends
-    when a popped node is already final in the other direction.  Matching
-    the reference push for push makes ties break identically, so the paths
-    equal ``nx.shortest_path(G, source, target, weight="weight")`` on a
-    graph with the same adjacency order.
+    ``view(v)`` lists v's neighbours in the order the networkx graph holds
+    them during this search.  Heap entries are ``(dist, counter, node)``
+    with one counter shared by both directions; directions alternate
+    starting forward; the search ends when a popped node is already final
+    in the other direction.  Matching the reference push for push makes
+    ties break identically, so the paths equal
+    ``nx.shortest_path(G, source, target, weight="weight")`` on a graph
+    with the same adjacency order.
 
     Returns ``(path, relaxed)``: the path (``None`` when *target* is
-    unreachable) and every directed edge ``(v, w)`` the search relaxed,
-    i.e. pushed *w* along.  Deleting any other edge leaves the search
+    unreachable) and the ids of the edges the search relaxed along, i.e.
+    pushed a node along.  Deleting any other edge leaves the search
     unchanged: it was never read, or reading it changed nothing.
     """
     if source == target:
-        return [source], []
+        return [source], set()
     dists: Tuple[Dict[int, float], Dict[int, float]] = ({}, {})
     preds: Tuple[Dict[int, Optional[int]], Dict[int, Optional[int]]] = (
         {source: None}, {target: None})
@@ -307,7 +314,7 @@ def _bidirectional_search(adjacency: Adjacency, source: int, target: int
         {source: 0}, {target: 0})
     fringe: Tuple[list, list] = ([(0, 0, source)], [(0, 1, target)])
     counter = count(2)
-    relaxed: List[Tuple[int, int]] = []
+    relaxed: Set[int] = set()
     finaldist = None
     meetnode = None
     direction = 1
@@ -333,7 +340,7 @@ def _bidirectional_search(adjacency: Adjacency, source: int, target: int
         near, far = seen[direction], seen[1 - direction]
         pred = preds[direction]
         heap = fringe[direction]
-        for w, cost in adjacency[v].items():
+        for eid, w, cost in view(v):
             length = dist + cost
             if w in final:
                 if length < final[w]:
@@ -342,7 +349,7 @@ def _bidirectional_search(adjacency: Adjacency, source: int, target: int
                 near[w] = length
                 heappush(heap, (length, next(counter), w))
                 pred[w] = v
-                relaxed.append((v, w))
+                relaxed.add(eid)
                 if w in far:
                     total = length + far[w]
                     if finaldist is None or finaldist > total:
@@ -351,7 +358,7 @@ def _bidirectional_search(adjacency: Adjacency, source: int, target: int
 
 
 class RingEnumerator:
-    """Horton ring enumeration over a shrinking site graph.
+    """Horton ring enumeration over a shrinking site graph, read lazily.
 
     For every edge (u, v), the shortest u–v path avoiding that edge closes
     a candidate ring; candidates are sorted by total weight and greedily
@@ -359,36 +366,73 @@ class RingEnumerator:
     ``networkx.minimum_cycle_basis`` this yields *ordered* rings, so each
     element can be realized and classified.
 
-    The enumeration replays the networkx one it replaced exactly, adjacency
-    order included: edges come in ``Graph.edges()`` order, and each edge is
-    deleted and reinserted around its search, which moves each endpoint to
-    the end of the other's neighbour dict.
+    Every :meth:`iter_rings` call yields a prefix of exactly the list the
+    networkx enumeration it replaced returns for the current graph, and
+    leaves the neighbour dicts in the order that enumeration leaves them.
+    Between calls the owner may only :meth:`remove_edge`.  Three things
+    keep each call down to what changed, all exact:
 
-    Between calls the owner may only :meth:`remove_edge`.  Each edge's
-    search is kept and reused on the next call unless the search relaxed
-    along a removed edge.  Reuse is exact when the graph starts the call in
-    the order the cached call started in, minus the removed edges: every
-    search then sees its old adjacency minus edges whose reading pushed
-    nothing, so it pushes the same heap entries with the same counters and
-    returns the same path.  After one full pass each neighbour dict is
-    ordered by that pass's edge ranks, which the ``edges()`` rule
-    reproduces, so the condition holds from the third call on; it is
-    checked on every call and the cache is dropped when it fails.
+    * Edge ids are the ``Graph.edges()`` ranks at construction.  Removing
+      edges keeps the survivors' order, so the ids are a monotone
+      relabelling of every later call's ranks: a GF(2) mask over ids
+      reduces along the same top-bit branches, and each edge caches its
+      path, total weight and mask.
+    * networkx deletes and reinserts each edge around its search, in rank
+      order, so the search for edge ``i`` reads every neighbour list as its
+      entries above rank ``i`` in the call's start order, then those below
+      ``i`` in rank order.  After the first call every list starts in rank
+      order, so that view is the rank-ordered row rotated to start just
+      after ``i``; searches read it directly.
+    * A search stays valid until an edge it relaxed along is removed: it
+      then reads its old view minus edges whose reading pushed nothing, so
+      it pushes the same heap entries with the same counters.  An
+      invalidated search is parked under its old ring weight — deleting
+      edges never shortens a path, so that is a lower bound — and rerun
+      only when the greedy reaches that weight.  Each weight level is
+      complete before any of its rings is yielded, so mask deduplication
+      keeps the lowest-rank edge's ring, as the full sort does.
+
+    Totals are compared as networkx's sums; the lower bound needs them
+    exact, which the pipeline's integer hop weights are.
     """
 
     def __init__(self, adjacency: Adjacency):
         self.adjacency = adjacency
-        #: bidirectional searches run (cache misses), for instrumentation.
+        #: bidirectional searches run, for instrumentation.
         self.searches = 0
-        # Per edge (u, v): the search's path and the edges it relaxed; and
-        # per relaxed directed edge, the searches that relaxed along it.
-        self._paths: Dict[Tuple[int, int], Optional[List[int]]] = {}
-        self._relaxed: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self._users: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
-        # Start-of-call order of the last full call, and the edges removed
-        # since; ``None`` until the first full call.
-        self._baseline: Optional[List[Tuple[int, Tuple[int, ...]]]] = None
-        self._removed: Set[FrozenSet[int]] = set()
+        ends = self.edges()
+        # Live edges by id, and the id of each endpoint pair.
+        self._ends: Dict[int, Tuple[int, int]] = dict(enumerate(ends))
+        self._ids: Dict[int, Dict[int, int]] = {node: {} for node in adjacency}
+        for eid, (u, v) in enumerate(ends):
+            self._ids[u][v] = self._ids[v][u] = eid
+        # Per node: its neighbours sorted by edge id, and the ids alone (the
+        # bisect keys).  Nodes whose dict is not in id order also keep their
+        # start order, which the first call reads.
+        self._rows: Dict[int, Row] = {}
+        self._row_ids: Dict[int, List[int]] = {}
+        self._start: Dict[int, Row] = {}
+        for node, nbrs in adjacency.items():
+            ids = self._ids[node]
+            start = [(ids[w], w, cost) for w, cost in nbrs.items()]
+            row = sorted(start)
+            self._rows[node] = row
+            self._row_ids[node] = [entry[0] for entry in row]
+            if row != start:
+                self._start[node] = start
+        # Per searched edge: (path, total, mask), with path ``None`` when
+        # unreachable; the edges each ring's search relaxed along, and the
+        # reverse index.  Rings not proven invalid wait in a sorted queue of
+        # (total, path, id); invalidated searches in a heap of (lower bound,
+        # id), where every edge starts, unsearched, at -inf.
+        self._found: Dict[int, Tuple[Optional[List[int]], float, int]] = {}
+        self._relaxed: Dict[int, Set[int]] = {}
+        self._users: Dict[int, Set[int]] = {}
+        self._queue: List[Tuple[float, List[int], int]] = []
+        self._parked: List[Tuple[float, int]] = [(-math.inf, eid)
+                                                 for eid in self._ends]
+        self._calls = 0
+        self._version = 0
 
     @classmethod
     def from_edges(cls, nodes: Iterable[int],
@@ -404,7 +448,7 @@ class RingEnumerator:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges())
+        return len(self._ends)
 
     def edges(self) -> List[Tuple[int, int]]:
         """The edges in ``networkx.Graph.edges()`` order."""
@@ -416,21 +460,84 @@ class RingEnumerator:
         return out
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge (u, v) and forget every search that relaxed along
-        it."""
+        """Delete edge (u, v) and park every search that relaxed along it.
+
+        An :meth:`iter_rings` iterator opened before the removal raises
+        ``RuntimeError`` when read again."""
         adjacency = self.adjacency
         del adjacency[u][v]
         if u != v:
             del adjacency[v][u]
-        self._removed.add(frozenset((u, v)))
+        eid = self._ids[u].pop(v)
+        self._ids[v].pop(u, None)
+        del self._ends[eid]
+        for node in {u, v}:
+            ids = self._row_ids[node]
+            k = bisect_left(ids, eid)
+            del ids[k], self._rows[node][k]
+            if node in self._start:
+                self._start[node] = [entry for entry in self._start[node]
+                                     if entry[0] != eid]
+        self._version += 1
+        # A parked edge leaves a dead heap entry, skipped when reached.
+        self._forget(eid)
+        for user in self._users.pop(eid, ()):
+            self._park(user)
+
+    def _park(self, eid: int) -> None:
+        """Defer edge *eid*'s search until the greedy reaches its old
+        ring's total, a lower bound on the new one."""
+        heappush(self._parked, (self._forget(eid), eid))
+
+    def _forget(self, eid: int) -> float:
+        """Drop edge *eid*'s cached search; returns its ring's total."""
+        path, total, _ = self._found.pop(eid, (None, math.inf, 0))
+        if path is not None and len(path) >= 3:
+            queue = self._queue
+            del queue[bisect_left(queue, (total, path, eid))]
         users = self._users
-        stale = users.pop((u, v), set()) | users.pop((v, u), set())
-        stale.update(((u, v), (v, u)))
-        for key in stale:
-            self._paths.pop(key, None)
-            for edge in self._relaxed.pop(key, ()):
-                if edge in users:
-                    users[edge].discard(key)
+        for edge in self._relaxed.pop(eid, ()):
+            if edge in users:
+                users[edge].discard(eid)
+        return total
+
+    def _search(self, eid: int) -> None:
+        """Run edge *eid*'s search on its view; cache and queue its ring."""
+        rows, row_ids, start = self._rows, self._row_ids, self._start
+
+        def view(node: int) -> Row:
+            ids, row = row_ids[node], rows[node]
+            lo = bisect_left(ids, eid)
+            if node in start:
+                after = [entry for entry in start[node] if entry[0] > eid]
+                return after + row[:lo]
+            return row[bisect_right(ids, eid, lo):] + row[:lo]
+
+        u, v = self._ends[eid]
+        path, relaxed = _bidirectional_search(view, u, v)
+        self.searches += 1
+        if path is None or len(path) < 3:
+            # Unreachable stays unreachable, and a self-loop closes no
+            # ring: neither result can change, so neither is indexed.
+            self._found[eid] = (path, math.inf, 0)
+            return
+        adjacency, ids = self.adjacency, self._ids
+        mask = 0
+        for i in range(len(path)):
+            mask ^= 1 << ids[path[i]][path[(i + 1) % len(path)]]
+        total = sum(
+            adjacency[path[i]][path[(i + 1) % len(path)]]
+            for i in range(len(path))
+        )
+        self._found[eid] = (path, total, mask)
+        self._relaxed[eid] = relaxed
+        users = self._users
+        for edge in relaxed:
+            if edge in users:
+                users[edge].add(eid)
+            else:
+                users[edge] = {eid}
+        insort(self._queue, (total, path, eid))
 
     def _components(self) -> int:
         adjacency = self.adjacency
@@ -449,109 +556,93 @@ class RingEnumerator:
                         stack.append(w)
         return components
 
-    def _order_kept(self, order: List[Tuple[int, Tuple[int, ...]]]) -> bool:
-        """Whether *order* is the baseline order minus the removed edges."""
-        baseline = self._baseline
-        if baseline is None or len(order) != len(baseline):
-            return False
-        removed = self._removed
-        touched = set().union(*removed) if removed else set()
-        for (node, nbrs), (old_node, old_nbrs) in zip(order, baseline):
-            if node != old_node:
-                return False
-            if node in touched:
-                old_nbrs = tuple(w for w in old_nbrs
-                                 if frozenset((node, w)) not in removed)
-            if nbrs != old_nbrs:
-                return False
-        return True
+    def iter_rings(self) -> Iterator[List[int]]:
+        """An independent family of ordered tight cycles, cheapest first,
+        enumerated only as far as it is read."""
+        if not self._ends:
+            return iter(())
+        rank_target = (len(self._ends) - len(self.adjacency)
+                       + self._components())
+        if rank_target <= 0:
+            return iter(())
+        if self._start and self._calls:
+            # The last call read these start orders; from now on every
+            # neighbour list starts in id order, so searches that pushed
+            # along their edges are parked (their totals are exact bounds).
+            stale: Set[int] = set()
+            for node in self._start:
+                for eid in self._row_ids[node]:
+                    stale |= self._users.pop(eid, set())
+            for user in stale:
+                self._park(user)
+            self._start = {}
+        elif self._start:
+            # This call reads them, and leaves every dict in id order.
+            for node in self._start:
+                nbrs = self.adjacency[node]
+                nbrs.clear()
+                nbrs.update((w, cost) for _, w, cost in self._rows[node])
+        self._calls += 1
+        return self._greedy(rank_target)
 
-    def _forget_all(self) -> None:
-        self._paths.clear()
-        self._relaxed.clear()
-        self._users.clear()
+    def _greedy(self, rank_target: int) -> Iterator[List[int]]:
+        """Reduce the queued rings weight level by weight level, rerunning
+        parked searches as their bounds come up."""
+        version = self._version
+        queue, parked, found, ends = (self._queue, self._parked,
+                                      self._found, self._ends)
+        # Accepted masks with their top bits: ``min(r, r ^ bm)`` takes
+        # ``r ^ bm`` exactly when r holds bm's top bit, the cheaper test.
+        basis: List[Tuple[int, int]] = []
+        accepted = 0
+        pos = 0
+        while True:
+            # Complete the next level: every parked search whose bound does
+            # not exceed it might land on it.  Reruns land at or after pos,
+            # since their bounds exceed every level already read.
+            while parked:
+                bound, eid = parked[0]
+                if eid in ends and pos < len(queue) and bound > queue[pos][0]:
+                    break
+                heappop(parked)
+                if eid in ends:
+                    self._search(eid)
+            if pos == len(queue):
+                return
+            weight = queue[pos][0]
+            end = pos + 1
+            while end < len(queue) and queue[end][0] == weight:
+                end += 1
+            level = queue[pos:end]
+            pos = end
+            # Equal masks are equal rings of equal weight: keep the one
+            # from the lowest-rank edge, as the full enumeration does.
+            owner: Dict[int, int] = {}
+            for _, _, eid in level:
+                mask = found[eid][2]
+                if owner.setdefault(mask, eid) > eid:
+                    owner[mask] = eid
+            for _, path, eid in level:
+                mask = found[eid][2]
+                if owner[mask] != eid:
+                    continue
+                reduced = mask
+                for bm, top in basis:
+                    if reduced & top:
+                        reduced ^= bm
+                if reduced == 0:
+                    continue
+                basis.append((mask, 1 << (mask.bit_length() - 1)))
+                yield list(path)
+                if self._version != version:
+                    raise RuntimeError("RingEnumerator changed during iteration")
+                accepted += 1
+                if accepted >= rank_target:
+                    return
 
     def rings(self) -> List[List[int]]:
-        """An independent family of ordered tight cycles, cheapest first."""
-        adjacency = self.adjacency
-        edges = self.edges()
-        if not edges:
-            return []
-        rank_target = len(edges) - len(adjacency) + self._components()
-        if rank_target <= 0:
-            return []
-
-        order = [(node, tuple(nbrs)) for node, nbrs in adjacency.items()]
-        if not self._order_kept(order):
-            self._forget_all()
-        self._baseline = order
-        self._removed = set()
-
-        paths, relaxed, users = self._paths, self._relaxed, self._users
-        found: List[Optional[List[int]]] = []
-        for u, v in edges:
-            key = (u, v)
-            weight = adjacency[u].pop(v)
-            adjacency[v].pop(u, None)
-            if key in paths:
-                path = paths[key]
-            else:
-                path, along = _bidirectional_search(adjacency, u, v)
-                self.searches += 1
-                paths[key] = path
-                relaxed[key] = along
-                for edge in along:
-                    if edge in users:
-                        users[edge].add(key)
-                    else:
-                        users[edge] = {key}
-            adjacency[u][v] = weight
-            adjacency[v][u] = weight
-            found.append(path)
-
-        rank: Dict[int, Dict[int, int]] = {node: {} for node in adjacency}
-        for i, (u, v) in enumerate(edges):
-            rank[u][v] = rank[v][u] = i
-
-        def mask_of(ring: List[int]) -> int:
-            mask = 0
-            for i in range(len(ring)):
-                mask ^= 1 << rank[ring[i]][ring[(i + 1) % len(ring)]]
-            return mask
-
-        candidates: List[Tuple[float, List[int], int]] = []
-        seen_signatures: Set[int] = set()
-        for path in found:
-            if path is None or len(path) < 3:
-                continue
-            mask = mask_of(path)
-            if mask in seen_signatures:
-                continue
-            seen_signatures.add(mask)
-            total = sum(
-                adjacency[path[i]][path[(i + 1) % len(path)]]
-                for i in range(len(path))
-            )
-            candidates.append((total, path, mask))
-        candidates.sort(key=lambda item: (item[0], item[1]))
-
-        # Greedy reduction against the accepted masks, in acceptance order:
-        # ``min(r, r ^ bm)`` takes ``r ^ bm`` exactly when r holds bm's top
-        # bit, which is the cheaper test.
-        basis: List[Tuple[int, int]] = []
-        rings: List[List[int]] = []
-        for _, ring, mask in candidates:
-            reduced = mask
-            for bm, top in basis:
-                if reduced & top:
-                    reduced ^= bm
-            if reduced == 0:
-                continue
-            basis.append((mask, 1 << (mask.bit_length() - 1)))
-            rings.append(list(ring))
-            if len(rings) >= rank_target:
-                break
-        return rings
+        """The whole family :meth:`iter_rings` yields."""
+        return list(self.iter_rings())
 
 
 def site_cycle_rings(graph) -> List[List[int]]:
@@ -734,11 +825,17 @@ def identify_loops(
     max_iterations = enumerator.num_edges + 1
 
     for _ in range(max_iterations):
+        # Each iteration reads the ring family only up to its first fake
+        # ring; the span times the enumeration, not the classification.
         with _span(tracer, "rings"):
-            rings = enumerator.rings()
+            rings = enumerator.iter_rings()
         opened = False
         genuine_rings: List[Tuple[List[int], List[int], float]] = []
-        for site_ring in rings:
+        while True:
+            with _span(tracer, "rings"):
+                site_ring = next(rings, None)
+            if site_ring is None:
+                break
             key = tuple(site_ring)
             if key not in realized:
                 realized[key] = _realize_site_ring(skeleton.pair_paths,

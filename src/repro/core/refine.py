@@ -219,18 +219,19 @@ def prune_short_branches(graph: SkeletonGraph,
     A branch runs from a leaf to the first junction (skeleton degree ≥ 3).
     Whole-skeleton paths (no junction at all) are never pruned away — a
     corridor network's skeleton *is* one path.
+
+    The adjacency is built once and updated as branches go.  A branch walk
+    only steps out of nodes with one neighbour besides the one it came
+    from, so set iteration order never picks its way.
     """
     if min_length <= 0:
         return graph
+    adj = graph.adjacency()
     changed = True
     while changed:
         changed = False
-        adj = graph.adjacency()
         leaves = sorted(v for v, nbrs in adj.items() if len(nbrs) == 1)
         for leaf in leaves:
-            if leaf not in graph.nodes:
-                continue
-            adj = graph.adjacency()
             if len(adj.get(leaf, ())) != 1:
                 continue
             branch = [leaf]
@@ -250,7 +251,13 @@ def prune_short_branches(graph: SkeletonGraph,
                 prev, current = current, nbrs[0]
                 branch.append(current)
             if reached_junction and 0 < len(branch) <= min_length:
-                graph.remove_nodes(set(branch))
+                drop = set(branch)
+                for v in drop:
+                    for w in adj.pop(v):
+                        graph.edges.discard(frozenset((v, w)))
+                        if w not in drop:
+                            adj[w].discard(v)
+                graph.nodes -= drop
                 changed = True
     return graph
 

@@ -161,7 +161,7 @@ class TestEndToEndLoops:
         assert result.skeleton.is_connected()
 
 
-class TestBackendBitIdentity:
+class TestReferenceEngineBitIdentity:
     """The loop scans on the CSR kernels must equal the same scans on the
     pure-Python reference engine."""
 
@@ -193,7 +193,7 @@ class TestBackendBitIdentity:
                     assert opposite_width(net, ordered,
                                           samples=samples) == expected
 
-    def test_identify_loops_identical_across_backends(self, annulus_network):
+    def test_identify_loops_matches_reference_engine(self, annulus_network):
         with use_reference_engine():
             ref = SkeletonExtractor().extract(annulus_network).loop_analysis
         vec = SkeletonExtractor().extract(annulus_network).loop_analysis

@@ -1,6 +1,8 @@
 """Tests for skeleton refinement: rebuild + pruning (§III-D)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.refine import SkeletonGraph, merge_fake_loops, prune_short_branches
 from repro.core.loops import Loop
@@ -109,6 +111,96 @@ class TestPruning:
         pruned = prune_short_branches(g, min_length=2)
         assert not {20, 21, 30} & pruned.nodes
         assert {0, 1, 2, 3, 4, 5, 6, 7} <= pruned.nodes
+
+
+def oracle_prune_short_branches(graph: SkeletonGraph,
+                                min_length: int) -> SkeletonGraph:
+    """Trim dangling branches shorter than *min_length* hops.
+
+    A branch runs from a leaf to the first junction (skeleton degree ≥ 3).
+    Whole-skeleton paths (no junction at all) are never pruned away — a
+    corridor network's skeleton *is* one path.
+    """
+    if min_length <= 0:
+        return graph
+    changed = True
+    while changed:
+        changed = False
+        adj = graph.adjacency()
+        leaves = sorted(v for v, nbrs in adj.items() if len(nbrs) == 1)
+        for leaf in leaves:
+            if leaf not in graph.nodes:
+                continue
+            adj = graph.adjacency()
+            if len(adj.get(leaf, ())) != 1:
+                continue
+            branch = [leaf]
+            current = leaf
+            prev = None
+            reached_junction = False
+            while True:
+                if current != leaf and len(adj[current]) >= 3:
+                    reached_junction = True
+                    branch.pop()  # the junction itself stays
+                    break
+                if len(branch) > min_length + 1:
+                    break  # long enough to survive regardless
+                nbrs = [v for v in adj[current] if v != prev]
+                if not nbrs:
+                    break  # other end of a bare path
+                prev, current = current, nbrs[0]
+                branch.append(current)
+            if reached_junction and 0 < len(branch) <= min_length:
+                graph.remove_nodes(set(branch))
+                changed = True
+    return graph
+
+
+@st.composite
+def pruning_cases(draw):
+    """Cycles and bare paths (some joined by chords), with pendant paths
+    of 0 to ``min_length + 2`` hops hung on any node, pendants included;
+    node ids are a drawn permutation so the leaf order varies."""
+    min_length = draw(st.integers(0, 4))
+    paths = []
+    size = 0
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            k = draw(st.integers(3, 8))
+            paths.append(list(range(size, size + k)) + [size])
+        else:
+            k = draw(st.integers(1, 8))
+            paths.append(list(range(size, size + k)))
+        size += k
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        if a != b:
+            paths.append([a, b])
+    for _ in range(draw(st.integers(0, 8))):
+        anchor = draw(st.integers(0, size - 1))
+        k = draw(st.integers(0, min_length + 2))
+        paths.append([anchor] + list(range(size, size + k)))
+        size += k
+    label = draw(st.permutations(range(size)))
+    return [[label[v] for v in path] for path in paths], min_length
+
+
+def graph_of(paths) -> SkeletonGraph:
+    graph = SkeletonGraph(nodes=set(), edges=set())
+    for path in paths:
+        graph.add_path(path)
+    return graph
+
+
+class TestPruningOracle:
+    @given(pruning_cases())
+    @settings(deadline=None)
+    def test_matches_rebuild_per_leaf_oracle(self, case):
+        paths, min_length = case
+        pruned = prune_short_branches(graph_of(paths), min_length)
+        expected = oracle_prune_short_branches(graph_of(paths), min_length)
+        assert pruned.nodes == expected.nodes
+        assert pruned.edges == expected.edges
 
 
 class TestEndToEndRefinement:

@@ -1,13 +1,14 @@
-"""The incremental ring enumerator against the networkx enumeration it
-replaced (hypothesis).
+"""The lazy, incremental ring enumerator against the networkx enumeration
+it replaced (hypothesis).
 
 :class:`repro.core.loops.RingEnumerator` must reproduce the networkx
-``site_cycle_rings`` exactly — the same rings and the same adjacency
-order after every call — because stage 4's tie-breaking, and so every
-skeleton, depends on that order.  The oracle below is that function,
+``site_cycle_rings`` exactly — the same rings, in every prefix a call
+reads, and the same adjacency order after every call — because stage 4's
+tie-breaking, and so every skeleton, depends on that order.  The oracle below is that function,
 kept verbatim as a test-only reference.
 """
 
+from itertools import islice
 from typing import List, Set, Tuple
 
 import networkx as nx
@@ -113,6 +114,9 @@ class OracleEnumerator:
     def rings(self) -> List[List[int]]:
         return oracle_site_cycle_rings(self.graph)
 
+    def iter_rings(self):
+        return iter(self.rings())
+
 
 def nx_order(graph: "nx.Graph"):
     return [(u, [(v, data["weight"]) for v, data in nbrs.items()])
@@ -131,9 +135,26 @@ def both(nodes, edges):
 
 def assert_same_call(oracle: OracleEnumerator, enumerator: RingEnumerator):
     assert enumerator.rings() == oracle.rings()
+    assert_same_graph(oracle, enumerator)
+
+
+def assert_same_graph(oracle: OracleEnumerator, enumerator: RingEnumerator):
     assert dict_order(enumerator.adjacency) == nx_order(oracle.graph)
     assert enumerator.num_edges == oracle.num_edges
     assert enumerator.edges() == oracle.edges()
+
+
+def edge_id(enumerator: RingEnumerator, u: int, v: int) -> int:
+    return enumerator._ids[u][v]
+
+
+def cached_path(enumerator: RingEnumerator, u: int, v: int):
+    """The path edge (u, v)'s cached search found."""
+    return enumerator._found[edge_id(enumerator, u, v)][0]
+
+
+def ring_edges(ring: List[int]) -> List[Tuple[int, int]]:
+    return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
 
 @st.composite
@@ -200,9 +221,9 @@ class TestIncrementalEnumeration:
             # nodes a cached search expanded (it must be reused intact).
             users = enumerator._users
             relaxed = [(u, v) for u, v in current
-                       if (u, v) in users or (v, u) in users]
-            expanded = {v for along in enumerator._relaxed.values()
-                        for v, _ in along}
+                       if users.get(edge_id(enumerator, u, v))]
+            expanded = {node for along in enumerator._relaxed.values()
+                        for eid in along for node in enumerator._ends[eid]}
             read_only = [(u, v) for u, v in current
                          if (u in expanded or v in expanded)
                          and (u, v) not in relaxed]
@@ -257,6 +278,26 @@ class TestIncrementalEnumeration:
         enumerator.remove_edge(14, 15)
         assert_same_call(oracle, enumerator)
         assert 0 < enumerator.searches - len(edges) < len(edges) // 2
+        # Reading only the first ring reruns only the parked searches whose
+        # old weight does not exceed that ring's: dropping (10, 11) breaks
+        # weight-6 rings left by the earlier drops, and their searches stay
+        # parked while a unit square remains.
+        lazy = RingEnumerator.from_edges(nodes, edges)
+        for drop in ((14, 15), (9, 13)):
+            lazy.remove_edge(*drop)
+            lazy.rings()
+        oracle.remove_edge(9, 13)
+        enumerator.remove_edge(9, 13)
+        assert_same_call(oracle, enumerator)
+        eager_before, lazy_before = enumerator.searches, lazy.searches
+        for target in (oracle, enumerator, lazy):
+            target.remove_edge(10, 11)
+        expected = oracle.rings()
+        assert enumerator.rings() == expected
+        assert next(lazy.iter_rings()) == expected[0]
+        assert 0 < lazy.searches - lazy_before \
+            < enumerator.searches - eager_before
+        assert lazy.rings() == oracle.rings()
 
     def test_stale_reuse_would_pick_another_tied_path(self):
         """Dropping the pendant edge (0, 4) changes no cycle and lies on
@@ -273,30 +314,64 @@ class TestIncrementalEnumeration:
         for _ in range(2):
             assert_same_call(oracle, enumerator)
             stale.rings()
-        assert enumerator._paths[(2, 4)] == [2, 1, 3, 4]
-        assert (4, 0) in enumerator._relaxed[(2, 4)]
+        assert cached_path(enumerator, 2, 4) == [2, 1, 3, 4]
+        assert edge_id(enumerator, 4, 0) in \
+            enumerator._relaxed[edge_id(enumerator, 2, 4)]
         for target in (oracle, enumerator, stale):
             target.remove_edge(0, 4)
         expected = oracle.rings()
         assert stale.rings() != expected
         assert enumerator.rings() == expected
-        assert enumerator._paths[(2, 4)] == [2, 5, 6, 3, 4]
+        assert cached_path(enumerator, 2, 4) == [2, 5, 6, 3, 4]
+
+
+class TestLazyEnumeration:
+    @given(site_graphs(), st.data())
+    @settings(deadline=None)
+    def test_prefix_reads_match_oracle(self, graph_spec, data):
+        """Each call reads a drawn prefix, or all, of the ring family;
+        then an edge of the last ring read is dropped, as ``identify_loops``
+        opens a fake ring (any edge when nothing was read)."""
+        nodes, edges = graph_spec
+        oracle, enumerator = both(nodes, edges)
+        while enumerator.edges():
+            expected = oracle.rings()
+            rings = enumerator.iter_rings()
+            if data.draw(st.booleans()):
+                read = list(rings)
+                assert read == expected
+            else:
+                read = list(islice(rings, data.draw(
+                    st.integers(0, len(expected)))))
+                assert read == expected[:len(read)]
+            assert_same_graph(oracle, enumerator)
+            pool = ring_edges(read[-1]) if read else enumerator.edges()
+            u, v = data.draw(st.sampled_from(pool))
+            oracle.remove_edge(u, v)
+            enumerator.remove_edge(u, v)
+        assert_same_call(oracle, enumerator)
+
+    def test_iterator_from_before_a_removal_raises(self):
+        oracle, enumerator = both(range(4), [(0, 1, 1), (1, 2, 1), (2, 0, 1),
+                                             (2, 3, 1), (3, 0, 1)])
+        rings = enumerator.iter_rings()
+        assert next(rings) == oracle.rings()[0] == [0, 2, 1]
+        oracle.remove_edge(0, 2)
+        enumerator.remove_edge(0, 2)
+        with pytest.raises(RuntimeError):
+            next(rings)
+        assert_same_call(oracle, enumerator)
 
 
 class _PathOnlyInvalidation(RingEnumerator):
-    """A wrong variant that forgets a search only when the dropped edge
+    """A wrong variant that parks a search only when the dropped edge
     lies on its path."""
 
     def remove_edge(self, u, v):
-        on_path = [key for key, path in self._paths.items()
-                   if path and _has_edge(path, u, v)]
-        keep = {key: (self._paths[key], self._relaxed[key])
-                for key in self._paths if key not in on_path
-                and key not in ((u, v), (v, u))}
+        users = self._users.get(self._ids[u][v], set())
+        users -= {key for key in users
+                  if not _has_edge(self._found[key][0], u, v)}
         super().remove_edge(u, v)
-        for key, (path, reads) in keep.items():
-            self._paths[key] = path
-            self._relaxed[key] = reads
 
 
 def _has_edge(path, u, v) -> bool:
