@@ -213,36 +213,39 @@ def isoperimetric_ratio(network: SensorNetwork, ordered: Sequence[int],
 
 
 def opposite_width(network: SensorNetwork, ordered: Sequence[int],
-                   samples: int = 6, tracer=None) -> int:
-    """Smallest hop distance between opposite points of the cycle.
+                   samples: int = 6, cap: Optional[int] = None,
+                   tracer=None) -> int:
+    """Smallest hop distance between opposite points of the cycle, capped.
 
     A braid — two parallel strands closing a long thin cycle — has opposite
     points only a couple of hops apart, whereas a hole-wrapping ring keeps
     them separated by the hole's diameter plus two corridor widths.  This
     catches the rare long braid whose isoperimetric ratio looks genuine.
 
-    One batched sweep from all sample points stops at the first level
-    where some pair meets: that pair reads exactly the minimum, and every
-    other pair reads the same level or ``UNREACHED`` (it is at least as
-    far apart).  The answer is capped at the cycle length, which bounds
-    every pair distance since both endpoints sit on the cycle.
+    Returns ``min(cap', min_i d(s_i, t_i))`` with ``cap'`` the cycle
+    length, lowered to *cap* when given (the cycle length bounds every
+    pair distance, since both endpoints sit on the cycle).  One sweep
+    from the sample points and their opposite points runs
+    ``r = cap' // 2`` levels; a pair's distance is the least
+    ``d(s, v) + d(t, v)`` over nodes ``v`` both rows reach.  The meeting
+    is exact below ``cap'``: then ``d <= 2r``, so the node ``min(r, d)``
+    hops from ``s`` on a shortest path is within ``r`` of both ends,
+    and no node gives a sum below ``d``.
     """
     length = len(ordered)
     if length < 4:
         return 0
+    best = length if cap is None else min(length, cap)
     half = length // 2
     count = min(samples, length)
     starts = [(i * length) // count for i in range(count)]
-    sources = [ordered[s] for s in starts]
-    targets = [ordered[(s + half) % length] for s in starts]
-    dist = network.traversal().hop_distances(sources, targets=targets,
+    ends = [ordered[s] for s in starts] + \
+        [ordered[(s + half) % length] for s in starts]
+    dist = network.traversal().hop_distances(ends, max_hops=best // 2,
                                              tracer=tracer)
-    best = length
-    for i, b in enumerate(targets):
-        d = int(dist[i, b])
-        if d >= 0:
-            best = min(best, d)
-    return best
+    near, far = dist[:count], dist[count:]
+    sums = (near + far)[(near >= 0) & (far >= 0)]
+    return min(best, int(sums.min())) if sums.size else best
 
 
 def enclosed_interior(
@@ -745,9 +748,10 @@ class _CycleClassifier:
                 # Guard against long thin braids: opposite points of a
                 # genuine ring are a hole-diameter apart.
                 median_clr = sorted(self.clearance[v] for v in ordered)[len(ordered) // 2]
-                width = opposite_width(self.network, ordered,
+                threshold = 2 * median_clr + 1
+                width = opposite_width(self.network, ordered, cap=threshold,
                                        tracer=self.tracer)
-                is_fake = width < 2 * median_clr + 1
+                is_fake = width < threshold
         result = (is_fake, witnesses, ratio)
         self._cache[key] = result
         return result

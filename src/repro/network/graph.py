@@ -150,11 +150,9 @@ class SensorNetwork:
     def __setstate__(self, state):
         pos = state["positions"]
         indptr, indices = state["indptr"], state["indices"]
-        self.positions = [Point(float(x), float(y)) for x, y in pos]
-        self.adjacency = [
-            [int(v) for v in indices[indptr[i]:indptr[i + 1]]]
-            for i in range(len(pos))
-        ]
+        self.positions = [Point(x, y) for x, y in pos.tolist()]
+        flat, bounds = indices.tolist(), indptr.tolist()
+        self.adjacency = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
         self.field = state["field"]
         self.radio = state["radio"]
         self._csr = None

@@ -18,9 +18,8 @@ immutable, so the cache never needs invalidation):
   ``Σ_{v ∈ N_l(p)} |N_k(v)|`` is accumulated batch-by-batch as
   ``Rᵀ · sizes[batch]`` without ever materialising the full reach matrix
   or re-running the traversal.
-* :meth:`hop_distances` — exact distances from a few sources; given one
-  target per source, the sweep stops at the first level where some source
-  meets its target (the stage-4 opposite-width test).
+* :meth:`hop_distances` — exact distances from a few sources, optionally
+  capped at ``max_hops`` levels (the stage-4 opposite-width test).
 * :meth:`voronoi_flood` — the Section III-B site flood: all site waves
   advance level-synchronously, and a wave survives at a node only within
   ``alpha`` hops of the node's best distance.  The frontier is kept
@@ -433,7 +432,7 @@ class TraversalEngine:
     # -- distance-only sweeps ----------------------------------------------
 
     def hop_distances(self, sources: Sequence[int],
-                      targets: Optional[Sequence[int]] = None,
+                      max_hops: Optional[int] = None,
                       tracer=None) -> np.ndarray:
         """Exact hop distances from each source to every node.
 
@@ -442,12 +441,11 @@ class TraversalEngine:
         dedup instead of the ordered first-occurrence scan.  Returns an
         ``(m, n)`` int32 array with :data:`UNREACHED` where unreached.
 
-        With *targets* (one per source), the sweep stops after the first
-        level ``L = min_i d(sources[i], targets[i])`` at which some row
-        reaches its own target: every entry up to ``L`` is filled and
-        exact, entries beyond it stay :data:`UNREACHED`.  If no target is
-        reachable, the sweep runs to exhaustion as without targets.
+        With *max_hops*, the sweep stops after that level: entries up to
+        it are exact, entries beyond it stay :data:`UNREACHED`.
         """
+        if max_hops is not None and max_hops < 0:
+            raise ValueError("max_hops must be >= 0")
         with _span(tracer, "hop_distances"):
             m, n = len(sources), self.n
             dist = np.full((m, n), UNREACHED, dtype=np.int32)
@@ -458,15 +456,8 @@ class TraversalEngine:
             frow = np.arange(m, dtype=np.int64)
             fnode = np.asarray(sources, dtype=np.int64)
             dist[frow, fnode] = 0
-            goal = None
-            if targets is not None:
-                if len(targets) != m:
-                    raise ValueError("need exactly one target per source")
-                goal = frow * n + np.asarray(targets, dtype=np.int64)
             level = 0
-            while frow.size:
-                if goal is not None and (dist_flat[goal] != UNREACHED).any():
-                    break
+            while frow.size and (max_hops is None or level < max_hops):
                 starts = indptr[fnode]
                 lens = indptr[fnode + 1] - starts
                 total = int(lens.sum())

@@ -201,25 +201,16 @@ class ReferenceEngine:
     # -- distance-only sweeps ----------------------------------------------
 
     def hop_distances(self, sources: Sequence[int],
-                      targets: Optional[Sequence[int]] = None,
+                      max_hops: Optional[int] = None,
                       tracer=None) -> np.ndarray:
-        """Hop distances from each source, one full BFS per source.
-
-        With *targets*, entries beyond ``L = min_i d(sources[i],
-        targets[i])`` (over reachable targets) are :data:`UNREACHED`, the
-        kernel's early-stop contract.
-        """
+        """Hop distances from each source, one BFS per source bounded at
+        *max_hops*."""
+        if max_hops is not None and max_hops < 0:
+            raise ValueError("max_hops must be >= 0")
         dist = np.full((len(sources), self.n), UNREACHED, dtype=np.int32)
         for row, src in enumerate(sources):
-            for node, d in self.network.bfs_distances(src).items():
+            for node, d in self.network.bfs_distances(src, max_hops).items():
                 dist[row, node] = d
-        if targets is not None:
-            if len(targets) != len(sources):
-                raise ValueError("need exactly one target per source")
-            meet = [int(dist[row, t]) for row, t in enumerate(targets)
-                    if dist[row, t] != UNREACHED]
-            if meet:
-                dist[dist > min(meet)] = UNREACHED
         return dist
 
     def min_hop_distance(self, sources: Sequence[int],

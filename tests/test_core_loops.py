@@ -116,6 +116,15 @@ class TestOppositeWidth:
         cycle = [0, 1, 2, 3, 4, 5, 11, 10, 9, 8, 7, 6]
         assert opposite_width(net, cycle) <= 2
 
+    def test_unreachable_opposites_read_the_length_cap(self):
+        # Two far-apart edges: no opposite pair connects, so the width is
+        # the walk's length, lowered only by a smaller cap.
+        positions = [Point(0, 0), Point(1, 0), Point(50, 0), Point(51, 0)]
+        net = build_network(positions, radio=UnitDiskRadio(1.5))
+        assert opposite_width(net, [0, 1, 2, 3]) == 4
+        assert opposite_width(net, [0, 1, 2, 3], cap=7) == 4
+        assert opposite_width(net, [0, 1, 2, 3], cap=3) == 3
+
     def test_too_short_cycle(self):
         positions = [Point(0, 0), Point(1, 0), Point(0.5, 1)]
         net = build_network(positions, radio=UnitDiskRadio(1.5))
@@ -193,6 +202,18 @@ class TestReferenceEngineBitIdentity:
                     assert opposite_width(net, ordered,
                                           samples=samples) == expected
 
+    def test_capped_opposite_width_keeps_every_decision(self, annulus_result):
+        # The classifier asks only ``width < c``; the capped sweep must
+        # answer it exactly for every threshold c.
+        net = annulus_result.network
+        rings = [l.ordered for l in annulus_result.loop_analysis.loops
+                 if len(l.ordered) >= 4]
+        assert rings
+        for ordered in rings:
+            width = opposite_width(net, ordered)
+            for c in range(len(ordered) + 3):
+                assert (opposite_width(net, ordered, cap=c) < c) == (width < c)
+
     def test_identify_loops_matches_reference_engine(self, annulus_network):
         with use_reference_engine():
             ref = SkeletonExtractor().extract(annulus_network).loop_analysis
@@ -259,5 +280,10 @@ class TestOppositeWidthFuzz:
         samples = data.draw(st.one_of(
             st.sampled_from([1, 4, 6, 9]),
             st.integers(len(cycle) + 1, len(cycle) + 6)))
-        assert opposite_width(net, cycle, samples=samples) == \
-            oracle_opposite_width(net, cycle, samples)
+        cap = data.draw(st.one_of(st.none(), st.integers(0, len(cycle) + 3)))
+        oracle = oracle_opposite_width(net, cycle, samples)
+        expected = oracle if cap is None else min(cap, oracle)
+        assert opposite_width(net, cycle, samples=samples, cap=cap) == expected
+        with use_reference_engine():
+            assert opposite_width(net, cycle, samples=samples,
+                                  cap=cap) == expected

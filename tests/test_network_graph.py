@@ -1,5 +1,6 @@
 """Unit tests for SensorNetwork and build_network."""
 
+import pickle
 import random
 
 import numpy as np
@@ -140,6 +141,26 @@ class TestTraversal:
         net = build_network(positions, radio=UnitDiskRadio(1.0))
         dist, _ = ReferenceEngine(net).multi_source_distances([0])
         assert dist[0, 1] == UNREACHED
+
+
+class TestPickle:
+    def test_round_trip_keeps_lists_types_and_hash(self):
+        rng = random.Random(4)
+        positions = [Point(rng.uniform(0, 20), rng.uniform(0, 20))
+                     for _ in range(150)] + [Point(100.0, 100.0)]
+        net = build_network(positions, radio=UnitDiskRadio(3.0))
+        clone = pickle.loads(pickle.dumps(net))  # no content hash cached yet
+        assert clone.positions == net.positions
+        assert clone.adjacency == net.adjacency
+        assert clone.adjacency[-1] == []
+        assert all(type(p.x) is float and type(p.y) is float
+                   for p in clone.positions)
+        assert all(type(v) is int for nbrs in clone.adjacency for v in nbrs)
+        assert clone.content_hash() == net.content_hash()
+
+    def test_empty_network_round_trips(self):
+        clone = pickle.loads(pickle.dumps(SensorNetwork([], [])))
+        assert clone.positions == [] and clone.adjacency == []
 
 
 class TestComponents:

@@ -8,8 +8,8 @@ bit-identical by design), parent-path validity, and the elected critical
 nodes.  Whole-pipeline checks run the unchanged pipeline with the oracle
 substituted for every network's engine.  Disconnected graphs, isolated
 nodes and ``k`` beyond the diameter are covered explicitly, and
-hypothesis fuzzes the k-hop census and the targeted ``hop_distances``
-sweep over random graphs.
+hypothesis fuzzes the k-hop census and the level-capped
+``hop_distances`` sweep over random graphs.
 """
 
 import random
@@ -195,7 +195,7 @@ def test_full_extraction_identical_across_backends():
     assert not diff_results(res_ref, res_vec)
 
 
-def test_voronoi_identical_across_backends():
+def test_voronoi_matches_reference_engine():
     net = random_network(7, n=200)
     with use_reference_engine():
         sites = find_critical_nodes(net)
@@ -318,7 +318,7 @@ def test_reconstruct_paths_match_path_to_source(seed):
                                                                targets)
 
 
-# -- k-hop census and targeted hop_distances against the BFS oracle ------
+# -- k-hop census and level-capped hop_distances against the BFS oracle -
 
 
 def graph_from_edges(n, edges):
@@ -403,72 +403,51 @@ def test_khop_census_fuzz(net, k, l, include_self, width):
                         include_self)
 
 
-def oracle_distances(net, source):
-    ref = net.bfs_distances(source)
-    return np.array([ref.get(v, UNREACHED) for v in net.nodes()])
+def oracle_distances(net, source, max_hops):
+    ref = net.bfs_distances(source, max_hops=max_hops)
+    return [ref.get(v, UNREACHED) for v in net.nodes()]
 
 
-def assert_targeted_contract(net, sources, targets):
-    """``hop_distances(targets=)`` is the untargeted sweep truncated at
-    ``L = min_i d(s_i, t_i)``; with no reachable target it is the full
-    sweep."""
-    engine = net.traversal()
-    dist = engine.hop_distances(sources, targets=targets)
+def assert_capped_contract(net, sources, max_hops):
+    """``hop_distances(max_hops=)`` equals the reference engine and the
+    per-source ``bfs_distances(max_hops=)`` oracle: exact up to the cap,
+    :data:`UNREACHED` beyond it."""
+    dist = net.traversal().hop_distances(sources, max_hops=max_hops)
     assert np.array_equal(
-        ReferenceEngine(net).hop_distances(sources, targets=targets), dist)
-    oracle = np.array([oracle_distances(net, s) for s in sources])
-    meet = [oracle[i, t] for i, t in enumerate(targets)
-            if oracle[i, t] != UNREACHED]
-    if not meet:
-        assert np.array_equal(dist, engine.hop_distances(sources))
-        return
-    stop = min(meet)
-    expect = np.where(oracle <= stop, oracle, UNREACHED)
-    assert np.array_equal(dist, expect)
-    assert dist.max() == stop
-    reached = [dist[i, t] for i, t in enumerate(targets)
-               if dist[i, t] != UNREACHED]
-    assert min(reached) == stop
+        ReferenceEngine(net).hop_distances(sources, max_hops=max_hops), dist)
+    for i, src in enumerate(sources):
+        assert dist[i].tolist() == oracle_distances(net, src, max_hops)
 
 
 @given(edge_graphs(), st.data())
 @settings(deadline=None)
-def test_hop_distances_targets_fuzz(net, data):
+def test_hop_distances_max_hops_fuzz(net, data):
     nodes = st.integers(0, net.num_nodes - 1)
-    m = data.draw(st.integers(1, 6))
-    sources = data.draw(st.lists(nodes, min_size=m, max_size=m))
-    targets = data.draw(st.lists(nodes, min_size=m, max_size=m))
-    assert_targeted_contract(net, sources, targets)
+    sources = data.draw(st.lists(nodes, min_size=1, max_size=12))
+    max_hops = data.draw(st.one_of(st.none(), st.integers(0, 26)))
+    assert_capped_contract(net, sources, max_hops)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_hop_distances_targets_on_udg(seed):
+def test_hop_distances_max_hops_on_udg(seed):
     for net in network_grid(seed):
         rng = random.Random(seed + 29)
-        sources = rng.sample(range(net.num_nodes), 6)
-        targets = rng.sample(range(net.num_nodes), 6)
-        assert_targeted_contract(net, sources, targets)
+        sources = rng.sample(range(net.num_nodes), 12)
+        for max_hops in (None, 0, 1, 3, 8):
+            assert_capped_contract(net, sources, max_hops)
 
 
-def test_hop_distances_target_equal_to_source_stops_at_level_zero():
+def test_hop_distances_max_hops_zero_leaves_only_sources():
     net = random_network(2, n=60)
-    dist = net.traversal().hop_distances([3, 10], targets=[9, 10])
-    expect = np.full((2, net.num_nodes), UNREACHED)
-    expect[0, 3] = expect[1, 10] = 0
-    assert np.array_equal(dist, expect)
+    for engine in (net.traversal(), ReferenceEngine(net)):
+        dist = engine.hop_distances([3, 10, 3], max_hops=0)
+        expect = np.full((3, net.num_nodes), UNREACHED)
+        expect[0, 3] = expect[1, 10] = expect[2, 3] = 0
+        assert np.array_equal(dist, expect)
 
 
-def test_hop_distances_unreachable_targets_run_to_exhaustion():
-    # Two triangles plus an isolated node; no source reaches its target.
-    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-    net = graph_from_edges(7, triangles)
-    engine = net.traversal()
-    dist = engine.hop_distances([0, 3, 6], targets=[4, 6, 0])
-    assert np.array_equal(dist, engine.hop_distances([0, 3, 6]))
-    assert dist[0].tolist() == [0, 1, 1] + [UNREACHED] * 4
-
-
-def test_hop_distances_needs_one_target_per_source():
-    engine = random_network(1, n=40).traversal()
-    with pytest.raises(ValueError):
-        engine.hop_distances([0, 1], targets=[2])
+def test_hop_distances_rejects_negative_max_hops():
+    net = random_network(1, n=40)
+    for engine in (net.traversal(), ReferenceEngine(net)):
+        with pytest.raises(ValueError):
+            engine.hop_distances([0, 1], max_hops=-1)
