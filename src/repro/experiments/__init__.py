@@ -2,7 +2,6 @@
 
 from .harness import ExperimentReport, scaled_nodes
 from .faults import run_fault_degradation
-from .resilience import run_resilience
 from .async_jitter import run_async_jitter
 from .sharding import run_shard_equivalence
 from .suite import SUITE_RUNNERS, run_figure_suite
@@ -33,7 +32,6 @@ ALL_RUNNERS = {
     "baselines": run_baseline_comparison,
     "ablations": run_ablations,
     "faults": run_fault_degradation,
-    "resilience": run_resilience,
     "async": run_async_jitter,
     "shard": run_shard_equivalence,
 }
@@ -56,7 +54,6 @@ __all__ = [
     "run_baseline_comparison",
     "run_ablations",
     "run_fault_degradation",
-    "run_resilience",
     "run_async_jitter",
     "run_shard_equivalence",
 ]

@@ -43,15 +43,13 @@ from .figures import (
     run_thm5_complexity,
 )
 from .harness import ExperimentReport
-from .resilience import run_resilience
 from .sharding import SHARD_EQ_NAMES, run_shard_equivalence
 
 __all__ = ["run_figure_suite", "suite_shards", "SUITE_RUNNERS"]
 
 #: Canonical runner order of the suite (DESIGN.md §4).
 SUITE_RUNNERS = ("fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-                 "thm5", "sec5b", "baselines", "ablations", "shard",
-                 "resilience")
+                 "thm5", "sec5b", "baselines", "ablations", "shard")
 
 _RUNNER_FNS = {
     "fig1": run_fig1_pipeline,
@@ -66,7 +64,6 @@ _RUNNER_FNS = {
     "baselines": run_baseline_comparison,
     "ablations": run_ablations,
     "shard": run_shard_equivalence,
-    "resilience": run_resilience,
 }
 
 
@@ -90,9 +87,6 @@ def suite_shards(runners: Sequence[str]) -> List[Tuple[Tuple[int, int], str, Dic
         "baselines": [{"names": [name]} for name in ("window", "one_hole")],
         "ablations": [{}],
         "shard": [{"names": [name]} for name in SHARD_EQ_NAMES],
-        # Whole: the overhead column is a ratio against the baseline row
-        # timed in the same call, so the sweep cannot split across workers.
-        "resilience": [{}],
     }
     shards: List[Tuple[Tuple[int, int], str, Dict]] = []
     for order, runner in enumerate(runners):

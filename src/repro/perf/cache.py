@@ -197,9 +197,9 @@ class ArtifactCache:
         """``(hit, value)`` for ``(stage, key_parts)`` without building.
 
         The counted half of :meth:`get_or_build`, exposed for callers —
-        the serving layer foremost — that must decide *whether* to
-        publish an artifact after computing it (a degraded partial result
-        must never be cached as if it were the real thing).  The lookup
+        the serving layer foremost — that decide *whether* to publish an
+        artifact after computing it (a failed batch task publishes
+        nothing).  The lookup
         is counted per stage and reported through ``tracer.on_cache``
         exactly like :meth:`get_or_build`.
         """

@@ -1,11 +1,11 @@
-"""Resilient execution: supervision, speculation, integrity, degradation.
+"""Resilient execution: supervision, speculation, integrity.
 
 The paper's protocol layer already tolerates lossy radios
-(:mod:`repro.runtime.faults`); this package gives the *execution
-substrate* — the :class:`~repro.perf.ParallelRunner` process pool, the
-:mod:`repro.shard` tiled pipeline and the on-disk
-:class:`~repro.perf.ArtifactCache` — the same default assumption: workers
-crash, shards straggle, artifacts rot, and the pipeline must carry on.
+(:mod:`repro.runtime.faults`); this package gives the serving layer's
+batch fan-out (:meth:`~repro.serving.SkeletonService.submit_batch`) and
+the on-disk :class:`~repro.perf.ArtifactCache` the same default
+assumption: workers crash, tasks straggle, artifacts rot, and the
+service must carry on.
 
 * :class:`ExecutorFaultPlan` — deterministic chaos schedule (worker
   kills, straggler delays, artifact corruption) keyed by the splitmix64
@@ -13,19 +13,16 @@ crash, shards straggle, artifacts rot, and the pipeline must carry on.
 * :class:`SupervisorPolicy` / :class:`ResilientRunner` — per-task retry
   with seeded exponential backoff, percentile-deadline straggler
   speculation with first-result-wins, and process-pool resurrection on
-  hard worker death;
-* :class:`DegradedReport` — the honest accounting a partial extraction
-  ships with when a shard is permanently lost (wired through
-  :func:`repro.shard.run_sharded`);
-* ``python -m repro.resilience`` — the kill-and-recover chaos smoke
-  harness CI runs.
+  hard worker death; a task that exhausts its budget comes back as a
+  failed :class:`TaskOutcome`, never as an exception;
+* ``python -m repro.resilience`` — the kill-and-recover chaos drills CI
+  runs against ``submit_batch``.
 
 With no fault plan and no real failures every layer here is
-pass-through: supervised runs are bit-identical to the plain
-``ParallelRunner`` path, which the equivalence batteries assert.
+pass-through: a supervised fan-out returns exactly what the plain
+``ParallelRunner`` would.
 """
 
-from .degrade import DegradedReport, grid_seams, quality_verdict
 from .faults import (
     ExecutorFaultPlan,
     InjectedWorkerCrash,
@@ -34,19 +31,14 @@ from .faults import (
 from .supervisor import (
     ResilientRunner,
     SupervisorPolicy,
-    TaskFailedError,
     TaskOutcome,
 )
 
 __all__ = [
-    "DegradedReport",
     "ExecutorFaultPlan",
     "InjectedWorkerCrash",
     "ResilientRunner",
     "SupervisorPolicy",
-    "TaskFailedError",
     "TaskOutcome",
     "corrupt_cache_entries",
-    "grid_seams",
-    "quality_verdict",
 ]

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the *execution substrate*.
 
 :mod:`repro.runtime.faults` perturbs the simulated radio; this module
-perturbs the machinery that runs the simulation — pool workers, shard
+perturbs the machinery that runs the simulation — pool workers, batch
 tasks and cached artifacts.  An :class:`ExecutorFaultPlan` is the same
 kind of object as a :class:`~repro.runtime.faults.FaultPlan`: a frozen,
 seeded schedule whose every decision is a pure function of
@@ -10,7 +10,7 @@ chaos run is bit-reproducible given ``(seed, plan)`` regardless of worker
 count or completion order.
 
 Three injection channels, mirroring the failure modes a production
-deployment of the sharded extractor actually sees:
+deployment of the serving fan-out actually sees:
 
 * **worker kills** — a task attempt dies mid-execution
   (:class:`InjectedWorkerCrash`), either targeted (``kill_tasks``: kill
@@ -70,7 +70,7 @@ class ExecutorFaultPlan:
             permanently lost with probability ``p**m``.
         kill_tasks: ``(stage, task index) -> n``: the first *n* attempts
             of that task are killed unconditionally (``n`` at least the
-            attempt budget = a permanently failed shard).
+            attempt budget = a permanently failed task).
         delay_tasks: ``(stage, task index) -> seconds``: attempt 0 of
             that task sleeps this long before running — an injected
             straggler.  Later attempts (retries and speculative copies)

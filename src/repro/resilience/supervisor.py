@@ -16,9 +16,10 @@ functions over the same config lists and returns results in config order
   use — gets a speculative duplicate, and the first finished copy wins
   (bit-identical either way: task functions are pure);
 * a task that exhausts its budget is returned as a failed
-  :class:`TaskOutcome` instead of raising, so callers can degrade
-  gracefully (:mod:`repro.shard` turns these into a
-  :class:`~.degrade.DegradedReport`).
+  :class:`TaskOutcome` instead of raising, so one lost task fails only
+  the requests that depended on it
+  (:meth:`~repro.serving.SkeletonService.submit_batch` turns it into
+  ``"failed"`` responses).
 
 With no :class:`~.faults.ExecutorFaultPlan` and no real failures, every
 task succeeds on attempt 0 and the result list is exactly what
@@ -29,9 +30,10 @@ through either runner.
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..observability.metrics import percentile
@@ -44,8 +46,7 @@ from .faults import (
     _stage_coord,
 )
 
-__all__ = ["SupervisorPolicy", "TaskOutcome", "TaskFailedError",
-           "ResilientRunner"]
+__all__ = ["SupervisorPolicy", "TaskOutcome", "ResilientRunner"]
 
 
 @dataclass(frozen=True)
@@ -140,20 +141,6 @@ class TaskOutcome:
     errors: Tuple[str, ...] = ()
 
 
-class TaskFailedError(RuntimeError):
-    """Raised by :meth:`ResilientRunner.map_results` when any task
-    exhausted its attempt budget."""
-
-    def __init__(self, outcomes: Sequence[TaskOutcome]):
-        self.failed = [o for o in outcomes if not o.ok]
-        lines = "; ".join(
-            f"task {o.index} after {o.attempts} attempts "
-            f"({o.errors[-1] if o.errors else 'no error recorded'})"
-            for o in self.failed
-        )
-        super().__init__(f"{len(self.failed)} task(s) failed: {lines}")
-
-
 def _attempt_task(payload: Tuple) -> Any:
     """Execute one supervised attempt (module-level: pickles into pool
     workers).  Applies the fault plan's injected delay and kill before
@@ -171,13 +158,6 @@ def _attempt_task(payload: Tuple) -> Any:
 
 
 _FAILED = object()  # resolution sentinel distinct from any task result
-
-_DEADLINE_ERROR = "DeadlineExceeded: budget exhausted before attempt"
-
-
-def _expired(deadline_at: Optional[float]) -> bool:
-    """Whether the wall-clock budget for new attempts has run out."""
-    return deadline_at is not None and time.perf_counter() >= deadline_at
 
 
 class ResilientRunner:
@@ -229,26 +209,19 @@ class ResilientRunner:
     # -- serial path --------------------------------------------------------
 
     def _map_serial(self, fn: Callable[[Any], Any], configs: Sequence[Any],
-                    stage: str,
-                    deadline_at: Optional[float] = None) -> List[TaskOutcome]:
+                    stage: str) -> List[TaskOutcome]:
         outcomes: List[TaskOutcome] = []
         for index, config in enumerate(configs):
             errors: List[str] = []
             outcome: Optional[TaskOutcome] = None
-            started = 0
             for attempt in range(self.policy.max_attempts):
-                if _expired(deadline_at):
-                    errors.append(_DEADLINE_ERROR)
-                    break
-                started = attempt + 1
                 self._count(stage, "attempts")
                 try:
                     result = _attempt_task(
                         (fn, config, stage, index, attempt, self.fault_plan))
                 except Exception as exc:  # noqa: BLE001 - supervision point
                     errors.append(f"{type(exc).__name__}: {exc}")
-                    if attempt + 1 < self.policy.max_attempts \
-                            and not _expired(deadline_at):
+                    if attempt + 1 < self.policy.max_attempts:
                         self._note_retry(stage)
                         pause = self.policy.backoff_seconds(
                             stage, index, attempt + 1, self.fault_plan)
@@ -262,20 +235,17 @@ class ResilientRunner:
                     break
             if outcome is None:
                 self._note_failure(stage)
+                attempts = self.policy.max_attempts
                 outcome = TaskOutcome(
-                    index=index, ok=False,
-                    attempts=started,
-                    retries=max(0, started - 1),
-                    errors=tuple(errors))
+                    index=index, ok=False, attempts=attempts,
+                    retries=attempts - 1, errors=tuple(errors))
             outcomes.append(outcome)
         return outcomes
 
     # -- parallel path ------------------------------------------------------
 
     def _map_parallel(self, fn: Callable[[Any], Any], configs: Sequence[Any],
-                      stage: str,
-                      deadline_at: Optional[float] = None
-                      ) -> List[TaskOutcome]:
+                      stage: str) -> List[TaskOutcome]:
         policy = self.policy
         n = len(configs)
         workers = min(self.jobs, n)
@@ -286,28 +256,29 @@ class ResilientRunner:
         errors: List[List[str]] = [[] for _ in range(n)]
         durations: List[float] = []
         pending: Dict[Any, Tuple[int, int, float]] = {}
+        waiting: "deque[int]" = deque()  # tasks due an attempt, not yet sent
         restarts = 0
         pool = ProcessPoolExecutor(max_workers=workers)
 
-        def submit(index: int) -> None:
-            attempt = attempts_started[index]
-            attempts_started[index] += 1
-            self._count(stage, "attempts")
-            future = pool.submit(
-                _attempt_task,
-                (fn, configs[index], stage, index, attempt, self.fault_plan))
-            pending[future] = (index, attempt, time.perf_counter())
+        def launch() -> None:
+            # After a pool break the pool has one worker and takes one
+            # attempt at a time, so a later break is charged to exactly
+            # the task that caused it, never to a queued bystander.
+            while waiting and (workers > 1 or not pending):
+                index = waiting.popleft()
+                attempt = attempts_started[index]
+                attempts_started[index] += 1
+                self._count(stage, "attempts")
+                future = pool.submit(
+                    _attempt_task,
+                    (fn, configs[index], stage, index, attempt,
+                     self.fault_plan))
+                pending[future] = (index, attempt, time.perf_counter())
 
         def in_flight(index: int) -> int:
             return sum(1 for idx, _, _ in pending.values() if idx == index)
 
         def retry_or_fail(index: int) -> None:
-            if _expired(deadline_at):
-                if in_flight(index) == 0:
-                    errors[index].append(_DEADLINE_ERROR)
-                    resolved[index] = _FAILED
-                    self._note_failure(stage)
-                return
             if attempts_started[index] < policy.max_attempts:
                 retries[index] += 1
                 self._note_retry(stage)
@@ -315,20 +286,16 @@ class ResilientRunner:
                     stage, index, attempts_started[index], self.fault_plan)
                 if pause > 0:
                     time.sleep(pause)
-                submit(index)
+                waiting.append(index)
             elif in_flight(index) == 0:
                 resolved[index] = _FAILED
                 self._note_failure(stage)
 
         try:
             for index in range(n):
-                if _expired(deadline_at):
-                    errors[index].append(_DEADLINE_ERROR)
-                    resolved[index] = _FAILED
-                    self._note_failure(stage)
-                else:
-                    submit(index)
+                waiting.append(index)
             while len(resolved) < n:
+                launch()
                 if not pending:  # pragma: no cover - defensive
                     for index in range(n):
                         if index not in resolved:
@@ -361,9 +328,9 @@ class ResilientRunner:
                         raise BrokenProcessPool("worker process died")
                 except BrokenProcessPool:
                     # A hard worker death poisons the whole pool: every
-                    # in-flight attempt is lost.  Rebuild the pool and
-                    # resubmit the survivors — their aborted attempts
-                    # already consumed budget at submission time.
+                    # in-flight attempt is lost.  Rebuild it with one
+                    # worker and resubmit the survivors — their aborted
+                    # attempts already consumed budget at launch.
                     pool.shutdown(wait=False, cancel_futures=True)
                     pending.clear()
                     restarts += 1
@@ -376,9 +343,10 @@ class ResilientRunner:
                                 resolved[index] = _FAILED
                                 self._note_failure(stage)
                         break
+                    workers = 1
                     pool = ProcessPoolExecutor(max_workers=workers)
                     for index in range(n):
-                        if index not in resolved:
+                        if index not in resolved and index not in waiting:
                             errors[index].append(
                                 "BrokenProcessPool: worker process died")
                             retry_or_fail(index)
@@ -386,7 +354,6 @@ class ResilientRunner:
                 # Straggler sweep: anything older than the percentile
                 # deadline gets one speculative duplicate (budget allowing).
                 if (policy.speculate and workers > 1
-                        and not _expired(deadline_at)
                         and len(durations) >= policy.straggler_min_samples):
                     deadline = max(
                         policy.straggler_min_seconds,
@@ -401,7 +368,7 @@ class ResilientRunner:
                                 < policy.max_attempts):
                             speculated[index] = True
                             self._note_speculation(stage)
-                            submit(index)
+                            waiting.append(index)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -422,32 +389,10 @@ class ResilientRunner:
     # -- public API ---------------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any], configs: Sequence[Any],
-            stage: str = "task",
-            deadline_at: Optional[float] = None) -> List[TaskOutcome]:
+            stage: str = "task") -> List[TaskOutcome]:
         """Run ``fn`` over *configs* under supervision; outcomes in config
-        order.  Never raises for task failures — inspect ``ok``.
-
-        *deadline_at* (a ``time.perf_counter`` instant) is a hard budget
-        on *starting* work: once it passes, no further attempt — first
-        try, retry or speculation — is launched, and every task that has
-        nothing in flight is declared failed with a ``DeadlineExceeded``
-        error.  Attempts already running are allowed to finish (a pure
-        task function cannot be safely interrupted), so results that beat
-        the deadline by racing it are kept.  ``deadline_at=None`` (the
-        default) preserves the unbounded behaviour.
-        """
+        order.  Never raises for task failures — inspect ``ok``."""
         configs = list(configs)
         if self.jobs == 1 or len(configs) <= 1:
-            return self._map_serial(fn, configs, stage,
-                                    deadline_at=deadline_at)
-        return self._map_parallel(fn, configs, stage,
-                                  deadline_at=deadline_at)
-
-    def map_results(self, fn: Callable[[Any], Any], configs: Sequence[Any],
-                    stage: str = "task") -> List[Any]:
-        """Like :meth:`map` but unwraps results, raising
-        :class:`TaskFailedError` if any task exhausted its budget."""
-        outcomes = self.map(fn, configs, stage=stage)
-        if any(not o.ok for o in outcomes):
-            raise TaskFailedError(outcomes)
-        return [o.result for o in outcomes]
+            return self._map_serial(fn, configs, stage)
+        return self._map_parallel(fn, configs, stage)

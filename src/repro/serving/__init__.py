@@ -6,8 +6,10 @@ long-lived, in-process request loop:
 * :class:`SkeletonService` — submit networks, get skeleton /
   segmentation / boundary artifacts back; content-addressed cache
   serving, request dedup, bounded-queue admission with load shedding,
-  per-request deadlines (full / partial-with-DegradedReport / shed),
-  supervised batch fan-out.
+  per-request deadlines (full / shed), and batch fan-out supervised by
+  the :class:`~repro.resilience.ResilientRunner` (retry, speculation,
+  per-task failure isolation).  Single requests run the monolithic
+  extractor.
 * :class:`ServiceConfig` / :class:`SkeletonResponse` / :class:`Ticket` /
   :class:`ServiceStats` — the request-lifecycle vocabulary.
 * :class:`SystemClock` / :class:`VirtualClock` — pluggable time, so the

@@ -46,13 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="service worker threads; 0 = inline "
                              "deterministic mode (default: 0)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for sharded/batch compute "
+                        help="worker processes for batch compute "
                              "(default: REPRO_JOBS or serial)")
     parser.add_argument("--max-queue", type=int, default=64)
     parser.add_argument("--deadline", type=float, default=None,
                         help="per-request deadline in seconds")
     parser.add_argument("--deadline-action", default="full",
-                        choices=("full", "partial", "shed"))
+                        choices=("full", "shed"))
     parser.add_argument("--think-time", type=float, default=0.0,
                         help="virtual seconds between rounds "
                              "(virtual clock only)")
@@ -118,8 +118,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"catalog={report.catalog_size} seed={report.seed} "
           f"clock={clock_name}")
     print(f"throughput: {report.rps:.1f} req/s over {report.elapsed_s:.2f}s")
-    print(f"status: ok={report.ok} degraded={report.degraded} "
-          f"failed={report.failed} shed={report.shed}")
+    print(f"status: ok={report.ok} failed={report.failed} "
+          f"shed={report.shed}")
     print(f"serving: cache_hits={report.cache_hits} "
           f"dedup_hits={report.dedup_hits} computed={report.computed}")
     print(f"latency: p50={report.latency_p50 * 1e3:.1f}ms "

@@ -17,23 +17,19 @@ around it:
 * **bounded-queue admission** — at most ``max_queue`` computations wait;
   beyond that the service *sheds* (an immediate ``"shed"`` response)
   instead of building an unbounded backlog;
-* **deadlines** — per-request, with the ``deadline_action`` vocabulary
-  the runtime layer established: ``"full"`` treats the deadline as
-  advisory (the response is merely flagged late), ``"shed"`` drops
-  requests whose deadline passed while queued, and ``"partial"`` grants
-  the remaining budget to a supervised sharded run that returns a
-  partial skeleton plus a :class:`~repro.resilience.DegradedReport`
-  rather than blowing the deadline silently;
-* **supervised execution** — a configured
-  :class:`~repro.resilience.SupervisorPolicy` /
-  :class:`~repro.resilience.ExecutorFaultPlan` routes computations
-  through the resilient sharded path, so worker crashes retry, and batch
-  submission fans out through the
-  :class:`~repro.resilience.ResilientRunner`;
+* **deadlines** — per-request, with a ``deadline_action`` of
+  ``"full"`` (the deadline is advisory: the response is merely flagged
+  late) or ``"shed"`` (requests whose deadline passed while queued are
+  dropped);
+* **supervised batches** — :meth:`SkeletonService.submit_batch` fans
+  its misses out through a :class:`~repro.resilience.ResilientRunner`
+  under the configured :class:`~repro.resilience.SupervisorPolicy` /
+  :class:`~repro.resilience.ExecutorFaultPlan`, so a crashed batch task
+  retries and an exhausted one fails only its own requests;
 * **serving metrics** — hit / dedup / shed / computed counters and
   latency percentiles (:class:`ServiceStats`), plus
   :class:`~repro.observability.tracer.Tracer` integration (compute
-  spans, cache counters, supervision counters) so a served workload
+  spans, cache counters, batch supervision counters) so a served workload
   reads out through the standard
   :class:`~repro.observability.metrics.MetricsReport`.
 
@@ -48,6 +44,7 @@ see :mod:`repro.serving.clock`.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -60,9 +57,7 @@ from ..network.graph import SensorNetwork
 from ..observability.metrics import percentile
 from ..perf import ArtifactCache, effective_jobs, set_task_context, \
     stable_digest, task_context
-from ..resilience import DegradedReport, ExecutorFaultPlan, ResilientRunner, \
-    SupervisorPolicy
-from ..shard import run_sharded
+from ..resilience import ExecutorFaultPlan, ResilientRunner, SupervisorPolicy
 from .clock import SystemClock
 
 __all__ = ["ARTIFACT_KINDS", "RESULT_STAGE", "ServiceConfig",
@@ -77,7 +72,16 @@ ARTIFACT_KINDS = ("skeleton", "segmentation", "boundary", "result")
 #: Cache stage under which full results are published.
 RESULT_STAGE = "serve:result"
 
-_DEADLINE_ACTIONS = ("full", "partial", "shed")
+_DEADLINE_ACTIONS = ("full", "shed")
+
+
+def _check_deadline(name: str, deadline: Optional[float]) -> None:
+    """Reject a deadline that could never be met or missed: negative,
+    NaN (every comparison against it is false) or infinite."""
+    if deadline is not None and not (math.isfinite(deadline)
+                                     and deadline >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, "
+                         f"got {deadline!r}")
 
 
 @dataclass(frozen=True)
@@ -97,17 +101,19 @@ class ServiceConfig:
         cache_results: publish completed results to the artifact cache
             (disable for a deliberately cold service).
         default_deadline: seconds granted to a request that names none
-            (``None`` = no deadline).
-        deadline_action: ``"full"`` / ``"partial"`` / ``"shed"`` — the
-            default for requests that don't choose.
-        shard_threshold: networks at least this large route through the
-            tiled sharded pipeline instead of the monolithic extractor.
-        grid: tile grid for sharded computations.
-        jobs: worker processes for sharded/batch computations (``None``
-            follows the suite convention: ``REPRO_JOBS`` or serial).
-        supervisor: supervision policy for computations; also implied by
-            a fault plan, a partial deadline, or batch submission.
-        fault_plan: deterministic executor chaos for drills and tests.
+            (``None`` = no deadline; otherwise finite and >= 0).
+        deadline_action: ``"full"`` / ``"shed"`` — the default for
+            requests that don't choose.
+        jobs: worker processes for :meth:`SkeletonService.submit_batch`
+            (``None`` follows the suite convention: ``REPRO_JOBS`` or
+            serial).
+        supervisor: retry/speculation policy for
+            :meth:`SkeletonService.submit_batch` only (``None`` = the
+            default :class:`~repro.resilience.SupervisorPolicy`); single
+            requests run the monolithic extractor unsupervised.
+        fault_plan: deterministic executor chaos injected into
+            :meth:`SkeletonService.submit_batch` tasks only, for drills
+            and tests.
     """
 
     max_queue: int = 64
@@ -116,8 +122,6 @@ class ServiceConfig:
     cache_results: bool = True
     default_deadline: Optional[float] = None
     deadline_action: str = "full"
-    shard_threshold: int = 20_000
-    grid: Tuple[int, int] = (2, 2)
     jobs: Optional[int] = None
     supervisor: Optional[SupervisorPolicy] = None
     fault_plan: Optional[ExecutorFaultPlan] = None
@@ -130,25 +134,17 @@ class ServiceConfig:
         if self.deadline_action not in _DEADLINE_ACTIONS:
             raise ValueError(
                 f"deadline_action must be one of {_DEADLINE_ACTIONS}")
-        if self.default_deadline is not None and self.default_deadline < 0:
-            raise ValueError("default_deadline must be >= 0")
-        if self.shard_threshold < 1:
-            raise ValueError("shard_threshold must be >= 1")
-
-    @property
-    def supervised(self) -> bool:
-        """Whether computations run through the resilient sharded path."""
-        return self.supervisor is not None or self.fault_plan is not None
+        _check_deadline("default_deadline", self.default_deadline)
 
 
 @dataclass
 class SkeletonResponse:
     """One resolved request.
 
-    ``status``: ``"ok"`` (complete artifact), ``"degraded"`` (partial
-    artifact, see :attr:`degraded`), ``"shed"`` (dropped by admission or
-    a ``"shed"`` deadline; no artifact), ``"failed"`` (the computation
-    exhausted its budget; see :attr:`error`).
+    ``status``: ``"ok"`` (the artifact), ``"shed"`` (dropped by
+    admission or a ``"shed"`` deadline; no artifact), ``"failed"`` (the
+    computation raised, or a batch task exhausted its attempt budget;
+    see :attr:`error`).
     """
 
     request_id: int
@@ -159,7 +155,6 @@ class SkeletonResponse:
     from_cache: bool = False
     deduped: bool = False
     deadline_missed: bool = False
-    degraded: Optional[DegradedReport] = None
     error: Optional[str] = None
     submitted_at: float = 0.0
     resolved_at: float = 0.0
@@ -234,7 +229,7 @@ class ServiceStats:
 
     Counter arithmetic (the property battery pins this): every submitted
     request resolves to exactly one status, so once the queue is drained
-    ``completed == submitted == ok + degraded + failed + shed``.
+    ``completed == submitted == ok + failed + shed``.
     ``computed`` counts pipeline executions — with dedup on, N identical
     concurrent requests contribute 1.
     """
@@ -242,7 +237,6 @@ class ServiceStats:
     submitted: int
     completed: int
     ok: int
-    degraded: int
     failed: int
     shed: int
     computed: int
@@ -253,11 +247,6 @@ class ServiceStats:
     latency_p99: float
     latency_max: float
     supervision: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def served(self) -> int:
-        """Requests that received an artifact (complete or partial)."""
-        return self.ok + self.degraded
 
 
 class SkeletonService:
@@ -298,8 +287,8 @@ class SkeletonService:
         self._latencies: List[float] = []
         self._supervision: Dict[str, Dict[str, int]] = {}
         self._counters: Dict[str, int] = {
-            key: 0 for key in ("submitted", "completed", "ok", "degraded",
-                               "failed", "shed", "computed", "cache_hits",
+            key: 0 for key in ("submitted", "completed", "ok", "failed",
+                               "shed", "computed", "cache_hits",
                                "dedup_hits")
         }
 
@@ -371,6 +360,7 @@ class SkeletonService:
         Resolution order at admission: cache hit (instant response) →
         dedup attach (rides the in-flight computation) → queue (subject
         to ``max_queue`` — beyond it, an instant ``"shed"`` response).
+        *deadline* (seconds) must be finite and >= 0.
         """
         if kind not in ARTIFACT_KINDS:
             raise ValueError(
@@ -381,6 +371,7 @@ class SkeletonService:
             raise ValueError(
                 f"deadline_action must be one of {_DEADLINE_ACTIONS}, "
                 f"got {action!r}")
+        _check_deadline("deadline", deadline)
         deadline = deadline if deadline is not None \
             else self.config.default_deadline
         params = params if params is not None else SkeletonParams()
@@ -481,57 +472,24 @@ class SkeletonService:
             self._finish(computation, "shed",
                          error="deadline expired before execution")
             return
-        budget: Optional[float] = None
-        if founder.action == "partial" and founder.deadline_at is not None:
-            # Remaining budget on the service clock, granted to the
-            # supervised sharded run as wall seconds (identical on the
-            # system clock; a virtual clock grants virtual remaining
-            # time as real compute budget, which is what the
-            # deterministic tests want: expired → budget 0).
-            budget = max(0.0, founder.deadline_at - now)
         try:
             with stage_span(self.tracer, "serve:compute"):
-                result, degraded = self._execute(computation, budget)
+                # The monolithic extractor shares the service's cache
+                # handle, so its stage artifacts warm-start later requests.
+                result = extract_skeleton(
+                    computation.network, computation.params,
+                    cache=self.cache, tracer=self.tracer)
         except Exception as exc:  # noqa: BLE001 - the service must survive
             self._finish(computation, "failed",
                          error=f"{type(exc).__name__}: {exc}")
             return
         with self._cond:
             self._counters["computed"] += 1
-        complete = degraded is None or not degraded.is_degraded
-        if complete and self.cache is not None:
+        if self.cache is not None:
             self.cache.put(RESULT_STAGE,
                            (computation.network.content_hash(),
                             computation.params), result)
-        self._finish(computation, "ok" if complete else "degraded",
-                     result=result, degraded=degraded)
-
-    def _execute(self, computation: _Computation,
-                 budget: Optional[float]
-                 ) -> Tuple[SkeletonResult, Optional[DegradedReport]]:
-        """Run the pipeline for one computation.
-
-        Routing: the supervised sharded path whenever the network is
-        large, a compute budget applies, or chaos/supervision is
-        configured; the monolithic extractor otherwise (it is the
-        fastest path for small requests and shares the same cache
-        handle, so its stage artifacts warm-start later requests).
-        """
-        network, params = computation.network, computation.params
-        use_shard = (network.num_nodes >= self.config.shard_threshold
-                     or budget is not None or self.config.supervised)
-        if use_shard:
-            run = run_sharded(
-                network, params, grid=self.config.grid,
-                jobs=self.config.jobs, cache=self.cache, tracer=self.tracer,
-                supervisor=self.config.supervisor,
-                fault_plan=self.config.fault_plan,
-                deadline_seconds=budget)
-            self._merge_supervision(run.supervision)
-            return run.result, run.degraded
-        result = extract_skeleton(network, params, cache=self.cache,
-                                  tracer=self.tracer)
-        return result, None
+        self._finish(computation, "ok", result=result)
 
     # -- resolution ---------------------------------------------------------
 
@@ -546,18 +504,15 @@ class SkeletonService:
 
     def _finish(self, computation: _Computation, status: str,
                 result: Optional[SkeletonResult] = None,
-                degraded: Optional[DegradedReport] = None,
                 error: Optional[str] = None) -> None:
         with self._cond:
             self._inflight.pop(computation.key, None)
             for request in computation.waiters:
                 self._resolve_locked(request, computation.key, status,
-                                     result=result, degraded=degraded,
-                                     error=error)
+                                     result=result, error=error)
 
     def _resolve_locked(self, request: _Request, key: str, status: str,
                         result: Optional[SkeletonResult] = None,
-                        degraded: Optional[DegradedReport] = None,
                         from_cache: bool = False,
                         error: Optional[str] = None) -> None:
         now = self.clock.now()
@@ -567,20 +522,18 @@ class SkeletonService:
             status=status,
             content_key=key,
             artifact=(self._artifact(result, request.kind)
-                      if result is not None and status in ("ok", "degraded")
-                      else None),
+                      if result is not None and status == "ok" else None),
             from_cache=from_cache,
             deduped=request.deduped,
             deadline_missed=(request.deadline_at is not None
                              and now > request.deadline_at),
-            degraded=degraded,
             error=error,
             submitted_at=request.submitted_at,
             resolved_at=now,
         )
         self._counters["completed"] += 1
         self._counters[status] += 1
-        if status in ("ok", "degraded"):
+        if status == "ok":
             self._latencies.append(response.latency)
         request.response = response
         request.event.set()
@@ -596,8 +549,8 @@ class SkeletonService:
                             "failures": 0})
                 for what, amount in values.items():
                     # ResilientRunner counters accumulate across map calls
-                    # on one runner; each _execute builds a fresh runner,
-                    # so its counters are this computation's increments.
+                    # on one runner; each batch builds a fresh runner, so
+                    # its counters are this batch's increments.
                     slot[what] = slot.get(what, 0) + amount
 
     # -- batch --------------------------------------------------------------
@@ -641,8 +594,7 @@ class SkeletonService:
                 order.append(key)
             by_key.setdefault(key, []).append(index)
 
-        resolved: Dict[str, Tuple[str, Optional[SkeletonResult],
-                                  Optional[DegradedReport], bool,
+        resolved: Dict[str, Tuple[str, Optional[SkeletonResult], bool,
                                   Optional[str]]] = {}
         to_compute: List[str] = []
         with self._cond:
@@ -657,7 +609,7 @@ class SkeletonService:
                         tracer=self.tracer)
                     if hit:
                         self._counters["cache_hits"] += len(indices)
-                        resolved[key] = ("ok", value, None, True, None)
+                        resolved[key] = ("ok", value, True, None)
                         continue
                 to_compute.append(key)
 
@@ -665,15 +617,9 @@ class SkeletonService:
             cache_dir = (str(self.cache.disk_dir)
                          if self.cache is not None
                          and self.cache.disk_dir is not None else None)
-            configs = []
-            for key in to_compute:
-                network = normalized[by_key[key][0]][0]
-                configs.append({
-                    "network": network, "params": params,
-                    "use_shard": (network.num_nodes
-                                  >= self.config.shard_threshold),
-                    "grid": self.config.grid, "cache_dir": cache_dir,
-                })
+            configs = [{"network": normalized[by_key[key][0]][0],
+                        "params": params, "cache_dir": cache_dir}
+                       for key in to_compute]
             runner = ResilientRunner(
                 jobs=effective_jobs(jobs if jobs is not None
                                     else self.config.jobs),
@@ -696,25 +642,24 @@ class SkeletonService:
                         self.cache.put(RESULT_STAGE,
                                        (network.content_hash(), params),
                                        outcome.result)
-                    resolved[key] = ("ok", outcome.result, None, False, None)
+                    resolved[key] = ("ok", outcome.result, False, None)
                 else:
                     message = outcome.errors[-1] if outcome.errors \
                         else "task failed"
-                    resolved[key] = ("failed", None, None, False, message)
+                    resolved[key] = ("failed", None, False, message)
 
         responses: List[SkeletonResponse] = []
         finished_at = self.clock.now()
         with self._cond:
             for index, (network, item_kind) in enumerate(normalized):
                 key = self.content_key(network, params)
-                status, result, degraded, from_cache, error = resolved[key]
+                status, result, from_cache, error = resolved[key]
                 request = _Request(self._next_id, item_kind, started_at,
                                    None, "full")
                 self._next_id += 1
                 request.deduped = index != by_key[key][0]
                 self._resolve_locked(request, key, status, result=result,
-                                     degraded=degraded, from_cache=from_cache,
-                                     error=error)
+                                     from_cache=from_cache, error=error)
                 assert request.response is not None
                 request.response.resolved_at = finished_at
                 responses.append(request.response)
@@ -732,7 +677,6 @@ class SkeletonService:
                 submitted=self._counters["submitted"],
                 completed=self._counters["completed"],
                 ok=self._counters["ok"],
-                degraded=self._counters["degraded"],
                 failed=self._counters["failed"],
                 shed=self._counters["shed"],
                 computed=self._counters["computed"],
@@ -748,13 +692,8 @@ class SkeletonService:
 
 def _batch_compute_task(config: Dict) -> SkeletonResult:
     """One batch computation — a pure function of its config, executable
-    in any pool worker (module-level for pickling, like the shard tasks).
-    Supervision happens in the parent's :class:`ResilientRunner`; the
-    sharded path here runs unsupervised and serial within the worker."""
+    in any pool worker (module-level for pickling).  Supervision happens
+    in the parent's :class:`ResilientRunner`."""
     cache, tracer = task_context(config.get("cache_dir"))
-    if config["use_shard"]:
-        return run_sharded(config["network"], config["params"],
-                           grid=config["grid"], cache=cache,
-                           tracer=tracer).result
     return extract_skeleton(config["network"], config["params"],
                             cache=cache, tracer=tracer)

@@ -88,7 +88,6 @@ class WorkloadReport:
     elapsed_s: float
     rps: float
     ok: int
-    degraded: int
     failed: int
     shed: int
     cache_hits: int
@@ -107,7 +106,6 @@ class WorkloadReport:
             "elapsed_s": self.elapsed_s,
             "rps": self.rps,
             "ok": self.ok,
-            "degraded": self.degraded,
             "failed": self.failed,
             "shed": self.shed,
             "cache_hits": self.cache_hits,
@@ -160,14 +158,12 @@ def run_workload(service: SkeletonService,
             service.clock.advance(spec.think_time)
     elapsed = time.perf_counter() - started
 
-    latencies = [r.latency for r in responses
-                 if r.status in ("ok", "degraded")]
+    latencies = [r.latency for r in responses if r.ok]
     return WorkloadReport(
         requests=len(responses),
         elapsed_s=elapsed,
         rps=len(responses) / elapsed if elapsed > 0 else 0.0,
         ok=sum(r.status == "ok" for r in responses),
-        degraded=sum(r.status == "degraded" for r in responses),
         failed=sum(r.status == "failed" for r in responses),
         shed=sum(r.status == "shed" for r in responses),
         cache_hits=sum(r.from_cache for r in responses),

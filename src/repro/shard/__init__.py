@@ -8,7 +8,7 @@ the merged result is bit-identical to the monolithic
 """
 
 from .api import ShardRun, extract_skeleton_sharded, run_sharded
-from .equivalence import assert_equivalent, diff_results
+from ..core.equivalence import assert_equivalent, diff_results
 from .merge import (
     assemble_coarse,
     assemble_voronoi,

@@ -23,7 +23,6 @@ from ..core import SkeletonParams, extract_skeleton
 from ..network import MEGA_SCENARIOS, PAPER_SCENARIOS, get_mega_spec, get_scenario
 from ..observability import Tracer, write_chrome_trace
 from ..perf import ArtifactCache, effective_jobs
-from ..resilience import SupervisorPolicy
 from . import assert_equivalent, run_sharded
 
 
@@ -54,14 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--compare-monolithic", action="store_true",
                         help="also run the monolithic pipeline and assert "
                              "bit-identical artifacts")
-    parser.add_argument("--max-attempts", type=int, default=None,
-                        metavar="N",
-                        help="supervise shard tasks with an N-attempt retry "
-                             "budget (enables the resilient runner; "
-                             "default: unsupervised fail-fast)")
-    parser.add_argument("--no-speculate", action="store_true",
-                        help="disable straggler speculation under "
-                             "--max-attempts")
     return parser
 
 
@@ -71,9 +62,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Fail fast on an unusable worker count (e.g. REPRO_JOBS=abc)
         # with a one-line error instead of a traceback mid-run.
         effective_jobs(args.jobs)
-        supervisor = (SupervisorPolicy(max_attempts=args.max_attempts,
-                                       speculate=not args.no_speculate)
-                      if args.max_attempts is not None else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -97,7 +85,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     tracer = Tracer(record_events=bool(args.trace_out))
     try:
         run = run_sharded(network, params, grid=args.grid, jobs=args.jobs,
-                          cache=cache, tracer=tracer, supervisor=supervisor)
+                          cache=cache, tracer=tracer)
     except ModuleNotFoundError as exc:
         # Spawn-mode pool workers that can't import the src/ layout die
         # with a bare ModuleNotFoundError; translate it to the tier-1
@@ -124,13 +112,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if cache is not None and cache.stats():
         print(f"artifact cache: hit rate {cache.hit_rate:.2f} "
               f"(per stage: {cache.stats()})")
-    if run.supervision:
-        print("supervision: " + ", ".join(
-            f"{stage} attempts={c['attempts']} retries={c['retries']} "
-            f"speculations={c['speculations']} failures={c['failures']}"
-            for stage, c in run.supervision.items()))
-    if run.degraded is not None:
-        print(f"DEGRADED: {run.degraded.summary()}")
 
     if args.compare_monolithic:
         mono = extract_skeleton(network, params)

@@ -41,14 +41,6 @@ from ..core.refine import refine_skeleton
 from ..core.result import SkeletonResult
 from ..network.graph import SensorNetwork
 from ..perf import ParallelRunner, effective_jobs, set_task_context
-from ..resilience import (
-    DegradedReport,
-    ExecutorFaultPlan,
-    ResilientRunner,
-    SupervisorPolicy,
-    grid_seams,
-    quality_verdict,
-)
 from .merge import (
     assemble_coarse,
     assemble_voronoi,
@@ -74,13 +66,6 @@ class ShardRun:
     #: wall-clock seconds per phase, in execution order.
     timings: Dict[str, float] = field(default_factory=dict)
     num_flood_batches: int = 0
-    #: populated iff the run was supervised and lost work permanently —
-    #: ``None`` means the result is complete (bit-identical to monolithic).
-    degraded: Optional[DegradedReport] = None
-    #: per-stage supervision counters (attempts / retries / speculations /
-    #: failures) from the :class:`~repro.resilience.ResilientRunner`;
-    #: empty for unsupervised runs.
-    supervision: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -88,7 +73,8 @@ class ShardRun:
 
     @property
     def is_degraded(self) -> bool:
-        return self.degraded is not None and self.degraded.is_degraded
+        # Runs are fail-fast and never partial; kept for benchmark callers.
+        return False
 
 
 def _group_by_tile(items: List[int], owner_of) -> List[List[int]]:
@@ -110,10 +96,7 @@ def run_sharded(network: SensorNetwork,
                 grid=(2, 2),
                 jobs: Optional[int] = None,
                 cache=None,
-                tracer: Optional["Tracer"] = None,
-                supervisor: Optional[SupervisorPolicy] = None,
-                fault_plan: Optional[ExecutorFaultPlan] = None,
-                deadline_seconds: Optional[float] = None) -> ShardRun:
+                tracer: Optional["Tracer"] = None) -> ShardRun:
     """Tile, extract and merge; the full accounting variant.
 
     ``jobs`` follows the suite convention (explicit > ``REPRO_JOBS`` >
@@ -121,61 +104,24 @@ def run_sharded(network: SensorNetwork,
     processes; *tracer* records one span per phase so shard runs show up
     in the MetricsReport next to monolithic stage spans.
 
-    Passing *supervisor* (a :class:`~repro.resilience.SupervisorPolicy`)
-    or *fault_plan* (an :class:`~repro.resilience.ExecutorFaultPlan`)
-    swaps the plain :class:`~repro.perf.ParallelRunner` for the
-    :class:`~repro.resilience.ResilientRunner`: failed shard tasks are
-    retried with backoff, stragglers speculate, and a task that exhausts
-    its budget no longer aborts the run — the merge degrades gracefully
-    and the returned :class:`ShardRun` carries a
-    :class:`~repro.resilience.DegradedReport` stating exactly what was
-    lost.  With no injected faults and none occurring naturally, the
-    supervised run is bit-identical to the unsupervised one.
-
-    *deadline_seconds* caps the wall-clock budget for launching shard
-    work: tasks that cannot start before it elapses are treated exactly
-    like budget-exhausted tasks, so the run returns a partial skeleton
-    plus a :class:`~repro.resilience.DegradedReport` instead of running
-    long.  A deadline implies supervision (it needs the graceful-
-    degradation path), so passing one without *supervisor* enables the
-    default :class:`~repro.resilience.SupervisorPolicy`.
+    The fan-out is fail-fast: any shard task's exception propagates out
+    of this call, and a returned run is always complete.
     """
     params = params if params is not None else SkeletonParams()
     worker_count = effective_jobs(jobs)
-    supervised = (supervisor is not None or fault_plan is not None
-                  or deadline_seconds is not None)
-    deadline_at = (time.perf_counter() + max(0.0, deadline_seconds)
-                   if deadline_seconds is not None else None)
-    if supervised:
-        runner = ResilientRunner(jobs=worker_count, policy=supervisor,
-                                 fault_plan=fault_plan, tracer=tracer)
-    else:
-        runner = ParallelRunner(worker_count)
+    runner = ParallelRunner(worker_count)
     cache_dir = (str(cache.disk_dir)
                  if cache is not None and getattr(cache, "disk_dir", None)
                  is not None else None)
     timings: Dict[str, float] = {}
-    task_failures: Dict[str, int] = {}
 
-    def run_tasks(fn, configs, stage: str):
-        """Map *fn* over *configs*; returns ``(results, failed_indices)``.
-
-        Unsupervised runs keep the original fail-fast semantics (any
-        worker exception propagates); supervised runs drop exhausted
-        tasks from the result list and report their config indices.
-        """
+    def run_tasks(fn, configs):
+        """Map *fn* over *configs* with the shard task context set."""
         previous = set_task_context(cache, tracer)
         try:
-            if not supervised:
-                return runner.map(fn, configs), []
-            outcomes = runner.map(fn, configs, stage=stage,
-                                  deadline_at=deadline_at)
+            return runner.map(fn, configs)
         finally:
             set_task_context(*previous)
-        failed = [o.index for o in outcomes if not o.ok]
-        if failed:
-            task_failures[stage] = len(failed)
-        return [o.result for o in outcomes if o.ok], failed
 
     def timed(name: str):
         class _Timer:
@@ -200,32 +146,6 @@ def run_sharded(network: SensorNetwork,
         return ShardRun(result=empty_skeleton_result(network, params),
                         plan=plan, jobs=worker_count, timings=timings)
 
-    failed_tiles: Tuple[int, ...] = ()
-    missing_nodes = 0
-    lost_sites: Tuple[int, ...] = ()
-    dropped_pairs: Tuple[Tuple[int, int], ...] = ()
-
-    def build_degraded(skeleton_nodes, skeleton_edges):
-        """The run's loss accounting, or None when nothing was lost."""
-        if not (failed_tiles or lost_sites or dropped_pairs):
-            return None
-        quality, verdict = quality_verdict(network, skeleton_nodes,
-                                           skeleton_edges)
-        return DegradedReport(
-            total_nodes=n,
-            missing_nodes=missing_nodes,
-            failed_tiles=failed_tiles,
-            lost_sites=lost_sites,
-            dropped_pairs=dropped_pairs,
-            affected_seams=grid_seams(plan.grid, failed_tiles),
-            task_failures=dict(task_failures),
-            quality=quality,
-            verdict=verdict,
-        )
-
-    def counters():
-        return dict(runner.stage_counters) if supervised else {}
-
     # Phase 1 — per-tile stage 1 over halo-expanded subgraphs.
     with timed("shard:stage1"):
         configs = []
@@ -242,37 +162,23 @@ def run_sharded(network: SensorNetwork,
                 "owned_local": owned_local, "params": params,
                 "cache_dir": cache_dir,
             })
-        tile_results, failed = run_tasks(stage1_tile_task, configs,
-                                         "shard:stage1")
-        if failed:
-            failed_tiles = tuple(sorted(configs[i]["tile"] for i in failed))
-            missing_nodes = sum(len(plan.tiles[t].owned)
-                                for t in failed_tiles)
-        index_data, sites = merge_stage1(n, tile_results,
-                                         allow_partial=bool(failed))
+        tile_results = run_tasks(stage1_tile_task, configs)
+        index_data, sites = merge_stage1(n, tile_results)
 
     if not sites:
         # Only reachable on degenerate inputs — a non-empty network always
-        # elects at least its global (index, id) maximum — or when every
-        # stage-1 shard failed permanently under supervision.
+        # elects at least its global (index, id) maximum.
         return ShardRun(
             result=empty_skeleton_result(network, params,
                                          index_data=index_data),
-            plan=plan, jobs=worker_count, timings=timings,
-            degraded=build_degraded((), ()), supervision=counters())
+            plan=plan, jobs=worker_count, timings=timings)
 
     # Phase 2 — site-sharded Voronoi flooding over the full graph.
     with timed("shard:flood"):
         batches = _group_by_tile(sites, plan.owner_of)
         configs = [{"network": network, "sites": batch, "params": params,
                     "cache_dir": cache_dir} for batch in batches]
-        flood_results, failed = run_tasks(flood_batch_task, configs,
-                                          "shard:flood")
-        if failed:
-            lost_sites = tuple(sorted(
-                site for i in failed for site in batches[i]))
-            lost = set(lost_sites)
-            sites = [s for s in sites if s not in lost]
+        flood_results = run_tasks(flood_batch_task, configs)
         records = merge_flood_records(n, params.alpha, flood_results)
         voronoi = assemble_voronoi(network, sites, records)
 
@@ -293,18 +199,11 @@ def run_sharded(network: SensorNetwork,
             "requests": [(site, tuple(sorted(requests_by_site[site])))
                          for site in batch],
         } for batch in site_batches]
-        path_results, failed = run_tasks(paths_batch_task, configs,
-                                         "shard:paths")
+        path_results = run_tasks(paths_batch_task, configs)
         resolved: Dict[Tuple[int, int], List[int]] = {}
         for part in path_results:
             resolved.update(part)
-        if failed:
-            dropped_pairs = tuple(sorted(
-                tuple(sorted(pair))
-                for pair, (sa, na), (sb, nb), _joined in plans
-                if (sa, na) not in resolved or (sb, nb) not in resolved))
-        coarse = assemble_coarse(network, sites, connectors, plans, resolved,
-                                 allow_partial=bool(dropped_pairs))
+        coarse = assemble_coarse(network, sites, connectors, plans, resolved)
 
     # Phase 4 — merge-side finish: by-products, seam-aware loop
     # classification on the merged site graph, refinement.
@@ -332,9 +231,7 @@ def run_sharded(network: SensorNetwork,
         boundary_nodes=boundary,
     )
     return ShardRun(result=result, plan=plan, jobs=worker_count,
-                    timings=timings, num_flood_batches=len(batches),
-                    degraded=build_degraded(skeleton.nodes, skeleton.edges),
-                    supervision=counters())
+                    timings=timings, num_flood_batches=len(batches))
 
 
 def extract_skeleton_sharded(network: SensorNetwork,
@@ -343,12 +240,7 @@ def extract_skeleton_sharded(network: SensorNetwork,
                              jobs: Optional[int] = None,
                              cache=None,
                              tracer: Optional["Tracer"] = None,
-                             supervisor: Optional[SupervisorPolicy] = None,
-                             fault_plan: Optional[ExecutorFaultPlan] = None,
-                             deadline_seconds: Optional[float] = None,
                              ) -> SkeletonResult:
     """One-call sharded extraction, returning just the result record."""
     return run_sharded(network, params, grid=grid, jobs=jobs, cache=cache,
-                       tracer=tracer, supervisor=supervisor,
-                       fault_plan=fault_plan,
-                       deadline_seconds=deadline_seconds).result
+                       tracer=tracer).result

@@ -38,18 +38,11 @@ __all__ = ["merge_stage1", "merge_flood_records", "assemble_voronoi",
 
 def merge_stage1(num_nodes: int,
                  tile_results: Iterable[Dict],
-                 allow_partial: bool = False,
                  ) -> Tuple[IndexData, List[int]]:
     """Combine per-tile stage-1 outputs into global index data + sites.
 
     Tiles own disjoint node sets (the ownership partition), so scattering
     owned rows fills every slot exactly once regardless of input order.
-
-    With ``allow_partial`` the completeness check is waived: nodes owned
-    by an absent tile keep zeroed statistics and elect no sites — the
-    degraded-merge mode :func:`~repro.shard.api.run_sharded` uses when a
-    stage-1 shard exhausted its retry budget (the caller accounts for the
-    loss in a :class:`~repro.resilience.DegradedReport`).
     """
     khop = np.zeros(num_nodes, dtype=np.int64)
     centrality = np.zeros(num_nodes, dtype=np.float64)
@@ -65,7 +58,7 @@ def merge_stage1(num_nodes: int,
         centrality[owned] = result["centrality"]
         index[owned] = result["index"]
         critical.extend(int(v) for v in result["critical"])
-    if not filled.all() and not allow_partial:
+    if not filled.all():
         missing = int(np.flatnonzero(~filled)[0])
         raise ValueError(f"tile results incomplete: node {missing} unowned")
     return (
@@ -137,7 +130,6 @@ def assemble_coarse(network: SensorNetwork, sites: Sequence[int],
                     connectors: Dict[SitePair, int],
                     plans: Sequence[ConnectorPlan],
                     resolved_paths: Dict[Tuple[int, int], List[int]],
-                    allow_partial: bool = False,
                     ) -> CoarseSkeleton:
     """Stitch resolved half paths into the global coarse skeleton.
 
@@ -145,32 +137,19 @@ def assemble_coarse(network: SensorNetwork, sites: Sequence[int],
     realized by different shards — compose through the same
     :func:`~repro.core.coarse.compose_pair_path` the monolithic builder
     uses, so seam-crossing segment paths come out node-for-node equal.
-
-    With ``allow_partial``, a pair whose half paths never arrived (its
-    paths shard exhausted the retry budget) is silently dropped — from
-    the pair paths *and* the connector table, so the coarse skeleton
-    stays self-consistent; the caller records the dropped pairs in a
-    :class:`~repro.resilience.DegradedReport`.
     """
     nodes: Set[int] = set(int(s) for s in sites)
     edges = set()
     pair_paths: Dict[SitePair, List[int]] = {}
-    dropped: Set[SitePair] = set()
     for pair, (site_a, node_a), (site_b, node_b), joined in plans:
         half_a = resolved_paths.get((site_a, node_a))
         half_b = resolved_paths.get((site_b, node_b))
         if half_a is None or half_b is None:
-            if not allow_partial:
-                raise KeyError(f"unresolved path halves for pair {pair}")
-            dropped.add(pair)
-            continue
+            raise KeyError(f"unresolved path halves for pair {pair}")
         full = compose_pair_path(half_a, half_b, joined)
         pair_paths[pair] = full
         nodes.update(full)
         edges.update(path_edges(full))
-    if dropped:
-        connectors = {pair: via for pair, via in connectors.items()
-                      if pair not in dropped}
     return CoarseSkeleton(
         network=network,
         nodes=nodes,

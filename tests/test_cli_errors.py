@@ -17,7 +17,7 @@ from repro.shard.__main__ import main as shard_main
 ENTRY_POINTS = [
     ("suite", lambda: suite_main(["--runners", "fig1", "--scale", "0.1"])),
     ("shard", lambda: shard_main(["--scenario", "window", "--nodes", "50"])),
-    ("chaos", lambda: chaos_main(["--mode", "degrade", "--nodes", "50"])),
+    ("chaos", lambda: chaos_main(["--mode", "exhaust", "--nodes", "50"])),
     ("serving", lambda: serving_main(["--requests", "2", "--clients", "1",
                                       "--catalog", "1", "--nodes", "50"])),
 ]
@@ -86,12 +86,12 @@ def test_unrelated_import_failure_still_raises(monkeypatch):
 def test_chaos_cli_recover_mode(capsys):
     assert chaos_main(["--mode", "recover", "--nodes", "200"]) == 0
     out = capsys.readouterr().out
-    assert "quarantined=1" in out
-    assert "result bit-identical" in out
+    assert "retries=1 quarantined=1" in out
+    assert "every response bit-identical" in out
 
 
-def test_chaos_cli_degrade_mode(capsys):
-    assert chaos_main(["--mode", "degrade", "--nodes", "200"]) == 0
+def test_chaos_cli_exhaust_mode(capsys):
+    assert chaos_main(["--mode", "exhaust", "--nodes", "200"]) == 0
     out = capsys.readouterr().out
-    assert "degraded: coverage=" in out
-    assert "partial skeleton connected" in out
+    assert "'failures': 1" in out
+    assert "statuses: ['failed', 'ok', 'ok', 'failed']" in out

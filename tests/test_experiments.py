@@ -46,7 +46,7 @@ class TestRunners:
         assert set(ALL_RUNNERS) == {
             "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
             "thm5", "sec5b", "baselines", "ablations", "faults", "async",
-            "shard", "resilience",
+            "shard",
         }
 
     def test_fig1_rows(self):

@@ -1,33 +1,25 @@
-"""The resilience layer: supervised retry, speculation, degradation.
+"""The resilience layer: supervised retry and speculation.
 
-Covers the deterministic fault plan (seeded kills, delays, jitter), the
-:class:`ResilientRunner`'s serial and parallel supervision paths (retry
-with backoff, budget exhaustion, pool-rebuild after a hard worker death,
-straggler speculation), the determinism contract (supervised == plain,
-bit-identical, when no faults fire), and the graceful-degradation merge
-in :mod:`repro.shard` with its :class:`DegradedReport` accounting.
+Covers the deterministic fault plan (seeded kills, delays, jitter) and
+the :class:`ResilientRunner`'s serial and parallel supervision paths
+(retry with backoff, budget exhaustion, pool-rebuild after a hard worker
+death, straggler speculation).  The runner's one production caller,
+:meth:`~repro.serving.SkeletonService.submit_batch`, is exercised under
+injected faults in ``tests/test_serving.py`` and
+``tests/test_resilience_units.py``.
 """
 
-import functools
 import os
 import time
 
 import pytest
 
-from repro.core import SkeletonParams, extract_skeleton
-from repro.experiments import scaled_nodes
-from repro.network import get_scenario
 from repro.observability import Tracer, build_metrics
 from repro.resilience import (
-    DegradedReport,
     ExecutorFaultPlan,
-    InjectedWorkerCrash,
     ResilientRunner,
     SupervisorPolicy,
-    TaskFailedError,
-    grid_seams,
 )
-from repro.shard import assert_equivalent, run_sharded
 
 FAST = SupervisorPolicy(backoff_base=0.0)
 
@@ -49,6 +41,15 @@ def _slow_square(config):
 def _hard_exit(config):
     if config == 0:
         os._exit(1)  # kills the worker process, poisons the pool
+    return config * config
+
+
+def _crash_first_then_sleep(config):
+    # Task 0 kills its worker at once; every other task runs long enough
+    # to be queued or in flight whenever that happens.
+    if config == 0:
+        os._exit(1)
+    time.sleep(0.1)
     return config * config
 
 
@@ -157,12 +158,6 @@ class TestSerialSupervision:
         assert "InjectedWorkerCrash" in outcomes[0].errors[-1]
         assert runner.stage_counters["s"]["failures"] == 1
 
-    def test_map_results_raises_on_failure(self):
-        plan = ExecutorFaultPlan(kill_tasks={("s", 0): 99})
-        runner = ResilientRunner(jobs=1, policy=FAST, fault_plan=plan)
-        with pytest.raises(TaskFailedError, match="task 0 after 3 attempts"):
-            runner.map_results(_square, [1, 2], stage="s")
-
     def test_real_exceptions_also_supervised(self):
         runner = ResilientRunner(jobs=1, policy=FAST)
         outcomes = runner.map(_always_raise, [5], stage="s")
@@ -210,6 +205,18 @@ class TestParallelSupervision:
         assert any("BrokenProcessPool" in e for e in outcomes[0].errors)
         assert [o.result for o in outcomes if o.index > 0] == [1, 4, 9]
 
+    def test_pool_break_spares_queued_bystanders(self):
+        # A break costs every in-flight attempt, but after the first one
+        # attempts run alone, so the crash-looping task 0 pays for its own
+        # later crashes instead of draining everyone else's budget.
+        runner = ResilientRunner(jobs=2, policy=FAST)
+        outcomes = runner.map(_crash_first_then_sleep, list(range(6)),
+                              stage="s")
+        assert not outcomes[0].ok
+        assert outcomes[0].attempts == FAST.max_attempts
+        assert [o.result for o in outcomes[1:]] == [1, 4, 9, 16, 25]
+        assert all(o.retries <= 1 for o in outcomes[1:])
+
     def test_straggler_speculation_fires(self):
         policy = SupervisorPolicy(
             backoff_base=0.0, straggler_min_samples=3,
@@ -230,105 +237,3 @@ class TestParallelSupervision:
         runner = ResilientRunner(jobs=2, policy=policy)
         outcomes = runner.map(_slow_square, list(range(8)), stage="s")
         assert not any(o.speculated for o in outcomes)
-
-
-# -- degradation primitives -----------------------------------------------
-
-
-class TestDegradePrimitives:
-    def test_grid_seams_interior_tile(self):
-        assert grid_seams((3, 3), [4]) == ((1, 4), (3, 4), (4, 5), (4, 7))
-
-    def test_grid_seams_corner_and_dedup(self):
-        assert grid_seams((2, 2), [0, 1]) == ((0, 1), (0, 2), (1, 3))
-
-    def test_grid_seams_single_tile_grid_has_none(self):
-        assert grid_seams((1, 1), [0]) == ()
-
-    def test_report_coverage_and_flags(self):
-        report = DegradedReport(total_nodes=100, missing_nodes=25,
-                                failed_tiles=(0,), verdict="degraded")
-        assert report.coverage == pytest.approx(0.75)
-        assert report.is_degraded
-        assert "coverage=0.750" in report.summary()
-        clean = DegradedReport(total_nodes=100, missing_nodes=0)
-        assert clean.coverage == 1.0 and not clean.is_degraded
-
-
-# -- graceful degradation through repro.shard -----------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _window_network():
-    scenario = get_scenario("window")
-    return scenario.build(seed=1,
-                          num_nodes=scaled_nodes(scenario.num_nodes, 0.25))
-
-
-@functools.lru_cache(maxsize=None)
-def _window_monolithic():
-    return extract_skeleton(_window_network(), SkeletonParams())
-
-
-class TestShardDegradation:
-    def test_supervised_no_faults_bit_identical(self):
-        run = run_sharded(_window_network(), SkeletonParams(), grid="2x2",
-                          supervisor=FAST)
-        assert_equivalent(_window_monolithic(), run.result)
-        assert run.degraded is None and not run.is_degraded
-        assert set(run.supervision) == {"shard:stage1", "shard:flood",
-                                        "shard:paths"}
-
-    def test_transient_faults_recover_bit_identical(self):
-        plan = ExecutorFaultPlan(kill_tasks={("shard:stage1", 0): 2,
-                                             ("shard:flood", 1): 1})
-        run = run_sharded(_window_network(), SkeletonParams(), grid="2x2",
-                          supervisor=FAST, fault_plan=plan)
-        assert_equivalent(_window_monolithic(), run.result)
-        assert run.degraded is None
-        assert run.supervision["shard:stage1"]["retries"] == 2
-        assert run.supervision["shard:flood"]["retries"] == 1
-
-    def test_permanent_stage1_failure_degrades(self):
-        plan = ExecutorFaultPlan(kill_tasks={("shard:stage1", 0): 99})
-        run = run_sharded(_window_network(), SkeletonParams(), grid="2x2",
-                          supervisor=FAST, fault_plan=plan)
-        report = run.degraded
-        assert report is not None and report.is_degraded
-        assert report.failed_tiles == (0,)
-        assert 0.0 < report.coverage < 1.0
-        assert report.affected_seams == ((0, 1), (0, 2))
-        assert report.task_failures == {"shard:stage1": 1}
-        assert report.verdict in ("pass", "degraded")
-        # The partial result still carries a non-empty skeleton.
-        assert run.result.skeleton.nodes
-
-    def test_permanent_flood_failure_loses_sites(self):
-        plan = ExecutorFaultPlan(kill_tasks={("shard:flood", 0): 99})
-        run = run_sharded(_window_network(), SkeletonParams(), grid="2x2",
-                          supervisor=FAST, fault_plan=plan)
-        report = run.degraded
-        assert report.lost_sites and report.coverage == 1.0
-        assert not set(report.lost_sites) & set(run.result.critical_nodes)
-
-    def test_permanent_paths_failure_drops_pairs(self):
-        plan = ExecutorFaultPlan(kill_tasks={("shard:paths", 0): 99})
-        run = run_sharded(_window_network(), SkeletonParams(), grid="2x2",
-                          supervisor=FAST, fault_plan=plan)
-        report = run.degraded
-        assert report.dropped_pairs
-        dropped = {frozenset(p) for p in report.dropped_pairs}
-        kept = {frozenset(p) for p in run.result.coarse.pair_paths}
-        assert not dropped & kept
-
-    def test_unsupervised_failure_still_raises(self):
-        # Without a supervisor the original fail-fast contract holds.
-        plan = ExecutorFaultPlan(kill_tasks={("shard:stage1", 0): 99})
-        policy = SupervisorPolicy(max_attempts=1, backoff_base=0.0)
-        run = run_sharded(_window_network(), SkeletonParams(), grid="2x2",
-                          supervisor=policy, fault_plan=plan)
-        assert run.degraded is not None  # degrades, no raise
-        with pytest.raises(InjectedWorkerCrash):
-            # The same plan through the *plain* serial map path raises.
-            from repro.resilience.supervisor import _attempt_task
-            _attempt_task((_square, 2, "shard:stage1", 0, 0, plan))

@@ -1,78 +1,26 @@
 """Direct unit tests for the resilience accounting primitives.
 
-The integration batteries (chaos drills, degraded merges, the serving
-layer) exercise :class:`ShardRun.supervision` and
-:class:`DegradedReport` end to end; these tests pin the *arithmetic*
-in isolation — coverage fractions, counter identities, attempt/retry
-bookkeeping, and the deadline budget added to
-:class:`~repro.resilience.ResilientRunner`.
+The integration batteries (chaos drills, the serving layer) exercise
+supervision end to end; these tests pin the *arithmetic* in isolation —
+the per-stage counters :meth:`~repro.serving.SkeletonService.submit_batch`
+reports through :attr:`~repro.serving.ServiceStats.supervision`, and the
+attempt/retry bookkeeping of :class:`~repro.resilience.ResilientRunner`.
 """
 
 import pytest
 
-from repro.core import SkeletonParams
 from repro.network import get_scenario
 from repro.resilience import (
-    DegradedReport,
     ExecutorFaultPlan,
     ResilientRunner,
     SupervisorPolicy,
-    grid_seams,
 )
-from repro.shard import run_sharded
+from repro.serving import ServiceConfig, SkeletonService
+
+BATCH = "serve:batch"
 
 
-# -- DegradedReport counter arithmetic -------------------------------------
-
-
-def test_coverage_is_surviving_node_fraction():
-    report = DegradedReport(total_nodes=200, missing_nodes=50)
-    assert report.coverage == pytest.approx(0.75)
-    assert DegradedReport(total_nodes=200, missing_nodes=0).coverage == 1.0
-    assert DegradedReport(total_nodes=200, missing_nodes=200).coverage == 0.0
-
-
-def test_coverage_of_empty_network_is_full():
-    # 0/0 nodes lost must read as "nothing missing", not a ZeroDivisionError.
-    assert DegradedReport(total_nodes=0, missing_nodes=0).coverage == 1.0
-
-
-@pytest.mark.parametrize("kwargs,expected", [
-    (dict(), False),
-    (dict(missing_nodes=1), True),
-    (dict(failed_tiles=(2,)), True),
-    (dict(lost_sites=(7,)), True),
-    (dict(dropped_pairs=((1, 2),)), True),
-])
-def test_is_degraded_iff_anything_was_lost(kwargs, expected):
-    base = dict(total_nodes=100, missing_nodes=0)
-    base.update(kwargs)
-    assert DegradedReport(**base).is_degraded is expected
-
-
-def test_summary_reports_every_loss_channel():
-    report = DegradedReport(
-        total_nodes=100, missing_nodes=25, failed_tiles=(1,),
-        lost_sites=(3, 9), dropped_pairs=((3, 9),),
-        affected_seams=((0, 1), (1, 3)), verdict="degraded")
-    summary = report.summary()
-    assert "coverage=0.750" in summary
-    assert "failed_tiles=[1]" in summary
-    assert "lost_sites=2" in summary
-    assert "dropped_pairs=1" in summary
-    assert "affected_seams=2" in summary
-    assert "verdict=degraded" in summary
-
-
-def test_grid_seams_deduplicates_and_sorts():
-    # centre tile of a 3x3 grid touches all four neighbours
-    assert grid_seams((3, 3), [4]) == ((1, 4), (3, 4), (4, 5), (4, 7))
-    # adjacent failed tiles share one seam, reported once
-    assert grid_seams((2, 1), [0, 1]) == ((0, 1),)
-    assert grid_seams((2, 2), []) == ()
-
-
-# -- ShardRun.supervision --------------------------------------------------
+# -- submit_batch supervision counters -------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -80,63 +28,69 @@ def small_net():
     return get_scenario("window").build(seed=3, num_nodes=140)
 
 
+@pytest.fixture(scope="module")
+def other_net():
+    return get_scenario("one_hole").build(seed=3, num_nodes=140)
+
+
+def _batch_service(max_attempts=3, plan=None, **policy):
+    # jobs=1: the serial supervision path, where speculation never fires,
+    # so every counter below is exact.
+    policy = SupervisorPolicy(max_attempts=max_attempts, backoff_base=0.0,
+                              **policy)
+    return SkeletonService(ServiceConfig(jobs=1, supervisor=policy,
+                                         fault_plan=plan))
+
+
 def test_unsupervised_run_has_no_supervision_counters(small_net):
-    run = run_sharded(small_net, SkeletonParams())
-    assert run.supervision == {}
-    assert run.degraded is None and not run.is_degraded
+    # Single requests run the monolithic extractor, outside the runner.
+    service = SkeletonService()
+    assert service.request(small_net).ok
+    assert service.stats().supervision == {}
 
 
-def test_clean_supervised_run_counts_attempts_only(small_net):
-    run = run_sharded(small_net, SkeletonParams(),
-                      supervisor=SupervisorPolicy(max_attempts=3,
-                                                  backoff_base=0.0))
-    assert run.degraded is None
-    # planning is inline; the fanned-out phases all report counters
-    assert {"shard:stage1", "shard:flood"} <= set(run.supervision)
-    for counters in run.supervision.values():
-        # first-try success everywhere: attempts == tasks, nothing else
-        assert counters["attempts"] >= 1
-        assert counters["retries"] == 0
-        assert counters["speculations"] == 0
-        assert counters["failures"] == 0
+def test_clean_supervised_run_counts_attempts_only(small_net, other_net):
+    service = _batch_service()
+    responses = service.submit_batch([small_net, other_net])
+    assert all(r.ok for r in responses)
+    # first-try success everywhere: attempts == tasks, nothing else
+    assert service.stats().supervision == {BATCH: {
+        "attempts": 2, "retries": 0, "speculations": 0, "failures": 0}}
 
 
-def test_killed_attempt_shows_up_as_exactly_one_retry(small_net):
-    plan = ExecutorFaultPlan(seed=5, kill_tasks={("shard:stage1", 0): 1})
-    clean = run_sharded(small_net, SkeletonParams(),
-                        supervisor=SupervisorPolicy(max_attempts=3,
-                                                    backoff_base=0.0))
-    chaotic = run_sharded(small_net, SkeletonParams(),
-                          supervisor=SupervisorPolicy(max_attempts=3,
-                                                      backoff_base=0.0),
-                          fault_plan=plan)
-    assert chaotic.degraded is None
-    stage1 = chaotic.supervision["shard:stage1"]
-    assert stage1["retries"] == 1
-    assert stage1["failures"] == 0
+def test_killed_attempt_shows_up_as_exactly_one_retry(small_net, other_net):
+    clean = _batch_service()
+    clean.submit_batch([small_net, other_net])
+    chaotic = _batch_service(
+        plan=ExecutorFaultPlan(seed=5, kill_tasks={(BATCH, 0): 1}))
+    responses = chaotic.submit_batch([small_net, other_net])
+    assert all(r.ok for r in responses)
+    counters = chaotic.stats().supervision[BATCH]
+    assert counters["retries"] == 1
+    assert counters["failures"] == 0
     # the retried attempt is counted: attempts = tasks + retries
-    assert stage1["attempts"] == \
-        clean.supervision["shard:stage1"]["attempts"] + 1
+    assert counters["attempts"] == \
+        clean.stats().supervision[BATCH]["attempts"] + 1
 
 
-def test_exhausted_task_counts_one_failure_and_matches_report(small_net):
-    plan = ExecutorFaultPlan(seed=5, kill_tasks={("shard:stage1", 0): 99})
-    run = run_sharded(small_net, SkeletonParams(),
-                      supervisor=SupervisorPolicy(max_attempts=2,
-                                                  backoff_base=0.0,
-                                                  speculate=False),
-                      fault_plan=plan)
-    stage1 = run.supervision["shard:stage1"]
-    assert stage1["failures"] == 1
-    assert stage1["retries"] == 1  # max_attempts=2 ⇒ one retry then give up
-    assert run.is_degraded
-    # the degraded report's per-stage failure counts mirror supervision
-    assert run.degraded.task_failures["shard:stage1"] == stage1["failures"]
-    assert run.degraded.failed_tiles == (0,)
-    assert 0.0 < run.degraded.coverage < 1.0
+def test_exhausted_task_counts_one_failure_and_matches_report(small_net,
+                                                              other_net):
+    service = _batch_service(
+        max_attempts=2, speculate=False,
+        plan=ExecutorFaultPlan(seed=5, kill_tasks={(BATCH, 0): 99}))
+    responses = service.submit_batch([small_net, other_net, small_net])
+    stats = service.stats()
+    counters = stats.supervision[BATCH]
+    assert counters["failures"] == 1
+    assert counters["retries"] == 1  # max_attempts=2 ⇒ one retry then give up
+    # the one lost task fails exactly the requests on its key
+    assert [r.status for r in responses] == ["failed", "ok", "failed"]
+    assert all("InjectedWorkerCrash" in r.error
+               for r in responses if not r.ok)
+    assert stats.failed == 2 and stats.ok == 1
 
 
-# -- ResilientRunner attempt/retry/deadline bookkeeping --------------------
+# -- ResilientRunner attempt/retry bookkeeping -----------------------------
 
 
 def _flaky(threshold):
@@ -176,36 +130,3 @@ def test_outcome_arithmetic_budget_exhausted():
     assert calls["n"] == 3
     assert len(outcome.errors) == 3
     assert runner.stage_counters["unit"]["failures"] == 1
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_expired_deadline_fails_tasks_without_running_them(jobs):
-    import time
-
-    runner = ResilientRunner(jobs=jobs,
-                             policy=SupervisorPolicy(max_attempts=3,
-                                                     backoff_base=0.0))
-    outcomes = runner.map(_identity, [1, 2, 3], stage="unit",
-                          deadline_at=time.perf_counter() - 1.0)
-    assert [o.ok for o in outcomes] == [False, False, False]
-    for outcome in outcomes:
-        assert any("DeadlineExceeded" in err for err in outcome.errors)
-    assert runner.stage_counters["unit"]["failures"] == 3
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_generous_deadline_changes_nothing(jobs):
-    import time
-
-    runner = ResilientRunner(jobs=jobs,
-                             policy=SupervisorPolicy(max_attempts=3,
-                                                     backoff_base=0.0))
-    outcomes = runner.map(_identity, [1, 2, 3], stage="unit",
-                          deadline_at=time.perf_counter() + 600.0)
-    assert [o.result for o in outcomes] == [1, 2, 3]
-    assert runner.stage_counters["unit"] == {
-        "attempts": 3, "retries": 0, "speculations": 0, "failures": 0}
-
-
-def _identity(config):
-    return config

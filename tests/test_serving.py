@@ -2,10 +2,9 @@
 
 The contract under test: :class:`~repro.serving.SkeletonService` changes
 *when* the pipeline runs — cache hits, dedup coalescing, shedding,
-deadline budgets — but never *what* it produces.  Every served artifact
-must be bit-identical to a direct pipeline run on the same network, for
-every artifact kind and both compute routes;
-the lifecycle semantics (dedup invariants, bounded-queue admission,
+deadlines, supervised batch retries — but never *what* it produces.
+Every served artifact must be bit-identical to a direct pipeline run on
+the same network, for every artifact kind; the lifecycle semantics (dedup invariants, bounded-queue admission,
 deadline actions, chaos recovery, cache-poisoning recovery) are pinned
 on a virtual clock so they are exact statements, not races.
 """
@@ -68,14 +67,6 @@ def test_served_artifacts_bit_identical_to_direct(window_net, params):
 
     boundary = service.request(window_net, "boundary", params=params)
     assert boundary.artifact == direct.boundary_nodes
-
-
-def test_sharded_route_serves_identical_artifacts(window_net):
-    direct = extract_skeleton(window_net, SkeletonParams())
-    service = SkeletonService(ServiceConfig(shard_threshold=1))
-    response = service.request(window_net, "result")
-    assert response.status == "ok"
-    assert diff_results(direct, response.artifact) == []
 
 
 def test_all_kinds_share_one_computation(window_net):
@@ -210,74 +201,33 @@ def test_deadline_shed_drops_expired_queued_requests(window_net):
     assert fresh.status == "ok" and not fresh.deadline_missed
 
 
-def test_deadline_partial_returns_degraded_report(hole_net):
-    clock = VirtualClock()
-    service = SkeletonService(clock=clock)
-    service.pause()
-    ticket = service.submit(hole_net, deadline=1.0, deadline_action="partial")
-    clock.advance(5.0)
-    service.resume()
-    response = ticket.result()
-    assert response.status == "degraded"
-    assert response.degraded is not None and response.degraded.is_degraded
-    assert response.degraded.coverage < 1.0
-    assert response.deadline_missed
-
-
-def test_partial_with_remaining_budget_serves_full_result(window_net):
-    direct = extract_skeleton(window_net, SkeletonParams())
-    service = SkeletonService()  # wall clock: budget is genuinely generous
-    response = service.request(window_net, "result", deadline=600.0,
-                               deadline_action="partial")
-    assert response.status == "ok"
-    assert diff_results(direct, response.artifact) == []
-
-
-def test_degraded_partials_are_never_cached(hole_net):
-    clock = VirtualClock()
-    service = SkeletonService(clock=clock)
-    service.pause()
-    ticket = service.submit(hole_net, deadline=1.0, deadline_action="partial")
-    clock.advance(5.0)
-    service.resume()
-    assert ticket.result().status == "degraded"
-    # The partial must not poison the cache: the next request recomputes
-    # and serves the complete artifact.
-    response = service.request(hole_net, "skeleton")
-    assert response.status == "ok"
-    assert not response.from_cache
-    direct = extract_skeleton(hole_net, SkeletonParams())
-    assert response.artifact.nodes == direct.skeleton.nodes
-    assert response.artifact.edges == direct.skeleton.edges
+@pytest.mark.parametrize("deadline", [-1.0, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
+def test_deadlines_must_be_finite_and_nonnegative(window_net, deadline):
+    # A NaN deadline would make every expiry comparison false: a "shed"
+    # request could never be shed nor flagged late.
+    with pytest.raises(ValueError, match="default_deadline"):
+        ServiceConfig(default_deadline=deadline)
+    service = SkeletonService()
+    with pytest.raises(ValueError, match="deadline"):
+        service.submit(window_net, deadline=deadline)
+    assert service.stats().submitted == 0
 
 
 # -- chaos: injected worker faults -----------------------------------------
 
 
-def test_killed_shard_attempt_retries_to_full_result(window_net):
-    plan = ExecutorFaultPlan(seed=3, kill_tasks={("shard:stage1", 0): 1})
+def test_killed_batch_attempt_retries_to_full_result(window_net, hole_net):
+    plan = ExecutorFaultPlan(seed=3, kill_tasks={("serve:batch", 0): 1})
     policy = SupervisorPolicy(max_attempts=3, backoff_base=0.0)
     service = SkeletonService(ServiceConfig(fault_plan=plan,
                                             supervisor=policy))
-    response = service.request(window_net, "result")
-    assert response.status == "ok"
-    direct = extract_skeleton(window_net, SkeletonParams())
-    assert diff_results(direct, response.artifact) == []
-    supervision = service.stats().supervision
-    assert supervision["shard:stage1"]["retries"] >= 1
-
-
-def test_permanently_killed_shard_degrades_not_raises(window_net):
-    plan = ExecutorFaultPlan(seed=3, kill_tasks={("shard:stage1", 0): 99})
-    policy = SupervisorPolicy(max_attempts=2, backoff_base=0.0,
-                              speculate=False)
-    service = SkeletonService(ServiceConfig(fault_plan=plan,
-                                            supervisor=policy))
-    response = service.request(window_net)
-    assert response.status == "degraded"
-    assert response.degraded is not None
-    assert response.degraded.coverage < 1.0
-    assert service.stats().supervision["shard:stage1"]["failures"] >= 1
+    responses = service.submit_batch([window_net, hole_net], kind="result")
+    assert [r.status for r in responses] == ["ok", "ok"]
+    for net, response in zip([window_net, hole_net], responses):
+        direct = extract_skeleton(net, SkeletonParams())
+        assert diff_results(direct, response.artifact) == []
+    assert service.stats().supervision["serve:batch"]["retries"] == 1
 
 
 # -- cache poisoning recovery ----------------------------------------------
@@ -388,9 +338,8 @@ def test_stats_counter_arithmetic_and_latency(window_net, hole_net):
         ticket.result()
     stats = service.stats()
     assert stats.completed == stats.submitted == 3
-    assert stats.completed == stats.ok + stats.degraded + stats.failed \
-        + stats.shed
-    assert stats.served == stats.ok == 2
+    assert stats.completed == stats.ok + stats.failed + stats.shed
+    assert stats.ok == 2
     assert shed.result().status == "shed"
     # latency on the virtual clock is exactly the queueing delay
     assert stats.latency_p50 == pytest.approx(2.0)
@@ -433,8 +382,9 @@ def test_invalid_requests_and_configs_raise(window_net):
         ServiceConfig(workers=-1)
     with pytest.raises(ValueError, match="deadline_action"):
         ServiceConfig(deadline_action="later")
-    with pytest.raises(ValueError, match="shard_threshold"):
-        ServiceConfig(shard_threshold=0)
+    # "partial" (a degraded sharded run) is no longer a deadline action
+    with pytest.raises(ValueError, match="deadline_action"):
+        ServiceConfig(deadline_action="partial")
 
 
 # -- workload generator ----------------------------------------------------
@@ -448,7 +398,7 @@ def test_workload_is_deterministic_and_coalesces():
     assert first.requests == second.requests == 16
     assert first.shed == 0 and first.failed == 0
     assert first.dedup_hits >= 1
-    for name in ("ok", "degraded", "failed", "shed", "cache_hits",
+    for name in ("ok", "failed", "shed", "cache_hits",
                  "dedup_hits", "computed"):
         assert getattr(first, name) == getattr(second, name)
 

@@ -112,9 +112,8 @@ class ServingMachine(RuleBasedStateMachine):
         assert not self.pending
         stats = self.service.stats()
         assert stats.completed == stats.submitted
-        assert stats.completed == (stats.ok + stats.degraded + stats.failed
-                                   + stats.shed)
-        assert stats.degraded == 0 and stats.failed == 0
+        assert stats.completed == stats.ok + stats.failed + stats.shed
+        assert stats.failed == 0
 
 
 ServingMachine.TestCase.settings = settings(

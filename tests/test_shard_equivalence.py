@@ -130,3 +130,16 @@ class TestParallelAndCachedRuns:
         warm = run_sharded(network, SkeletonParams(), grid="2x2", cache=cache)
         assert_equivalent(cold.result, warm.result)
         assert cache.hit_rate > 0.0
+
+    def test_failed_shard_task_propagates(self, monkeypatch):
+        """The fan-out is fail-fast: a shard task's exception leaves
+        ``run_sharded`` instead of yielding a partial result."""
+        import repro.shard.api as shard_api
+
+        def crash(_config):
+            raise RuntimeError("shard task crashed")
+
+        monkeypatch.setattr(shard_api, "flood_batch_task", crash)
+        with pytest.raises(RuntimeError, match="shard task crashed"):
+            run_sharded(_network("window"), SkeletonParams(), grid="2x2",
+                        jobs=1)
