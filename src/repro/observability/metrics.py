@@ -88,10 +88,9 @@ class MetricsReport:
     #: corrupt disk entries quarantined per stage (cache integrity layer).
     cache_quarantined: Mapping[str, int] = field(default_factory=dict)
     #: executor supervision counters per stage
-    #: (:class:`~repro.resilience.ResilientRunner`): attempt retries,
-    #: speculative straggler re-executions, and permanently failed tasks.
+    #: (:func:`~repro.resilience.supervise`): attempt retries and
+    #: permanently failed tasks.
     task_retries: Mapping[str, int] = field(default_factory=dict)
-    task_speculations: Mapping[str, int] = field(default_factory=dict)
     task_failures: Mapping[str, int] = field(default_factory=dict)
     #: total wall-clock seconds per recorded span name — pipeline stages
     #: and the vectorized :class:`~repro.network.traversal.TraversalEngine`
@@ -159,10 +158,6 @@ class MetricsReport:
         return sum(self.task_retries.values())
 
     @property
-    def total_task_speculations(self) -> int:
-        return sum(self.task_speculations.values())
-
-    @property
     def total_task_failures(self) -> int:
         return sum(self.task_failures.values())
 
@@ -212,7 +207,6 @@ def build_metrics(tracer) -> MetricsReport:
         cache_misses=dict(tracer.cache_misses),
         cache_quarantined=dict(tracer.cache_quarantined),
         task_retries=dict(tracer.task_retries),
-        task_speculations=dict(tracer.task_speculations),
         task_failures=dict(tracer.task_failures),
         stage_timings=timings,
     )

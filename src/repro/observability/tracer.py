@@ -182,9 +182,9 @@ class Tracer:
         #: stage -> corrupt disk entries quarantined (fed by ArtifactCache
         #: integrity checks).
         self.cache_quarantined: Dict[str, int] = {}
-        #: stage -> supervision counters (fed by ResilientRunner).
+        #: stage -> supervision counters (fed by
+        #: SkeletonService.submit_batch from its supervised outcomes).
         self.task_retries: Dict[str, int] = {}
-        self.task_speculations: Dict[str, int] = {}
         self.task_failures: Dict[str, int] = {}
         self._phases: Dict[str, _PhaseAgg] = {}
         self._sites: Dict[int, Tuple[float, float]] = {}
@@ -319,13 +319,8 @@ class Tracer:
 
     def on_task_retry(self, stage: str) -> None:
         """A supervised executor task attempt failed and was retried
-        (:class:`~repro.resilience.ResilientRunner`)."""
+        (:func:`~repro.resilience.supervise`)."""
         self.task_retries[stage] = self.task_retries.get(stage, 0) + 1
-
-    def on_speculate(self, stage: str) -> None:
-        """A straggling executor task got a speculative duplicate."""
-        self.task_speculations[stage] = \
-            self.task_speculations.get(stage, 0) + 1
 
     def on_task_failure(self, stage: str) -> None:
         """A supervised executor task exhausted its attempt budget."""

@@ -1,20 +1,20 @@
-"""Resilient execution: supervision, speculation, integrity.
+"""Resilient execution: supervision and integrity.
 
 The paper's protocol layer already tolerates lossy radios
 (:mod:`repro.runtime.faults`); this package gives the serving layer's
 batch fan-out (:meth:`~repro.serving.SkeletonService.submit_batch`) and
 the on-disk :class:`~repro.perf.ArtifactCache` the same default
-assumption: workers crash, tasks straggle, artifacts rot, and the
-service must carry on.
+assumption: workers crash, artifacts rot, and the service must carry
+on.
 
-* :class:`ExecutorFaultPlan` — deterministic chaos schedule (worker
-  kills, straggler delays, artifact corruption) keyed by the splitmix64
-  idiom shared with the radio fault layer;
-* :class:`SupervisorPolicy` / :class:`ResilientRunner` — per-task retry
-  with seeded exponential backoff, percentile-deadline straggler
-  speculation with first-result-wins, and process-pool resurrection on
-  hard worker death; a task that exhausts its budget comes back as a
-  failed :class:`TaskOutcome`, never as an exception;
+* :class:`ExecutorFaultPlan` — deterministic chaos schedule (targeted
+  worker kills) plus :func:`corrupt_cache_entries` for artifact
+  corruption;
+* :func:`supervise` / :class:`SupervisorPolicy` — per-task retry with
+  seeded exponential backoff and process-pool resurrection on hard
+  worker death; a task that exhausts its budget comes back as a failed
+  :class:`TaskOutcome`, never as an exception, and the fan-out's
+  counters are read off its outcomes (:func:`outcome_counters`);
 * ``python -m repro.resilience`` — the kill-and-recover chaos drills CI
   runs against ``submit_batch``.
 
@@ -29,16 +29,18 @@ from .faults import (
     corrupt_cache_entries,
 )
 from .supervisor import (
-    ResilientRunner,
     SupervisorPolicy,
     TaskOutcome,
+    outcome_counters,
+    supervise,
 )
 
 __all__ = [
     "ExecutorFaultPlan",
     "InjectedWorkerCrash",
-    "ResilientRunner",
     "SupervisorPolicy",
     "TaskOutcome",
     "corrupt_cache_entries",
+    "outcome_counters",
+    "supervise",
 ]

@@ -33,10 +33,8 @@ from ..network import get_scenario
 from ..observability import Tracer, build_metrics
 from ..perf import ArtifactCache, effective_jobs
 from ..serving import RESULT_STAGE, ServiceConfig, SkeletonService
+from ..serving.service import BATCH_STAGE
 from . import ExecutorFaultPlan, SupervisorPolicy, corrupt_cache_entries
-
-#: Supervision stage name of :meth:`SkeletonService.submit_batch` tasks.
-BATCH_STAGE = "serve:batch"
 
 #: Distinct networks per drill batch; the first is requested twice, so
 #: batch dedup is exercised and the victim key carries two requests.

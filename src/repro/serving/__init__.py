@@ -7,9 +7,8 @@ long-lived, in-process request loop:
   segmentation / boundary artifacts back; content-addressed cache
   serving, request dedup, bounded-queue admission with load shedding,
   per-request deadlines (full / shed), and batch fan-out supervised by
-  the :class:`~repro.resilience.ResilientRunner` (retry, speculation,
-  per-task failure isolation).  Single requests run the monolithic
-  extractor.
+  :func:`~repro.resilience.supervise` (retry, pool rebuild, per-task
+  failure isolation).  Single requests run the monolithic extractor.
 * :class:`ServiceConfig` / :class:`SkeletonResponse` / :class:`Ticket` /
   :class:`ServiceStats` — the request-lifecycle vocabulary.
 * :class:`SystemClock` / :class:`VirtualClock` — pluggable time, so the

@@ -22,7 +22,7 @@ around it:
   late) or ``"shed"`` (requests whose deadline passed while queued are
   dropped);
 * **supervised batches** — :meth:`SkeletonService.submit_batch` fans
-  its misses out through a :class:`~repro.resilience.ResilientRunner`
+  its misses out through :func:`~repro.resilience.supervise`
   under the configured :class:`~repro.resilience.SupervisorPolicy` /
   :class:`~repro.resilience.ExecutorFaultPlan`, so a crashed batch task
   retries and an exhausted one fails only its own requests;
@@ -57,7 +57,8 @@ from ..network.graph import SensorNetwork
 from ..observability.metrics import percentile
 from ..perf import ArtifactCache, effective_jobs, set_task_context, \
     stable_digest, task_context
-from ..resilience import ExecutorFaultPlan, ResilientRunner, SupervisorPolicy
+from ..resilience import ExecutorFaultPlan, SupervisorPolicy, \
+    outcome_counters, supervise
 from .clock import SystemClock
 
 __all__ = ["ARTIFACT_KINDS", "RESULT_STAGE", "ServiceConfig",
@@ -71,6 +72,10 @@ ARTIFACT_KINDS = ("skeleton", "segmentation", "boundary", "result")
 
 #: Cache stage under which full results are published.
 RESULT_STAGE = "serve:result"
+
+#: Supervision stage (and trace span) of :meth:`SkeletonService.submit_batch`
+#: tasks.
+BATCH_STAGE = "serve:batch"
 
 _DEADLINE_ACTIONS = ("full", "shed")
 
@@ -106,8 +111,8 @@ class ServiceConfig:
             requests that don't choose.
         jobs: worker processes for :meth:`SkeletonService.submit_batch`
             (``None`` follows the suite convention: ``REPRO_JOBS`` or
-            serial).
-        supervisor: retry/speculation policy for
+            serial; otherwise >= 1).
+        supervisor: retry policy for
             :meth:`SkeletonService.submit_batch` only (``None`` = the
             default :class:`~repro.resilience.SupervisorPolicy`); single
             requests run the monolithic extractor unsupervised.
@@ -131,6 +136,8 @@ class ServiceConfig:
             raise ValueError("max_queue must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.deadline_action not in _DEADLINE_ACTIONS:
             raise ValueError(
                 f"deadline_action must be one of {_DEADLINE_ACTIONS}")
@@ -538,20 +545,18 @@ class SkeletonService:
         request.response = response
         request.event.set()
 
-    def _merge_supervision(self,
-                           counters: Dict[str, Dict[str, int]]) -> None:
-        if not counters:
-            return
+    def _merge_supervision(self, stage: str,
+                           counters: Dict[str, int]) -> None:
         with self._cond:
-            for stage, values in counters.items():
-                slot = self._supervision.setdefault(
-                    stage, {"attempts": 0, "retries": 0, "speculations": 0,
-                            "failures": 0})
-                for what, amount in values.items():
-                    # ResilientRunner counters accumulate across map calls
-                    # on one runner; each batch builds a fresh runner, so
-                    # its counters are this batch's increments.
-                    slot[what] = slot.get(what, 0) + amount
+            slot = self._supervision.setdefault(
+                stage, dict.fromkeys(counters, 0))
+            for what, amount in counters.items():
+                slot[what] += amount
+        if self.tracer is not None:
+            for _ in range(counters["retries"]):
+                self.tracer.on_task_retry(stage)
+            for _ in range(counters["failures"]):
+                self.tracer.on_task_failure(stage)
 
     # -- batch --------------------------------------------------------------
 
@@ -565,14 +570,16 @@ class SkeletonService:
         Items are networks, or ``(network, kind)`` pairs overriding the
         batch-level *kind*.  Within the batch, identical content keys
         dedup to one computation, cached keys are served from the cache,
-        and the misses fan out through a
-        :class:`~repro.resilience.ResilientRunner` (worker processes per
-        *jobs* / ``REPRO_JOBS``), so a crashed batch task retries with
-        backoff and an exhausted one yields a ``"failed"`` response for
-        exactly the requests that depended on it — never an exception
-        out of the batch call.  Batch requests bypass the admission
+        and the misses fan out through
+        :func:`~repro.resilience.supervise` (worker processes per *jobs*
+        / ``REPRO_JOBS``; an explicit value must be >= 1, checked before
+        any cache lookup), so a crashed batch task retries with backoff
+        and an exhausted one yields a ``"failed"`` response for exactly
+        the requests that depended on it — never an exception out of the
+        batch call.  Batch requests bypass the admission
         queue: an explicit bulk submission is its own load statement.
         """
+        jobs = effective_jobs(jobs if jobs is not None else self.config.jobs)
         params = params if params is not None else SkeletonParams()
         normalized: List[Tuple[SensorNetwork, str]] = []
         for item in items:
@@ -620,19 +627,16 @@ class SkeletonService:
             configs = [{"network": normalized[by_key[key][0]][0],
                         "params": params, "cache_dir": cache_dir}
                        for key in to_compute]
-            runner = ResilientRunner(
-                jobs=effective_jobs(jobs if jobs is not None
-                                    else self.config.jobs),
-                policy=self.config.supervisor,
-                fault_plan=self.config.fault_plan, tracer=self.tracer)
             previous = set_task_context(self.cache, self.tracer)
             try:
-                with stage_span(self.tracer, "serve:batch"):
-                    outcomes = runner.map(_batch_compute_task, configs,
-                                          stage="serve:batch")
+                with stage_span(self.tracer, BATCH_STAGE):
+                    outcomes = supervise(
+                        _batch_compute_task, configs, jobs=jobs,
+                        stage=BATCH_STAGE, policy=self.config.supervisor,
+                        fault_plan=self.config.fault_plan)
             finally:
                 set_task_context(*previous)
-            self._merge_supervision(runner.stage_counters)
+            self._merge_supervision(BATCH_STAGE, outcome_counters(outcomes))
             for key, outcome in zip(to_compute, outcomes):
                 if outcome.ok:
                     with self._cond:
@@ -693,7 +697,7 @@ class SkeletonService:
 def _batch_compute_task(config: Dict) -> SkeletonResult:
     """One batch computation — a pure function of its config, executable
     in any pool worker (module-level for pickling).  Supervision happens
-    in the parent's :class:`ResilientRunner`."""
+    in the parent's :func:`~repro.resilience.supervise` call."""
     cache, tracer = task_context(config.get("cache_dir"))
     return extract_skeleton(config["network"], config["params"],
                             cache=cache, tracer=tracer)

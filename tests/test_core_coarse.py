@@ -77,7 +77,7 @@ class TestCoarseSkeleton:
         assert g.number_of_edges() == len(coarse.edges)
 
 
-class TestBackendBitIdentity:
+class TestReferenceEngineBitIdentity:
     """Stages 1–3 on the batched kernels must reproduce the same stages run
     on the reference engine's per-node BFS and per-path walks exactly —
     same connectors, same pair paths, same edges."""
@@ -94,15 +94,15 @@ class TestBackendBitIdentity:
                    "annulus": annulus_network}[request.param]
         with use_reference_engine():
             reference = self._coarse(network)
-        return {"reference": reference, "vectorized": self._coarse(network)}
+        return {"reference": reference, "kernel": self._coarse(network)}
 
     def test_nodes_edges_identical(self, both_engines):
-        ref, vec = both_engines["reference"], both_engines["vectorized"]
-        assert vec.nodes == ref.nodes
-        assert vec.edges == ref.edges
-        assert vec.sites == ref.sites
+        ref, kernel = both_engines["reference"], both_engines["kernel"]
+        assert kernel.nodes == ref.nodes
+        assert kernel.edges == ref.edges
+        assert kernel.sites == ref.sites
 
     def test_connectors_and_paths_identical(self, both_engines):
-        ref, vec = both_engines["reference"], both_engines["vectorized"]
-        assert vec.connectors == ref.connectors
-        assert vec.pair_paths == ref.pair_paths
+        ref, kernel = both_engines["reference"], both_engines["kernel"]
+        assert kernel.connectors == ref.connectors
+        assert kernel.pair_paths == ref.pair_paths

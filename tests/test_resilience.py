@@ -1,24 +1,25 @@
-"""The resilience layer: supervised retry and speculation.
+"""The resilience layer: supervised retry and pool rebuild.
 
-Covers the deterministic fault plan (seeded kills, delays, jitter) and
-the :class:`ResilientRunner`'s serial and parallel supervision paths
-(retry with backoff, budget exhaustion, pool-rebuild after a hard worker
-death, straggler speculation).  The runner's one production caller,
-:meth:`~repro.serving.SkeletonService.submit_batch`, is exercised under
-injected faults in ``tests/test_serving.py`` and
+Covers the deterministic fault plan (targeted kills, jitter) and
+:func:`supervise`'s serial and parallel paths (retry with backoff,
+budget exhaustion, pool-rebuild after a hard worker death).  Its one
+production caller, :meth:`~repro.serving.SkeletonService.submit_batch`,
+is exercised under injected faults in ``tests/test_serving.py`` and
 ``tests/test_resilience_units.py``.
 """
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.observability import Tracer, build_metrics
 from repro.resilience import (
     ExecutorFaultPlan,
-    ResilientRunner,
     SupervisorPolicy,
+    outcome_counters,
+    supervise,
 )
 
 FAST = SupervisorPolicy(backoff_base=0.0)
@@ -28,13 +29,6 @@ FAST = SupervisorPolicy(backoff_base=0.0)
 
 
 def _square(config):
-    return config * config
-
-
-def _slow_square(config):
-    # Task 0 stalls long enough to trip a tight straggler deadline.
-    if config == 0:
-        time.sleep(0.4)
     return config * config
 
 
@@ -57,16 +51,41 @@ def _always_raise(config):
     raise ValueError(f"bad config {config}")
 
 
+class _RefusingPool:
+    """Stand-in process pool: the first instance breaks under the first
+    attempt sent, and refuses the next one the way a broken
+    ``ProcessPoolExecutor`` does; rebuilt instances run attempts inline."""
+
+    built = 0
+
+    def __init__(self, max_workers):
+        type(self).built += 1
+        self.broken = type(self).built == 1
+        self.sent = 0
+
+    def submit(self, fn, payload):
+        self.sent += 1
+        if self.broken and self.sent > 1:
+            raise BrokenProcessPool("pool already broken")
+        future = Future()
+        if self.broken:
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result(fn(payload))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 # -- ExecutorFaultPlan ----------------------------------------------------
 
 
 class TestFaultPlan:
     def test_null_plan_never_fires(self):
         plan = ExecutorFaultPlan()
-        assert plan.is_null
         assert not any(plan.kills("s", t, a)
                        for t in range(20) for a in range(3))
-        assert plan.delay("s", 0, 0) == 0.0
 
     def test_explicit_kills_cover_first_attempts_only(self):
         plan = ExecutorFaultPlan(kill_tasks={("s", 2): 2})
@@ -74,22 +93,6 @@ class TestFaultPlan:
         assert not plan.kills("s", 2, 2)
         assert not plan.kills("other", 2, 0)
         assert not plan.kills("s", 3, 0)
-
-    def test_stochastic_kills_deterministic_per_seed(self):
-        plan = ExecutorFaultPlan(seed=7, kill_probability=0.5)
-        draws = [plan.kills("s", t, 0) for t in range(64)]
-        again = [ExecutorFaultPlan(seed=7, kill_probability=0.5)
-                 .kills("s", t, 0) for t in range(64)]
-        other = [ExecutorFaultPlan(seed=8, kill_probability=0.5)
-                 .kills("s", t, 0) for t in range(64)]
-        assert draws == again
-        assert draws != other
-        assert 10 < sum(draws) < 54  # roughly half fire
-
-    def test_delay_applies_to_first_attempt_only(self):
-        plan = ExecutorFaultPlan(delay_tasks={("s", 1): 0.25})
-        assert plan.delay("s", 1, 0) == 0.25
-        assert plan.delay("s", 1, 1) == 0.0  # retries/speculation escape
 
     def test_backoff_jitter_in_unit_interval_and_seeded(self):
         plan = ExecutorFaultPlan(seed=3)
@@ -107,20 +110,19 @@ class TestPolicy:
         with pytest.raises(ValueError):
             SupervisorPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            SupervisorPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(backoff_jitter=1.5)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(straggler_percentile=2.0)
+            SupervisorPolicy(backoff_base=-1)
 
     def test_backoff_grows_exponentially(self):
-        policy = SupervisorPolicy(backoff_base=0.01, backoff_factor=2.0,
-                                  backoff_jitter=0.0)
-        waits = [policy.backoff_seconds("s", 0, a) for a in (1, 2, 3)]
-        assert waits == [0.01, 0.02, 0.04]
+        base = 0.01
+        policy = SupervisorPolicy(backoff_base=base)
+        for attempt in (1, 2, 3):
+            wait = policy.backoff_seconds("s", 0, attempt)
+            floor = base * 2 ** (attempt - 1)
+            assert floor <= wait <= 1.5 * floor
+            assert wait == policy.backoff_seconds("s", 0, attempt)
 
     def test_backoff_jitter_is_deterministic(self):
-        policy = SupervisorPolicy(backoff_base=0.01, backoff_jitter=0.5)
+        policy = SupervisorPolicy(backoff_base=0.01)
         a = policy.backoff_seconds("s", 0, 1)
         assert a == policy.backoff_seconds("s", 0, 1)
         assert 0.01 <= a <= 0.015
@@ -129,78 +131,74 @@ class TestPolicy:
         assert b == policy.backoff_seconds("s", 0, 1, plan)
 
 
-# -- ResilientRunner: serial path -----------------------------------------
+# -- supervise: serial path ------------------------------------------------
 
 
 class TestSerialSupervision:
     def test_clean_run_matches_plain_map(self):
-        runner = ResilientRunner(jobs=1, policy=FAST)
-        outcomes = runner.map(_square, [1, 2, 3], stage="s")
+        outcomes = supervise(_square, [1, 2, 3], jobs=1, stage="s",
+                             policy=FAST)
         assert [o.result for o in outcomes] == [1, 4, 9]
         assert all(o.ok and o.attempts == 1 and not o.retries
                    for o in outcomes)
 
     def test_transient_kill_retries_to_success(self):
         plan = ExecutorFaultPlan(kill_tasks={("s", 1): 2})
-        runner = ResilientRunner(jobs=1, policy=FAST, fault_plan=plan)
-        outcomes = runner.map(_square, [1, 2, 3], stage="s")
+        outcomes = supervise(_square, [1, 2, 3], jobs=1, stage="s",
+                             policy=FAST, fault_plan=plan)
         assert [o.result for o in outcomes] == [1, 4, 9]
         assert outcomes[1].attempts == 3 and outcomes[1].retries == 2
         assert len(outcomes[1].errors) == 2
-        assert runner.stage_counters["s"]["retries"] == 2
+        assert outcome_counters(outcomes)["retries"] == 2
 
     def test_budget_exhaustion_reports_failure(self):
         plan = ExecutorFaultPlan(kill_tasks={("s", 0): 99})
-        runner = ResilientRunner(jobs=1, policy=FAST, fault_plan=plan)
-        outcomes = runner.map(_square, [1, 2], stage="s")
+        outcomes = supervise(_square, [1, 2], jobs=1, stage="s",
+                             policy=FAST, fault_plan=plan)
         assert not outcomes[0].ok and outcomes[1].ok
         assert outcomes[0].attempts == FAST.max_attempts
         assert "InjectedWorkerCrash" in outcomes[0].errors[-1]
-        assert runner.stage_counters["s"]["failures"] == 1
+        assert outcome_counters(outcomes)["failures"] == 1
 
     def test_real_exceptions_also_supervised(self):
-        runner = ResilientRunner(jobs=1, policy=FAST)
-        outcomes = runner.map(_always_raise, [5], stage="s")
+        outcomes = supervise(_always_raise, [5], jobs=1, stage="s",
+                             policy=FAST)
         assert not outcomes[0].ok
         assert all("ValueError: bad config 5" in e
                    for e in outcomes[0].errors)
 
 
-# -- ResilientRunner: parallel path ---------------------------------------
+# -- supervise: parallel path ----------------------------------------------
 
 
 class TestParallelSupervision:
     def test_clean_run_preserves_config_order(self):
-        runner = ResilientRunner(jobs=2, policy=FAST)
-        outcomes = runner.map(_square, list(range(8)), stage="s")
+        outcomes = supervise(_square, list(range(8)), jobs=2, stage="s",
+                             policy=FAST)
         assert [o.result for o in outcomes] == [i * i for i in range(8)]
 
     def test_transient_kill_retries_to_success(self):
         plan = ExecutorFaultPlan(kill_tasks={("s", 1): 2})
-        tracer = Tracer(record_events=False)
-        runner = ResilientRunner(jobs=2, policy=FAST, fault_plan=plan,
-                                 tracer=tracer)
-        outcomes = runner.map(_square, [1, 2, 3, 4], stage="s")
+        outcomes = supervise(_square, [1, 2, 3, 4], jobs=2, stage="s",
+                             policy=FAST, fault_plan=plan)
         assert [o.result for o in outcomes] == [1, 4, 9, 16]
         assert outcomes[1].retries == 2
-        assert build_metrics(tracer).task_retries == {"s": 2}
+        assert outcome_counters(outcomes)["retries"] == 2
 
     def test_budget_exhaustion_reports_failure(self):
         plan = ExecutorFaultPlan(kill_tasks={("s", 0): 99})
-        tracer = Tracer(record_events=False)
-        runner = ResilientRunner(jobs=2, policy=FAST, fault_plan=plan,
-                                 tracer=tracer)
-        outcomes = runner.map(_square, [1, 2, 3], stage="s")
+        outcomes = supervise(_square, [1, 2, 3], jobs=2, stage="s",
+                             policy=FAST, fault_plan=plan)
         assert not outcomes[0].ok
         assert [o.result for o in outcomes[1:]] == [4, 9]
-        assert build_metrics(tracer).task_failures == {"s": 1}
+        assert outcome_counters(outcomes)["failures"] == 1
 
     def test_hard_worker_death_rebuilds_pool(self):
         # os._exit kills the worker: the pool breaks, the supervisor must
         # rebuild it and still resolve every task (task 0 fails after its
         # budget — _hard_exit dies on every attempt — others succeed).
-        runner = ResilientRunner(jobs=2, policy=FAST)
-        outcomes = runner.map(_hard_exit, [0, 1, 2, 3], stage="s")
+        outcomes = supervise(_hard_exit, [0, 1, 2, 3], jobs=2, stage="s",
+                             policy=FAST)
         assert not outcomes[0].ok
         assert any("BrokenProcessPool" in e for e in outcomes[0].errors)
         assert [o.result for o in outcomes if o.index > 0] == [1, 4, 9]
@@ -209,31 +207,36 @@ class TestParallelSupervision:
         # A break costs every in-flight attempt, but after the first one
         # attempts run alone, so the crash-looping task 0 pays for its own
         # later crashes instead of draining everyone else's budget.
-        runner = ResilientRunner(jobs=2, policy=FAST)
-        outcomes = runner.map(_crash_first_then_sleep, list(range(6)),
-                              stage="s")
+        outcomes = supervise(_crash_first_then_sleep, list(range(6)),
+                             jobs=2, stage="s", policy=FAST)
         assert not outcomes[0].ok
         assert outcomes[0].attempts == FAST.max_attempts
         assert [o.result for o in outcomes[1:]] == [1, 4, 9, 16, 25]
         assert all(o.retries <= 1 for o in outcomes[1:])
 
-    def test_straggler_speculation_fires(self):
-        policy = SupervisorPolicy(
-            backoff_base=0.0, straggler_min_samples=3,
-            straggler_min_seconds=0.05, straggler_factor=1.5,
-            poll_seconds=0.01)
-        tracer = Tracer(record_events=False)
-        runner = ResilientRunner(jobs=2, policy=policy, tracer=tracer)
-        outcomes = runner.map(_slow_square, list(range(8)), stage="s")
-        assert [o.result for o in outcomes] == [i * i for i in range(8)]
-        assert outcomes[0].speculated
-        assert build_metrics(tracer).task_speculations == {"s": 1}
+    def test_pool_break_counters_are_sums_over_outcomes(self):
+        outcomes = supervise(_crash_first_then_sleep, list(range(6)),
+                             jobs=2, stage="s", policy=FAST)
+        counters = outcome_counters(outcomes)
+        assert counters == {
+            "attempts": sum(o.attempts for o in outcomes),
+            "retries": sum(o.retries for o in outcomes),
+            "failures": sum(1 for o in outcomes if not o.ok),
+        }
+        assert counters["failures"] == 1
+        # every retry launched one more attempt beyond each task's first
+        assert counters["retries"] == counters["attempts"] - len(outcomes)
 
-    def test_speculation_can_be_disabled(self):
-        policy = SupervisorPolicy(
-            backoff_base=0.0, speculate=False, straggler_min_samples=3,
-            straggler_min_seconds=0.05, straggler_factor=1.5,
-            poll_seconds=0.01)
-        runner = ResilientRunner(jobs=2, policy=policy)
-        outcomes = runner.map(_slow_square, list(range(8)), stage="s")
-        assert not any(o.speculated for o in outcomes)
+    def test_pool_refusing_new_attempts_is_a_break(self, monkeypatch):
+        # A worker can die while attempts are still being sent; submit
+        # then raises instead of returning a future.  The unsent attempts
+        # must wait for the rebuilt pool, not escape as an exception.
+        monkeypatch.setattr(_RefusingPool, "built", 0)
+        monkeypatch.setattr("repro.resilience.supervisor.ProcessPoolExecutor",
+                            _RefusingPool)
+        outcomes = supervise(_square, [1, 2, 3], jobs=2, stage="s",
+                             policy=FAST)
+        assert [o.result for o in outcomes] == [1, 4, 9]
+        assert [o.attempts for o in outcomes] == [2, 1, 1]
+        assert outcome_counters(outcomes) == {
+            "attempts": 4, "retries": 1, "failures": 0}

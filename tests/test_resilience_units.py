@@ -4,7 +4,7 @@ The integration batteries (chaos drills, the serving layer) exercise
 supervision end to end; these tests pin the *arithmetic* in isolation —
 the per-stage counters :meth:`~repro.serving.SkeletonService.submit_batch`
 reports through :attr:`~repro.serving.ServiceStats.supervision`, and the
-attempt/retry bookkeeping of :class:`~repro.resilience.ResilientRunner`.
+attempt/retry bookkeeping of :func:`~repro.resilience.supervise`.
 """
 
 import pytest
@@ -12,8 +12,9 @@ import pytest
 from repro.network import get_scenario
 from repro.resilience import (
     ExecutorFaultPlan,
-    ResilientRunner,
     SupervisorPolicy,
+    outcome_counters,
+    supervise,
 )
 from repro.serving import ServiceConfig, SkeletonService
 
@@ -33,11 +34,9 @@ def other_net():
     return get_scenario("one_hole").build(seed=3, num_nodes=140)
 
 
-def _batch_service(max_attempts=3, plan=None, **policy):
-    # jobs=1: the serial supervision path, where speculation never fires,
-    # so every counter below is exact.
-    policy = SupervisorPolicy(max_attempts=max_attempts, backoff_base=0.0,
-                              **policy)
+def _batch_service(max_attempts=3, plan=None):
+    # jobs=1: the serial supervision path.
+    policy = SupervisorPolicy(max_attempts=max_attempts, backoff_base=0.0)
     return SkeletonService(ServiceConfig(jobs=1, supervisor=policy,
                                          fault_plan=plan))
 
@@ -55,7 +54,7 @@ def test_clean_supervised_run_counts_attempts_only(small_net, other_net):
     assert all(r.ok for r in responses)
     # first-try success everywhere: attempts == tasks, nothing else
     assert service.stats().supervision == {BATCH: {
-        "attempts": 2, "retries": 0, "speculations": 0, "failures": 0}}
+        "attempts": 2, "retries": 0, "failures": 0}}
 
 
 def test_killed_attempt_shows_up_as_exactly_one_retry(small_net, other_net):
@@ -76,7 +75,7 @@ def test_killed_attempt_shows_up_as_exactly_one_retry(small_net, other_net):
 def test_exhausted_task_counts_one_failure_and_matches_report(small_net,
                                                               other_net):
     service = _batch_service(
-        max_attempts=2, speculate=False,
+        max_attempts=2,
         plan=ExecutorFaultPlan(seed=5, kill_tasks={(BATCH, 0): 99}))
     responses = service.submit_batch([small_net, other_net, small_net])
     stats = service.stats()
@@ -90,7 +89,10 @@ def test_exhausted_task_counts_one_failure_and_matches_report(small_net,
     assert stats.failed == 2 and stats.ok == 1
 
 
-# -- ResilientRunner attempt/retry bookkeeping -----------------------------
+# -- supervise attempt/retry bookkeeping -----------------------------------
+
+
+POLICY = SupervisorPolicy(max_attempts=3, backoff_base=0.0)
 
 
 def _flaky(threshold):
@@ -106,27 +108,23 @@ def _flaky(threshold):
 
 
 def test_outcome_arithmetic_success_on_retry():
-    runner = ResilientRunner(jobs=1,
-                             policy=SupervisorPolicy(max_attempts=3,
-                                                     backoff_base=0.0))
     fn, _ = _flaky(threshold=2)
-    outcome, = runner.map(fn, [7], stage="unit")
+    outcomes = supervise(fn, [7], jobs=1, stage="unit", policy=POLICY)
+    outcome, = outcomes
     assert outcome.ok and outcome.result == 70
     assert outcome.attempts == 2
     assert outcome.retries == 1
     assert len(outcome.errors) == 1
-    assert runner.stage_counters["unit"] == {
-        "attempts": 2, "retries": 1, "speculations": 0, "failures": 0}
+    assert outcome_counters(outcomes) == {
+        "attempts": 2, "retries": 1, "failures": 0}
 
 
 def test_outcome_arithmetic_budget_exhausted():
-    runner = ResilientRunner(jobs=1,
-                             policy=SupervisorPolicy(max_attempts=3,
-                                                     backoff_base=0.0))
     fn, calls = _flaky(threshold=99)
-    outcome, = runner.map(fn, [7], stage="unit")
+    outcomes = supervise(fn, [7], jobs=1, stage="unit", policy=POLICY)
+    outcome, = outcomes
     assert not outcome.ok
     assert outcome.attempts == 3 and outcome.retries == 2
     assert calls["n"] == 3
     assert len(outcome.errors) == 3
-    assert runner.stage_counters["unit"]["failures"] == 1
+    assert outcome_counters(outcomes)["failures"] == 1

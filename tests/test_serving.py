@@ -220,14 +220,20 @@ def test_deadlines_must_be_finite_and_nonnegative(window_net, deadline):
 def test_killed_batch_attempt_retries_to_full_result(window_net, hole_net):
     plan = ExecutorFaultPlan(seed=3, kill_tasks={("serve:batch", 0): 1})
     policy = SupervisorPolicy(max_attempts=3, backoff_base=0.0)
+    tracer = Tracer(record_events=False)
     service = SkeletonService(ServiceConfig(fault_plan=plan,
-                                            supervisor=policy))
+                                            supervisor=policy),
+                              tracer=tracer)
     responses = service.submit_batch([window_net, hole_net], kind="result")
     assert [r.status for r in responses] == ["ok", "ok"]
     for net, response in zip([window_net, hole_net], responses):
         direct = extract_skeleton(net, SkeletonParams())
         assert diff_results(direct, response.artifact) == []
     assert service.stats().supervision["serve:batch"]["retries"] == 1
+    # the tracer reads the same counters the service derived
+    report = build_metrics(tracer)
+    assert report.task_retries == {"serve:batch": 1}
+    assert report.task_failures == {}
 
 
 # -- cache poisoning recovery ----------------------------------------------
@@ -290,8 +296,7 @@ def test_batch_parallel_fanout_matches_serial(window_net, hole_net,
 
 def test_batch_task_failure_is_isolated(window_net, hole_net):
     plan = ExecutorFaultPlan(seed=11, kill_tasks={("serve:batch", 0): 99})
-    policy = SupervisorPolicy(max_attempts=2, backoff_base=0.0,
-                              speculate=False)
+    policy = SupervisorPolicy(max_attempts=2, backoff_base=0.0)
     service = SkeletonService(ServiceConfig(fault_plan=plan,
                                             supervisor=policy))
     responses = service.submit_batch([window_net, hole_net])
@@ -385,6 +390,17 @@ def test_invalid_requests_and_configs_raise(window_net):
     # "partial" (a degraded sharded run) is no longer a deadline action
     with pytest.raises(ValueError, match="deadline_action"):
         ServiceConfig(deadline_action="partial")
+    with pytest.raises(ValueError, match="jobs"):
+        ServiceConfig(jobs=0)
+
+
+def test_batch_rejects_jobs_below_one_even_when_fully_cached(window_net):
+    service = SkeletonService()
+    service.submit_batch([window_net])
+    # every key is now cached, so no task would ever reach an executor
+    with pytest.raises(ValueError, match="jobs"):
+        service.submit_batch([window_net], jobs=0)
+    assert service.stats().submitted == 1
 
 
 # -- workload generator ----------------------------------------------------
