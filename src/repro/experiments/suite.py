@@ -148,7 +148,8 @@ def run_figure_suite(scale: float = 1.0, seed: int = 1,
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Run the full figure suite (optionally in parallel).")
+        description="Run the full figure suite (optionally in parallel).",
+        exit_on_error=False)
     parser.add_argument("--scale", type=float, default=1.0,
                         help="node-count scale in (0, 1]")
     parser.add_argument("--seed", type=int, default=1)
@@ -156,14 +157,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="worker processes (default: REPRO_JOBS or serial)")
     parser.add_argument("--cache-dir", default=None,
                         help="enable the on-disk artifact cache at this path")
-    parser.add_argument("--runners", nargs="*", default=None,
-                        metavar="RUNNER", help=f"subset of {SUITE_RUNNERS}")
-    args = parser.parse_args(argv)
+    parser.add_argument("--runners", nargs="+", default=None,
+                        choices=SUITE_RUNNERS, metavar="RUNNER",
+                        help=f"subset of {SUITE_RUNNERS}")
+    # Fail fast on bad input (an unknown or empty runner list, a scale
+    # outside (0, 1], REPRO_JOBS=abc) with a one-line error instead of a
+    # mid-suite traceback or a run of nothing.
     try:
-        # Fail fast on an unusable worker count (e.g. REPRO_JOBS=abc)
-        # with a one-line error instead of a mid-suite traceback.
+        args = parser.parse_args(argv)
+        if not 0 < args.scale <= 1:
+            raise ValueError(f"scale must be in (0, 1], got {args.scale}")
         effective_jobs(args.jobs)
-    except ValueError as exc:
+    except (argparse.ArgumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cache = ArtifactCache(disk_dir=args.cache_dir) if args.cache_dir else \

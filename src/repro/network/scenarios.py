@@ -355,7 +355,7 @@ def build_mega_network(spec: MegaFieldSpec, seed: int = 0) -> SensorNetwork:
                         radio=UnitDiskRadio(spec.radius))
 
 
-#: Registered mega-fields: a CI-smoke size and the 100k+ bench scenario.
+#: Registered mega-fields: a CI-smoke size and a 104,300-node field.
 MEGA_SCENARIOS: Dict[str, MegaFieldSpec] = {
     "mega_smoke": MegaFieldSpec(
         name="mega_smoke", cols=48, rows=40, chunk_rows=16,

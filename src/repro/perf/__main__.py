@@ -5,13 +5,15 @@
 
     python -m repro.perf fsck /tmp/repro_cache --deep
 
-Exit status: 0 when the store is clean, 1 when corruption was found —
-scriptable as a health check before reusing a long-lived cache.
+Exit status: 0 when the store is clean, 1 when corruption was found, 2
+when the path is not an existing directory — scriptable as a health
+check before reusing a long-lived cache.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -37,6 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # ArtifactCache creates a missing directory; a health check must not
+    # pass on a mistyped path by checking the empty store it just made.
+    if not os.path.isdir(args.cache_dir):
+        print(f"error: {args.cache_dir} is not an existing directory",
+              file=sys.stderr)
+        return 2
     cache = ArtifactCache(disk_dir=args.cache_dir)
     counts = cache.fsck(deep=args.deep, quarantine=not args.dry_run)
     action = "found (dry run)" if args.dry_run else "quarantined"

@@ -1,4 +1,4 @@
-"""The pure-Python traversal oracle, for tests and the traversal bench.
+"""The pure-Python traversal oracle, for the tests.
 
 Every stage of the pipeline reads its hop counts from
 ``network.traversal(width)``, a :class:`~repro.network.TraversalEngine`
@@ -12,8 +12,7 @@ Inside :func:`use_reference_engine` every network hands out a
 pipeline — monolithic or sharded, with serial task execution — runs on
 the oracle.  The kernels must reproduce every artifact bit for bit.
 
-No module of the package imports this one; only the tests and
-``benchmarks/perf/traversal_bench.py`` do.
+No module of the package imports this one; only the tests do.
 """
 
 from __future__ import annotations

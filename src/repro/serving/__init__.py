@@ -13,8 +13,9 @@ long-lived, in-process request loop:
   :class:`ServiceStats` — the request-lifecycle vocabulary.
 * :class:`SystemClock` / :class:`VirtualClock` — pluggable time, so the
   deadline and shedding batteries are deterministic.
-* :class:`WorkloadSpec` / :func:`run_workload` — seeded closed-loop
-  Zipf workloads (also the ``python -m repro.serving`` CLI).
+
+The layer's throughput under Zipf repeat traffic is measured by the
+repository benchmark's ``serve_zipf`` workload (``benchmarks/e2e``).
 
 Every response is bit-identical to a direct pipeline run on the same
 network — the cache and dedup layers change *when* the pipeline runs,
@@ -31,7 +32,6 @@ from .service import (
     SkeletonService,
     Ticket,
 )
-from .workload import WorkloadReport, WorkloadSpec, build_catalog, run_workload
 
 __all__ = [
     "ARTIFACT_KINDS",
@@ -43,8 +43,4 @@ __all__ = [
     "SystemClock",
     "Ticket",
     "VirtualClock",
-    "WorkloadReport",
-    "WorkloadSpec",
-    "build_catalog",
-    "run_workload",
 ]

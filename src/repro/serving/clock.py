@@ -4,11 +4,10 @@ The serving layer stamps every request twice — at admission and at
 resolution — and everything derived from those stamps (queue deadlines,
 latency percentiles, throughput) goes through one small clock interface
 so the whole request lifecycle can run on *virtual* time.  A
-:class:`VirtualClock` only moves when the test (or the closed-loop
-workload generator) advances it, which is what makes the
-deadline/shedding batteries deterministic: "the deadline expired while
-the request sat in the queue" becomes an exact, replayable statement
-instead of a sleep-and-hope race.
+:class:`VirtualClock` only moves when the test advances it, which is
+what makes the deadline/shedding batteries deterministic: "the deadline
+expired while the request sat in the queue" becomes an exact,
+replayable statement instead of a sleep-and-hope race.
 
 This mirrors the repository's wider discipline — the async scheduler
 (DESIGN.md §9) runs protocols on virtual time for the same reason.
@@ -24,10 +23,6 @@ __all__ = ["SystemClock", "VirtualClock"]
 class SystemClock:
     """Monotonic wall-clock (``time.perf_counter``) — the production clock."""
 
-    #: Wall clocks move on their own; the service uses this to decide
-    #: whether waiting on a condition variable can ever time out.
-    is_virtual = False
-
     def now(self) -> float:
         return time.perf_counter()
 
@@ -39,8 +34,6 @@ class VirtualClock:
     wall clock it stands in for, and a negative step is always a test
     bug, so it raises instead of silently clamping.
     """
-
-    is_virtual = True
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)

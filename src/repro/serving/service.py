@@ -99,12 +99,7 @@ class ServiceConfig:
             consume a slot — they are resolved without queueing.)
         workers: background worker threads.  0 (the default) is inline
             mode: ``submit`` processes the queue synchronously, which is
-            the deterministic mode the test batteries and the
-            virtual-clock workload generator use.
-        dedup: coalesce identical in-flight requests (disable only to
-            measure the cost of not having it).
-        cache_results: publish completed results to the artifact cache
-            (disable for a deliberately cold service).
+            the deterministic mode the test batteries use.
         default_deadline: seconds granted to a request that names none
             (``None`` = no deadline; otherwise finite and >= 0).
         deadline_action: ``"full"`` / ``"shed"`` — the default for
@@ -123,8 +118,6 @@ class ServiceConfig:
 
     max_queue: int = 64
     workers: int = 0
-    dedup: bool = True
-    cache_results: bool = True
     default_deadline: Optional[float] = None
     deadline_action: str = "full"
     jobs: Optional[int] = None
@@ -237,7 +230,7 @@ class ServiceStats:
     Counter arithmetic (the property battery pins this): every submitted
     request resolves to exactly one status, so once the queue is drained
     ``completed == submitted == ok + failed + shed``.
-    ``computed`` counts pipeline executions — with dedup on, N identical
+    ``computed`` counts pipeline executions — N identical
     concurrent requests contribute 1.
     """
 
@@ -278,12 +271,7 @@ class SkeletonService:
         self.config = config if config is not None else ServiceConfig()
         self.clock = clock if clock is not None else SystemClock()
         self.tracer = tracer
-        if cache is not None:
-            self.cache: Optional[ArtifactCache] = cache
-        elif self.config.cache_results:
-            self.cache = ArtifactCache()
-        else:
-            self.cache = None
+        self.cache = cache if cache is not None else ArtifactCache()
         self._cond = threading.Condition()
         self._queue: "deque[_Computation]" = deque()
         self._inflight: Dict[str, _Computation] = {}
@@ -392,16 +380,15 @@ class SkeletonService:
                 now + deadline if deadline is not None else None, action)
             self._next_id += 1
             self._counters["submitted"] += 1
-            if self.cache is not None:
-                hit, value = self.cache.lookup(
-                    RESULT_STAGE, (network.content_hash(), params),
-                    tracer=self.tracer)
-                if hit:
-                    self._counters["cache_hits"] += 1
-                    self._resolve_locked(request, key, "ok", result=value,
-                                         from_cache=True)
-                    return Ticket(request)
-            if self.config.dedup and key in self._inflight:
+            hit, value = self.cache.lookup(
+                RESULT_STAGE, (network.content_hash(), params),
+                tracer=self.tracer)
+            if hit:
+                self._counters["cache_hits"] += 1
+                self._resolve_locked(request, key, "ok", result=value,
+                                     from_cache=True)
+                return Ticket(request)
+            if key in self._inflight:
                 request.deduped = True
                 self._counters["dedup_hits"] += 1
                 self._inflight[key].waiters.append(request)
@@ -492,10 +479,9 @@ class SkeletonService:
             return
         with self._cond:
             self._counters["computed"] += 1
-        if self.cache is not None:
-            self.cache.put(RESULT_STAGE,
-                           (computation.network.content_hash(),
-                            computation.params), result)
+        self.cache.put(RESULT_STAGE,
+                       (computation.network.content_hash(),
+                        computation.params), result)
         self._finish(computation, "ok", result=result)
 
     # -- resolution ---------------------------------------------------------
@@ -610,20 +596,18 @@ class SkeletonService:
                 indices = by_key[key]
                 self._counters["dedup_hits"] += len(indices) - 1
                 network = normalized[indices[0]][0]
-                if self.cache is not None:
-                    hit, value = self.cache.lookup(
-                        RESULT_STAGE, (network.content_hash(), params),
-                        tracer=self.tracer)
-                    if hit:
-                        self._counters["cache_hits"] += len(indices)
-                        resolved[key] = ("ok", value, True, None)
-                        continue
+                hit, value = self.cache.lookup(
+                    RESULT_STAGE, (network.content_hash(), params),
+                    tracer=self.tracer)
+                if hit:
+                    self._counters["cache_hits"] += len(indices)
+                    resolved[key] = ("ok", value, True, None)
+                    continue
                 to_compute.append(key)
 
         if to_compute:
             cache_dir = (str(self.cache.disk_dir)
-                         if self.cache is not None
-                         and self.cache.disk_dir is not None else None)
+                         if self.cache.disk_dir is not None else None)
             configs = [{"network": normalized[by_key[key][0]][0],
                         "params": params, "cache_dir": cache_dir}
                        for key in to_compute]
@@ -642,10 +626,9 @@ class SkeletonService:
                     with self._cond:
                         self._counters["computed"] += 1
                     network = normalized[by_key[key][0]][0]
-                    if self.cache is not None:
-                        self.cache.put(RESULT_STAGE,
-                                       (network.content_hash(), params),
-                                       outcome.result)
+                    self.cache.put(RESULT_STAGE,
+                                   (network.content_hash(), params),
+                                   outcome.result)
                     resolved[key] = ("ok", outcome.result, False, None)
                 else:
                     message = outcome.errors[-1] if outcome.errors \

@@ -9,7 +9,7 @@ per-phase wall clocks, tile accounting and stage summary::
 
 ``--compare-monolithic`` additionally runs the single-address-space
 pipeline and asserts artifact-for-artifact equivalence (feasible at smoke
-scales; the 100k bench relies on the equivalence battery instead).
+scales; at 100k nodes the equivalence battery stands in for it).
 """
 
 from __future__ import annotations

@@ -157,6 +157,23 @@ def test_fsck_cli_exit_codes_and_output(tmp_path, capsys):
     assert perf_main(["fsck", str(tmp_path)]) == 0  # now clean
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_fsck_cli_rejects_a_path_that_is_not_a_directory(tmp_path, capsys,
+                                                         kind):
+    # A mistyped path must fail the health check, not pass it by
+    # creating (and then checking) an empty store.
+    target = tmp_path / "no" / "such" if kind == "missing" \
+        else tmp_path / "entry.pkl"
+    if kind == "file":
+        target.write_bytes(b"not a cache")
+    assert perf_main(["fsck", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {target} is not an existing directory\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if kind == "missing" else ["entry.pkl"])
+
+
 # -- deterministic corruption helper --------------------------------------
 
 

@@ -1,9 +1,10 @@
-"""CLI argument sanity: garbage worker counts fail with one-line errors.
+"""CLI argument sanity: bad input fails with one-line errors.
 
-A bad ``REPRO_JOBS`` (or ``--jobs``) must produce ``error: ...`` on
-stderr and exit status 2 from every entry point — never an uncaught
-traceback halfway into a sweep.  Also smoke-tests the chaos drill CLI's
-two modes end to end.
+A bad ``REPRO_JOBS`` (or ``--jobs``), an unknown suite runner or a
+scale outside ``(0, 1]`` must produce ``error: ...`` on stderr and exit
+status 2 from every entry point — never an uncaught traceback halfway
+into a sweep.  Also smoke-tests the chaos drill CLI's two modes end to
+end.
 """
 
 import pytest
@@ -11,15 +12,12 @@ import pytest
 from repro.cli import TIER1_HINT
 from repro.experiments.suite import main as suite_main
 from repro.resilience.__main__ import main as chaos_main
-from repro.serving.__main__ import main as serving_main
 from repro.shard.__main__ import main as shard_main
 
 ENTRY_POINTS = [
     ("suite", lambda: suite_main(["--runners", "fig1", "--scale", "0.1"])),
     ("shard", lambda: shard_main(["--scenario", "window", "--nodes", "50"])),
     ("chaos", lambda: chaos_main(["--mode", "exhaust", "--nodes", "50"])),
-    ("serving", lambda: serving_main(["--requests", "2", "--clients", "1",
-                                      "--catalog", "1", "--nodes", "50"])),
 ]
 
 
@@ -41,6 +39,28 @@ def test_nonpositive_repro_jobs_is_a_one_line_error(jobs, monkeypatch,
     assert capsys.readouterr().err == "error: jobs must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--runners", "fig1", "bogus"],
+     "argument --runners: invalid choice: 'bogus'"),
+    (["--runners"], "argument --runners: expected at least one argument"),
+    (["--scale", "2"], "scale must be in (0, 1], got 2.0"),
+    (["--scale", "0"], "scale must be in (0, 1], got 0.0"),
+], ids=["unknown-runner", "no-runner", "scale-above-one", "scale-zero"])
+def test_suite_bad_input_is_a_one_line_error(argv, message, monkeypatch,
+                                             capsys):
+    import repro.experiments.suite as suite_mod
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("the suite started before rejecting its input")
+
+    monkeypatch.setattr(suite_mod, "run_figure_suite", never)
+    assert suite_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 # A spawn-mode pool worker that can't see the src/ layout surfaces in the
 # parent as ModuleNotFoundError('repro...'); every CLI must translate that
 # to the tier-1 PYTHONPATH hint instead of a traceback.  Simulated by
@@ -50,9 +70,6 @@ MISSING_REPRO_CASES = [
      lambda: suite_main(["--runners", "fig1", "--scale", "0.1"])),
     ("shard", "repro.shard.__main__", "run_sharded",
      lambda: shard_main(["--scenario", "window", "--nodes", "50"])),
-    ("serving", "repro.serving.__main__", "run_workload",
-     lambda: serving_main(["--requests", "2", "--clients", "1",
-                           "--catalog", "1", "--nodes", "50"])),
 ]
 
 

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SkeletonParams, extract_skeleton, run_distributed_stages
+from repro.core.equivalence import diff_results
 from repro.core.identification import find_critical_nodes
 from repro.core.neighborhood import compute_indices
 from repro.core.voronoi import build_voronoi
@@ -39,7 +40,6 @@ from repro.network.deployment import uniform_deployment
 from repro.observability import Tracer
 from repro.reference import use_reference_engine
 from repro.runtime import FaultPlan, LatencyModel, RetryPolicy
-from repro.shard import diff_results
 
 SHAPES = ("rectangle", "annulus", "cross")
 RADIO_KINDS = ("udg", "qudg", "lognormal")

@@ -12,6 +12,7 @@ on a virtual clock so they are exact statements, not races.
 import pytest
 
 from repro.core import SkeletonParams, extract_skeleton
+from repro.core.equivalence import diff_results
 from repro.network import get_scenario
 from repro.observability import Tracer
 from repro.observability.metrics import build_metrics
@@ -24,10 +25,7 @@ from repro.serving import (
     ServiceConfig,
     SkeletonService,
     VirtualClock,
-    WorkloadSpec,
-    run_workload,
 )
-from repro.shard import diff_results
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +46,8 @@ def third_net():
 # -- serial equivalence: served == direct, every kind ----------------------
 
 
-@pytest.mark.parametrize("params", [SkeletonParams()], ids=["vectorized"])
-def test_served_artifacts_bit_identical_to_direct(window_net, params):
+def test_served_artifacts_bit_identical_to_direct(window_net):
+    params = SkeletonParams()
     direct = extract_skeleton(window_net, params)
     service = SkeletonService()
 
@@ -98,16 +96,6 @@ def test_dedup_coalesces_identical_inflight_requests(window_net):
     assert all(r.artifact.nodes == responses[0].artifact.nodes
                for r in responses)
     assert len({r.content_key for r in responses}) == 1
-
-
-def test_dedup_disabled_computes_every_request(window_net):
-    service = SkeletonService(ServiceConfig(dedup=False, cache_results=False,
-                                            max_queue=16))
-    service.pause()
-    tickets = [service.submit(window_net) for _ in range(3)]
-    service.resume()
-    assert all(t.result().status == "ok" for t in tickets)
-    assert service.stats().computed == 3
 
 
 def test_threaded_workers_dedup_and_match(window_net):
@@ -403,38 +391,6 @@ def test_batch_rejects_jobs_below_one_even_when_fully_cached(window_net):
     assert service.stats().submitted == 1
 
 
-# -- workload generator ----------------------------------------------------
-
-
-def test_workload_is_deterministic_and_coalesces():
-    spec = WorkloadSpec(seed=11, requests=16, clients=4, catalog_size=3,
-                        num_nodes=120)
-    first = run_workload(SkeletonService(), spec)
-    second = run_workload(SkeletonService(), spec)
-    assert first.requests == second.requests == 16
-    assert first.shed == 0 and first.failed == 0
-    assert first.dedup_hits >= 1
-    for name in ("ok", "failed", "shed", "cache_hits",
-                 "dedup_hits", "computed"):
-        assert getattr(first, name) == getattr(second, name)
-
-
-def test_workload_on_virtual_clock_with_mixed_kinds():
-    clock = VirtualClock()
-    service = SkeletonService(clock=clock)
-    spec = WorkloadSpec(seed=5, requests=8, clients=2, catalog_size=2,
-                        num_nodes=120, mix_kinds=True, think_time=1.0)
-    report = run_workload(service, spec)
-    assert report.requests == 8
-    assert report.shed == 0 and report.failed == 0
-    assert report.ok == 8
-    # four rounds, a virtual second of think time after each
-    assert clock.now() == pytest.approx(4.0)
-    payload = report.to_dict()
-    assert payload["requests"] == 8
-    assert payload["seed"] == 5
-
-
 def test_lazy_worker_start_and_stop_refusal(window_net):
     service = SkeletonService(ServiceConfig(workers=1))
     # no explicit start(): the first submission spins the workers up
@@ -443,55 +399,3 @@ def test_lazy_worker_start_and_stop_refusal(window_net):
     service.stop()
     with pytest.raises(RuntimeError, match="stopped"):
         service.start()
-
-
-# -- the CLI ---------------------------------------------------------------
-
-
-def test_cli_workload_end_to_end(tmp_path, capsys):
-    import json
-
-    from repro.serving.__main__ import main
-
-    json_path = tmp_path / "report.json"
-    rc = main(["--requests", "12", "--clients", "3", "--catalog", "2",
-               "--nodes", "120", "--seed", "7", "--virtual-clock",
-               "--think-time", "0.5", "--json", str(json_path), "--check"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "check passed" in out
-    assert "clock=virtual" in out
-    payload = json.loads(json_path.read_text())
-    assert payload["requests"] == 12
-    assert payload["shed"] == 0 and payload["failed"] == 0
-    assert payload["dedup_hits"] >= 1
-
-
-def test_cli_check_fails_without_dedup_opportunity(capsys):
-    from repro.serving.__main__ import main
-
-    # one client, one network, dedup off: coalescing cannot happen, so
-    # the smoke gate must fail loudly rather than pass vacuously
-    rc = main(["--requests", "4", "--clients", "1", "--catalog", "1",
-               "--nodes", "120", "--no-dedup", "--no-cache", "--check"])
-    assert rc == 1
-    assert "no dedup coalescing" in capsys.readouterr().err
-
-
-def test_cli_rejects_bad_config(capsys):
-    from repro.serving.__main__ import main
-
-    rc = main(["--requests", "0"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_workload_spec_validation():
-    with pytest.raises(ValueError, match="requests"):
-        WorkloadSpec(requests=0)
-    with pytest.raises(ValueError, match="clients"):
-        WorkloadSpec(clients=0)
-    with pytest.raises(ValueError, match="catalog_size"):
-        WorkloadSpec(catalog_size=0)
-    with pytest.raises(ValueError, match="zipf_s"):
-        WorkloadSpec(zipf_s=-1.0)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SkeletonExtractor
+from repro.core.equivalence import diff_results
 from repro.core.identification import find_critical_nodes
 from repro.core.neighborhood import (
     compute_indices,
@@ -42,7 +43,6 @@ from repro.reference import (
     path_to_source,
     use_reference_engine,
 )
-from repro.shard import diff_results
 
 
 def random_network(seed, n=180, radio=None, shape="rectangle", radio_range=5.0):
@@ -182,7 +182,7 @@ def test_use_reference_engine_substitutes_every_network():
     assert isinstance(net.traversal(), TraversalEngine)
 
 
-def test_full_extraction_identical_across_backends():
+def test_full_extraction_identical_to_reference_engine():
     net = random_network(3, n=260)
     if not net.is_connected():
         net = net.largest_component_subgraph()
@@ -241,7 +241,7 @@ def test_has_edge_bisect_matches_membership():
             assert net.has_edge(u, v) == (v in nbrs)
 
 
-def test_compute_khop_sizes_backend_switch():
+def test_compute_khop_sizes_under_reference_engine():
     """Substituting the oracle engine leaves ``compute_khop_sizes`` exact."""
     net = random_network(4)
     with use_reference_engine():

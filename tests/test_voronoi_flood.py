@@ -172,7 +172,7 @@ class TestPrunedFlood:
 
     @given(flood_inputs())
     @settings(max_examples=25, deadline=None)
-    def test_reference_backend_builds_the_same_voronoi(self, inputs):
+    def test_reference_engine_builds_the_same_voronoi(self, inputs):
         network, sites, alpha = inputs
         params = SkeletonParams(alpha=alpha)
         with use_reference_engine():
