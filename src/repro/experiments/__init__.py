@@ -4,7 +4,6 @@ from .harness import ExperimentReport, scaled_nodes
 from .faults import run_fault_degradation
 from .async_jitter import run_async_jitter
 from .sharding import run_shard_equivalence
-from .suite import SUITE_RUNNERS, run_figure_suite
 from .figures import (
     run_ablations,
     run_baseline_comparison,
@@ -35,6 +34,20 @@ ALL_RUNNERS = {
     "async": run_async_jitter,
     "shard": run_shard_equivalence,
 }
+
+#: Names served from :mod:`.suite` on first access.  The package does not
+#: import it eagerly, so ``python -m repro.experiments.suite`` runs that
+#: module once, as ``__main__``, instead of a second time.
+_SUITE_NAMES = ("SUITE_RUNNERS", "run_figure_suite")
+
+
+def __getattr__(name):
+    if name in _SUITE_NAMES:
+        from . import suite
+
+        return getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ExperimentReport",

@@ -20,10 +20,12 @@ import hashlib
 import random
 from bisect import bisect_left
 from collections import deque
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from ..geometry.polygon import Field
@@ -89,75 +91,86 @@ class SensorNetwork:
 
     Node ids are the integers ``0 .. n-1``, indexing both ``positions`` and
     the adjacency lists.
+
+    The stored form is three arrays: positions as one ``(n, 2)`` float64
+    array and the adjacency as CSR ``indptr``/``indices`` int64 arrays
+    (each row sorted and duplicate-free).  ``positions``, ``adjacency``,
+    :meth:`neighbors` and :meth:`has_edge` read Python-list views of those
+    arrays, built on first use and cached like the CSR matrix; the
+    extraction pipeline never builds them.
     """
 
     def __init__(self, positions: Sequence[Point],
                  adjacency: Sequence[Sequence[int]],
                  field: Optional[Field] = None,
                  radio: Optional[RadioModel] = None):
-        if len(positions) != len(adjacency):
+        n = len(positions)
+        if n != len(adjacency):
             raise ValueError("positions and adjacency must have equal length")
-        self.positions: List[Point] = list(positions)
-        self.adjacency: List[List[int]] = [sorted(set(nbrs)) for nbrs in adjacency]
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if not 0 <= v < len(positions):
-                    raise ValueError(f"neighbour {v} of node {u} out of range")
-                if v == u:
-                    raise ValueError(f"node {u} lists itself as a neighbour")
+        pos = np.array([(p.x, p.y) for p in positions], dtype=np.float64)
+        counts = np.fromiter((len(nbrs) for nbrs in adjacency),
+                             dtype=np.int64, count=n)
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+        cols = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                           count=int(counts.sum()))
+        bad = (cols < 0) | (cols >= n) | (cols == rows)
+        if bad.any():
+            # Report what a scan of each node's sorted neighbours meets
+            # first: the smallest offending id of the lowest offending node.
+            u = int(rows[bad].min())
+            v = int(cols[bad & (rows == u)].min())
+            if v == u:
+                raise ValueError(f"node {u} lists itself as a neighbour")
+            raise ValueError(f"neighbour {v} of node {u} out of range")
+        # One sort of the (row, col) keys dedups and orders every row.
+        rows, cols = np.divmod(np.unique(rows * n + cols), max(n, 1))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self._set_arrays(pos.reshape(n, 2), indptr, cols, field, radio)
+
+    def _set_arrays(self, pos: np.ndarray, indptr: np.ndarray,
+                    indices: np.ndarray, field: Optional[Field],
+                    radio: Optional[RadioModel],
+                    content_hash: Optional[str] = None) -> None:
+        """Install the stored arrays and reset every derived cache."""
+        self._pos = pos
+        self._indptr = indptr
+        self._indices = indices
         self.field = field
         self.radio = radio
-        # Lazy caches for the vectorized traversal engine.  The adjacency
-        # is immutable after construction, so neither ever needs
-        # invalidation.
+        # Lazy caches.  The graph is immutable after construction, so none
+        # of them ever needs invalidation.
+        self._positions: Optional[List[Point]] = None
+        self._adjacency: Optional[List[List[int]]] = None
         self._csr: Optional[sparse.csr_matrix] = None
         self._engines: Dict[int, "TraversalEngine"] = {}
-        self._content_hash: Optional[str] = None
+        self._content_hash = content_hash
 
     # -- serialization ----------------------------------------------------
 
     def __getstate__(self):
-        """Pickle as compact arrays, not Python object graphs.
+        """Pickle the stored arrays, not Python object graphs.
 
-        Positions travel as one ``(n, 2)`` float64 array and the adjacency
-        as CSR ``(indptr, indices)`` arrays, so shipping a network to a
-        worker process costs a few contiguous buffers instead of millions
-        of boxed floats and list cells.  The lazy traversal caches are
-        dropped (they are rebuilt on demand, and a worker may never need
-        them).
+        Shipping a network to a worker process costs three contiguous
+        buffers.  The lazy caches (list views, CSR matrix, traversal
+        engines) are dropped: they are rebuilt on demand, and a worker may
+        never need them.
         """
-        n = self.num_nodes
-        pos = np.empty((n, 2), dtype=np.float64)
-        for i, p in enumerate(self.positions):
-            pos[i, 0] = p.x
-            pos[i, 1] = p.y
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            np.cumsum([len(nbrs) for nbrs in self.adjacency], out=indptr[1:])
-        indices = np.fromiter(
-            (v for nbrs in self.adjacency for v in nbrs),
-            dtype=np.int64, count=int(indptr[-1]) if n else 0,
-        )
         return {
-            "positions": pos,
-            "indptr": indptr,
-            "indices": indices,
+            "positions": self._pos,
+            "indptr": self._indptr,
+            "indices": self._indices,
             "field": self.field,
             "radio": self.radio,
             "content_hash": self._content_hash,
         }
 
     def __setstate__(self, state):
-        pos = state["positions"]
-        indptr, indices = state["indptr"], state["indices"]
-        self.positions = [Point(x, y) for x, y in pos.tolist()]
-        flat, bounds = indices.tolist(), indptr.tolist()
-        self.adjacency = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        self.field = state["field"]
-        self.radio = state["radio"]
-        self._csr = None
-        self._engines = {}
-        self._content_hash = state.get("content_hash")
+        self._set_arrays(
+            np.asarray(state["positions"], dtype=np.float64),
+            np.asarray(state["indptr"], dtype=np.int64),
+            np.asarray(state["indices"], dtype=np.int64),
+            state["field"], state["radio"], state.get("content_hash"))
 
     # -- content identity --------------------------------------------------
 
@@ -170,22 +183,18 @@ class SensorNetwork:
         is the graph half of the artifact-cache key — artifacts keyed by
         ``(content_hash, params, stage)`` can be reused across runs and
         processes without risking stale reads.  Computed once and cached
-        (the graph is immutable).
+        (the graph is immutable).  The edges are the CSR upper triangle,
+        which row-major order already sorts by ``(u, v)``.
         """
         if self._content_hash is None:
             h = hashlib.sha256()
             h.update(b"SensorNetwork.v1")
             h.update(np.int64(self.num_nodes).tobytes())
-            pos = np.empty((self.num_nodes, 2), dtype=np.float64)
-            for i, p in enumerate(self.positions):
-                pos[i, 0] = p.x
-                pos[i, 1] = p.y
-            h.update(np.ascontiguousarray(pos).tobytes())
-            edges = np.array(
-                sorted((u, v) for u in self.nodes()
-                       for v in self.adjacency[u] if u < v),
-                dtype=np.int64,
-            )
+            h.update(np.ascontiguousarray(self._pos).tobytes())
+            rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
+                             np.diff(self._indptr))
+            upper = rows < self._indices
+            edges = np.column_stack((rows[upper], self._indices[upper]))
             h.update(edges.tobytes())
             self._content_hash = h.hexdigest()
         return self._content_hash
@@ -194,30 +203,52 @@ class SensorNetwork:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.positions)
+        return len(self._pos)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self._indices) // 2
 
     @property
     def average_degree(self) -> float:
-        if not self.positions:
+        if not self.num_nodes:
             return 0.0
         return 2.0 * self.num_edges / self.num_nodes
+
+    @property
+    def position_array(self) -> np.ndarray:
+        """The stored ``(n, 2)`` float64 positions, as a read-only view."""
+        view = self._pos.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def positions(self) -> List[Point]:
+        """Node positions as :class:`Point` objects (a cached view)."""
+        if self._positions is None:
+            self._positions = [Point(x, y) for x, y in self._pos.tolist()]
+        return self._positions
+
+    @property
+    def adjacency(self) -> List[List[int]]:
+        """Sorted neighbour lists (a cached view of the CSR arrays)."""
+        if self._adjacency is None:
+            flat, bounds = self._indices.tolist(), self._indptr.tolist()
+            self._adjacency = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        return self._adjacency
 
     def neighbors(self, node: int) -> List[int]:
         return self.adjacency[node]
 
     def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
+        return int(self._indptr[node + 1] - self._indptr[node])
 
     def nodes(self) -> range:
         return range(self.num_nodes)
 
     def has_edge(self, u: int, v: int) -> bool:
-        # Neighbour lists are sorted at construction, so membership is a
-        # binary search rather than a linear scan.
+        # Neighbour lists are sorted, so membership is a binary search
+        # rather than a linear scan.
         nbrs = self.adjacency[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
@@ -227,23 +258,15 @@ class SensorNetwork:
     def csr_adjacency(self) -> sparse.csr_matrix:
         """The adjacency as a cached ``scipy.sparse`` CSR matrix.
 
-        Built lazily on first use; the graph is immutable so the cache is
-        invalidation-free.  Data is int32 ones so frontier-expansion
-        products count reaching neighbours without overflow.
+        A wrapper over the stored ``indptr``/``indices`` arrays, built on
+        first use; the graph is immutable so the cache is
+        invalidation-free.  Data is int32 ones.
         """
         if self._csr is None:
             n = self.num_nodes
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            if n:
-                np.cumsum([len(nbrs) for nbrs in self.adjacency],
-                          out=indptr[1:])
-            nnz = int(indptr[-1]) if n else 0
-            indices = np.fromiter(
-                (v for nbrs in self.adjacency for v in nbrs),
-                dtype=np.int64, count=nnz,
-            )
-            data = np.ones(nnz, dtype=np.int32)
-            self._csr = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+            data = np.ones(len(self._indices), dtype=np.int32)
+            self._csr = sparse.csr_matrix(
+                (data, self._indices, self._indptr), shape=(n, n))
         return self._csr
 
     def traversal(self, batch_width: Optional[int] = None) -> "TraversalEngine":
@@ -290,22 +313,24 @@ class SensorNetwork:
     # -- connectivity ------------------------------------------------------
 
     def connected_components(self) -> List[List[int]]:
-        """All connected components, largest first."""
-        seen: Set[int] = set()
-        components: List[List[int]] = []
-        for start in self.nodes():
-            if start in seen:
-                continue
-            comp = list(self.bfs_distances(start).keys())
-            seen.update(comp)
-            components.append(sorted(comp))
-        components.sort(key=len, reverse=True)
+        """All connected components as sorted id lists, largest first
+        (ties by smallest member)."""
+        if self.num_nodes == 0:
+            return []
+        _, labels = csgraph.connected_components(self.csr_adjacency(),
+                                                 directed=False)
+        order = np.argsort(labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(labels[order])) + 1
+        components = [c.tolist() for c in np.split(order, cuts)]
+        components.sort(key=lambda c: (-len(c), c[0]))
         return components
 
     def is_connected(self) -> bool:
         if self.num_nodes == 0:
             return True
-        return len(self.bfs_distances(0)) == self.num_nodes
+        count, _ = csgraph.connected_components(self.csr_adjacency(),
+                                                directed=False)
+        return count == 1
 
     def largest_component_subgraph(self) -> "SensorNetwork":
         """The induced subgraph on the largest connected component.
@@ -317,19 +342,34 @@ class SensorNetwork:
         comps = self.connected_components()
         if not comps:
             return self
-        keep = comps[0]
-        return self.induced_subgraph(keep)
+        return self.induced_subgraph(comps[0])
 
     def induced_subgraph(self, keep: Sequence[int]) -> "SensorNetwork":
-        """Induced subgraph on *keep*, with node ids compacted to 0..len-1."""
-        keep_sorted = sorted(set(keep))
-        remap = {old: new for new, old in enumerate(keep_sorted)}
-        positions = [self.positions[old] for old in keep_sorted]
-        adjacency = [
-            [remap[v] for v in self.adjacency[old] if v in remap]
-            for old in keep_sorted
-        ]
-        return SensorNetwork(positions, adjacency, field=self.field, radio=self.radio)
+        """Induced subgraph on *keep*, with node ids compacted to 0..len-1.
+
+        The i-th smallest kept id becomes node ``i``; the remap is
+        monotone, so every sliced CSR row stays sorted.
+        """
+        n = self.num_nodes
+        kept = np.unique(np.fromiter(keep, dtype=np.int64))
+        remap = np.full(n, -1, dtype=np.int64)
+        remap[kept] = np.arange(len(kept), dtype=np.int64)
+        starts, stops = self._indptr[kept], self._indptr[kept + 1]
+        lengths = stops - starts
+        # Gather the kept rows' CSR entries, in row order.
+        offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        entries = offsets + np.arange(int(lengths.sum()), dtype=np.int64)
+        cols = remap[self._indices[entries]]
+        inside = cols >= 0
+        row_of = np.repeat(np.arange(len(kept), dtype=np.int64), lengths)
+        indptr = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of[inside], minlength=len(kept)),
+                  out=indptr[1:])
+        # The sliced arrays are valid by construction: skip validation.
+        sub = SensorNetwork.__new__(SensorNetwork)
+        sub._set_arrays(self._pos[kept], indptr, cols[inside], self.field,
+                        self.radio)
+        return sub
 
     # -- interop -----------------------------------------------------------
 

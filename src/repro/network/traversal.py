@@ -140,23 +140,21 @@ class TraversalEngine:
     def _ball_operators(self, hops: int) -> list:
         """Reach operators whose radii sum to *hops*.
 
-        ``ball1 = A + I`` and the cached ``ball2 = saturate(ball1²)`` cover
-        two hops per product, halving the number of products for the
-        paper's ``k = 4``.  The product of balls of radii ``a`` and ``b``
-        has the pattern of the ball of radius ``a + b``, so the chain's
-        pattern is exactly ``N_hops``.  The single odd step runs first,
-        while the block is smallest.
+        ``ball1 = A + I`` and the cached ``ball2 = ball1²`` cover two hops
+        per product, halving the number of products for the paper's
+        ``k = 4``.  Both are boolean patterns: a boolean product ORs its
+        terms, so it holds exactly the reachable pairs and never counts
+        paths.  The product of balls of radii ``a`` and ``b`` has the
+        pattern of the ball of radius ``a + b``, so the chain's pattern is
+        exactly ``N_hops``.  The single odd step runs first, while the
+        block is smallest.
         """
         if self._ball1 is None:
-            eye = sparse.identity(self.n, dtype=np.int32, format="csr")
-            ball1 = (self._csr + eye).tocsr()
-            ball1.data.fill(1)
-            self._ball1 = ball1
+            eye = sparse.identity(self.n, dtype=bool, format="csr")
+            self._ball1 = (self._csr.astype(bool) + eye).tocsr()
         q, r = divmod(hops, 2)
         if q and self._ball2 is None:
-            ball2 = (self._ball1 @ self._ball1).tocsr()
-            ball2.data.fill(1)
-            self._ball2 = ball2
+            self._ball2 = (self._ball1 @ self._ball1).tocsr()
         return [self._ball1] * r + [self._ball2] * q
 
     # -- k-hop sizes and l-centrality -------------------------------------
@@ -231,7 +229,7 @@ class TraversalEngine:
         is the raw reach size ``|N_hops(p)|`` including p itself, and —
         when *weights* is given — ``numerator[p] = Σ_{s: p ∈ reach(s)}
         w[s]`` and ``counts[p] = |{s : p ∈ reach(s)}|``.  On an undirected
-        graph reach is symmetric, so ``counts`` equals ``row_sizes`` and
+        graph reach is symmetric, so ``counts`` is ``row_sizes`` itself and
         ``numerator`` is the centrality sum over ``N_hops(p)``.
 
         ``weights="row_sizes"`` uses each batch's own finished reach sizes
@@ -241,7 +239,7 @@ class TraversalEngine:
         row_sizes = np.zeros(n, dtype=np.int64)
         accumulate = weights is not None
         num = np.zeros(n, dtype=np.float64) if accumulate else None
-        cnt = np.zeros(n, dtype=np.int64) if accumulate else None
+        cnt = row_sizes if accumulate else None
         if n == 0:
             return row_sizes, num, cnt
         first, *rest = self._ball_operators(hops)
@@ -249,14 +247,11 @@ class TraversalEngine:
         for start in range(0, n, width):
             stop = min(start + width, n)
             # The batch's reach block is the product of the ball operators
-            # (the radii sum to *hops*), a sparse batch × |N_hops| block.
-            # Resetting the data to 1 after each product keeps entries
-            # at most n, so int32 path counts never overflow (a wrap to 0
-            # would drop the entry from the product's pattern).
+            # (the radii sum to *hops*), a sparse boolean batch × |N_hops|
+            # block.
             reach = first[start:stop]
             for op in rest:
                 reach = reach @ op
-                reach.data.fill(1)
             raw = np.diff(reach.indptr)
             row_sizes[start:stop] = raw
             if accumulate:
@@ -269,7 +264,6 @@ class TraversalEngine:
                 w_entries = np.repeat(w.astype(np.float64), raw)
                 num += np.bincount(reach.indices, weights=w_entries,
                                    minlength=n)
-                cnt += np.bincount(reach.indices, minlength=n)
         return row_sizes, num, cnt
 
     # -- the α-pruned Voronoi flood ---------------------------------------

@@ -38,17 +38,12 @@ def halo_hops_for(params: SkeletonParams) -> int:
 
 def max_edge_length(network: SensorNetwork) -> float:
     """The longest Euclidean edge — the per-hop geometric step bound."""
-    longest = 0.0
-    for u in network.nodes():
-        pu = network.positions[u]
-        for v in network.adjacency[u]:
-            if v <= u:
-                continue
-            pv = network.positions[v]
-            d = ((pu.x - pv.x) ** 2 + (pu.y - pv.y) ** 2) ** 0.5
-            if d > longest:
-                longest = d
-    return longest
+    csr = network.csr_adjacency()
+    u = np.repeat(np.arange(network.num_nodes), np.diff(csr.indptr))
+    if not u.size:
+        return 0.0
+    diff = network.position_array[u] - network.position_array[csr.indices]
+    return float(np.sqrt((diff * diff).sum(axis=1)).max())
 
 
 def parse_grid(spec) -> Tuple[int, int]:
@@ -125,10 +120,7 @@ def plan_tiles(network: SensorNetwork, grid=(2, 2),
         return TilePlan(grid=(gx, gy), halo_hops=hops, halo_width=0.0,
                         tiles=(), owner_of=())
 
-    xs = np.fromiter((p.x for p in network.positions), dtype=np.float64,
-                     count=n)
-    ys = np.fromiter((p.y for p in network.positions), dtype=np.float64,
-                     count=n)
+    xs, ys = network.position_array.T
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     # Degenerate extents (all nodes collinear/coincident) get unit spans so

@@ -5,7 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.equivalence import diff_results
+from repro.core.pipeline import extract_skeleton
 from repro.geometry import Field, Point, make_field
 from repro.geometry.shapes import rectangle_ring
 from repro.network import UnitDiskRadio, build_network, line_of_sight_blocked
@@ -48,6 +52,18 @@ class TestConstruction:
     def test_self_neighbor_rejected(self):
         with pytest.raises(ValueError):
             SensorNetwork([Point(0, 0), Point(1, 0)], [[0], [0]])
+
+    @pytest.mark.parametrize("adjacency, message", [
+        ([[1, 5, -1], [0], []], "neighbour -1 of node 0 out of range"),
+        ([[1], [9, 1, 0], []], "node 1 lists itself as a neighbour"),
+        ([[1], [0, 4], [7, 2]], "neighbour 4 of node 1 out of range"),
+    ])
+    def test_first_offence_is_reported(self, adjacency, message):
+        # The error names the first offence in (node, sorted neighbour)
+        # order, whatever the input order.
+        positions = [Point(0, 0), Point(1, 0), Point(2, 0)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SensorNetwork(positions, adjacency)
 
     def test_average_degree(self):
         net = chain(3)
@@ -162,6 +178,60 @@ class TestPickle:
         clone = pickle.loads(pickle.dumps(SensorNetwork([], [])))
         assert clone.positions == [] and clone.adjacency == []
 
+    def test_state_keys_and_dtypes(self):
+        # The pickle layout is what disk caches hold (CACHE_VERSION 3).
+        net = chain(4)
+        state = net.__getstate__()
+        assert set(state) == {"positions", "indptr", "indices", "field",
+                              "radio", "content_hash"}
+        assert state["positions"].dtype == np.float64
+        assert state["positions"].shape == (4, 2)
+        assert state["indptr"].dtype == np.int64
+        assert state["indptr"].tolist() == [0, 1, 3, 5, 6]
+        assert state["indices"].dtype == np.int64
+        assert state["indices"].tolist() == [1, 0, 2, 1, 3, 2]
+
+    def test_constructed_and_unpickled_copies_agree(self, rectangle_network,
+                                                    rectangle_result):
+        net = rectangle_network
+        built = SensorNetwork(net.positions, net.adjacency,
+                              field=net.field, radio=net.radio)
+        clone = pickle.loads(pickle.dumps(net))
+        for copy in (built, clone):
+            assert copy.content_hash() == net.content_hash()
+            assert diff_results(rectangle_result,
+                                extract_skeleton(copy)) == []
+
+    def test_extraction_never_builds_list_views(self, rectangle_network):
+        clone = pickle.loads(pickle.dumps(rectangle_network))
+        extract_skeleton(clone)
+        assert clone._positions is None
+        assert clone._adjacency is None
+
+
+class TestContentHash:
+    # Pinned digests: on-disk cache entries are keyed by content_hash(),
+    # so any change to it silently orphans every stored artifact.
+    def test_golden_digest(self):
+        rng = random.Random(23)
+        positions = [Point(rng.uniform(0, 10), rng.uniform(0, 10))
+                     for _ in range(60)] + [Point(50.0, 50.0)]
+        net = build_network(positions, radio=UnitDiskRadio(2.5))
+        assert (net.num_nodes, net.num_edges) == (61, 281)
+        assert net.content_hash() == (
+            "c3456f5b568873b3e50a87b8d613f339b31e904a80f4604787f43fbb727f65b6")
+
+    def test_golden_digest_empty(self):
+        assert SensorNetwork([], []).content_hash() == (
+            "311ff504b00096eabfb0f9064440cb71af281b48f345c6ebbe6dce73f19e213a")
+
+    def test_neighbour_order_and_duplicates_do_not_matter(self):
+        positions = [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0)]
+        tidy = SensorNetwork(positions, [[1, 2], [0], [0]])
+        messy = SensorNetwork(positions, [[2, 1, 2], [0, 0], [0]])
+        assert messy.adjacency == tidy.adjacency == [[1, 2], [0], [0]]
+        assert messy.content_hash() == tidy.content_hash()
+
 
 class TestComponents:
     def test_connected_chain(self):
@@ -190,3 +260,53 @@ class TestComponents:
         g = rectangle_network.to_networkx()
         assert g.number_of_nodes() == rectangle_network.num_nodes
         assert g.number_of_edges() == rectangle_network.num_edges
+
+
+@st.composite
+def graphs_and_keeps(draw):
+    """A random graph (often disconnected), the unsorted neighbour lists
+    with repeats it was built from, and an unsorted ``keep`` list with
+    repeats, possibly empty."""
+    n = draw(st.integers(0, 25))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, max(n - 1, 0))),
+                          max_size=3 * n))
+    adjacency = [[] for _ in range(n)]
+    for u, v in pairs:
+        if u != v:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    positions = [Point(float(i), float(i % 3)) for i in range(n)]
+    keep = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+    return SensorNetwork(positions, adjacency), adjacency, keep
+
+
+class TestArrayStoreProperties:
+    @given(graphs_and_keeps())
+    def test_construction_and_induced_subgraph_match_lists(self, case):
+        net, raw_adjacency, keep = case
+        assert net.adjacency == [sorted(set(nbrs)) for nbrs in raw_adjacency]
+        keep_sorted = sorted(set(keep))
+        remap = {old: new for new, old in enumerate(keep_sorted)}
+        expected = SensorNetwork(
+            [net.positions[old] for old in keep_sorted],
+            [[remap[v] for v in net.adjacency[old] if v in remap]
+             for old in keep_sorted])
+        sub = net.induced_subgraph(keep)
+        assert sub.positions == expected.positions
+        assert sub.adjacency == expected.adjacency
+        assert sub.num_edges == expected.num_edges
+        assert sub.content_hash() == expected.content_hash()
+
+    @given(graphs_and_keeps())
+    def test_components_match_bfs(self, case):
+        net, _, _ = case
+        seen, expected = set(), []
+        for start in net.nodes():
+            if start not in seen:
+                component = sorted(net.bfs_distances(start))
+                seen.update(component)
+                expected.append(component)
+        expected.sort(key=len, reverse=True)
+        assert net.connected_components() == expected
+        assert net.is_connected() == (len(expected) <= 1)

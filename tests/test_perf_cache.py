@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.params import SkeletonParams
 from repro.geometry import Point
-from repro.network import QuasiUnitDiskRadio, UnitDiskRadio, build_network
+from repro.network import (QuasiUnitDiskRadio, SensorNetwork, UnitDiskRadio,
+                           build_network)
 from repro.observability import Tracer, build_metrics
 from repro.perf import (
     ArtifactCache,
@@ -180,10 +181,14 @@ def _grid_network(perturb_node=None, drop_edge=False, extra_node=False):
         positions.append(Point(0.5, 0.5))
     network = build_network(positions, radio=UnitDiskRadio(1.1), rng=rng)
     if drop_edge:
+        # The network is immutable: rebuild it without one edge.
+        adjacency = [list(nbrs) for nbrs in network.adjacency]
         u = 0
-        v = network.adjacency[u][0]
-        network.adjacency[u].remove(v)
-        network.adjacency[v].remove(u)
+        v = adjacency[u][0]
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+        network = SensorNetwork(network.positions, adjacency,
+                                radio=network.radio)
     return network
 
 

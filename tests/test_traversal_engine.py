@@ -372,9 +372,10 @@ def test_khop_census_exact_across_batch_widths(k):
 
 def test_khop_census_saturated_dense_graph():
     # K_16 next to a 12-node path: at k = 20 the reach block chains 10
-    # ball operators.  Without the data reset after every product, the
-    # clique rows would count 16^t paths after t products, and at
-    # 16^8 = 2^32 int32 wraps to 0, which drops the entries.
+    # ball operators.  Were the operators int32 path counts rather than
+    # boolean patterns, the clique rows would count 16^t paths after t
+    # products, and at 16^8 = 2^32 int32 wraps to 0, which drops the
+    # entries.
     clique = [(u, v) for u in range(16) for v in range(u + 1, 16)]
     path = [(i, i + 1) for i in range(16, 27)]
     net = graph_from_edges(28, clique + path)
