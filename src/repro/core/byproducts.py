@@ -11,9 +11,10 @@
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from ..network.graph import SensorNetwork
 from .voronoi import VoronoiDecomposition
@@ -47,13 +48,14 @@ class Segmentation:
 
 
 def segmentation_from_voronoi(voronoi: VoronoiDecomposition) -> Segmentation:
-    """Fig. 3(a): each Voronoi cell is one segment."""
-    segments: Dict[int, List[int]] = {site: [] for site in voronoi.sites}
-    for node in voronoi.network.nodes():
-        site = voronoi.cell_of[node]
-        if site >= 0:
-            segments[site].append(node)
-    return Segmentation(segments=segments)
+    """Fig. 3(a): each Voronoi cell is one segment, members in id order."""
+    nodes = np.argsort(voronoi.cell, kind="stable")
+    cells = voronoi.cell[nodes]
+    starts = np.searchsorted(cells, voronoi.sites).tolist()
+    ends = np.searchsorted(cells, voronoi.sites, side="right").tolist()
+    members = nodes.tolist()
+    return Segmentation(segments={site: members[lo:hi] for site, lo, hi
+                                  in zip(voronoi.sites, starts, ends)})
 
 
 def detect_boundary_nodes(network: SensorNetwork,
@@ -70,6 +72,6 @@ def detect_boundary_nodes(network: SensorNetwork,
         raise ValueError("khop_sizes length must equal the node count")
     if network.num_nodes == 0:
         return set()
-    median = statistics.median(khop_sizes)
-    cutoff = threshold_factor * median
-    return {node for node in network.nodes() if khop_sizes[node] < cutoff}
+    sizes = np.asarray(khop_sizes)
+    cutoff = threshold_factor * np.median(sizes)
+    return set(np.flatnonzero(sizes < cutoff).tolist())

@@ -66,12 +66,7 @@ from ..runtime.protocol import NodeApi, NodeProtocol
 from ..runtime.scheduler import SynchronousScheduler
 from ..runtime.stats import RunStats
 from .params import SkeletonParams
-from .voronoi import (
-    VoronoiDecomposition,
-    border_edges_from_cells,
-    records_from_entries,
-    records_to_structures,
-)
+from .voronoi import VoronoiDecomposition, voronoi_from_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Tracer
@@ -689,25 +684,10 @@ def voronoi_from_distributed(
     best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(best, table.node, table.dist)
     near = table.dist <= best[table.node] + params.alpha
-    records = records_from_entries(
-        n, table.node[near],
-        np.asarray(sites, dtype=np.int64)[table.site_row[near]],
-        table.dist[near])
-    cell_of, segment_nodes, voronoi_nodes, pair_segments = \
-        records_to_structures(records)
-    pair_border_edges = border_edges_from_cells(network, cell_of)
-
-    return VoronoiDecomposition(
-        network=network,
-        sites=sites,
-        table=table,
-        records=records,
-        cell_of=cell_of,
-        segment_nodes=segment_nodes,
-        voronoi_nodes=voronoi_nodes,
-        pair_segments=pair_segments,
-        pair_border_edges=pair_border_edges,
-    )
+    entries = (table.node[near],
+               np.asarray(sites, dtype=np.int64)[table.site_row[near]],
+               table.dist[near])
+    return voronoi_from_entries(network, sites, entries, table)
 
 
 def _skeleton_from_outcome(outcome: DistributedExtraction,

@@ -709,7 +709,6 @@ class _CycleClassifier:
         self.witness_records: List[Tuple[int, FrozenSet[int]]] = [
             (w, frozenset(voronoi.sites_recorded_by(w)))
             for w in sorted(voronoi.voronoi_nodes)
-            if len(voronoi.sites_recorded_by(w)) >= 3
         ]
         self._cache: Dict[FrozenSet[SitePair], Tuple[bool, List[int], float]] = {}
 

@@ -22,7 +22,7 @@ from .neighborhood import IndexData, compute_indices
 from .params import SkeletonParams
 from .refine import SkeletonGraph, refine_skeleton
 from .result import SkeletonResult
-from .voronoi import VoronoiDecomposition, build_voronoi
+from .voronoi import build_voronoi, voronoi_from_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Tracer
@@ -53,17 +53,8 @@ def empty_skeleton_result(network: SensorNetwork,
     if index_data is None:
         index_data = IndexData(khop_sizes=[0] * n, centrality=[0.0] * n,
                                index=[0.0] * n)
-    voronoi = VoronoiDecomposition(
-        network=network,
-        sites=[],
-        table=FloodTable.empty(),
-        records=[[] for _ in range(n)],
-        cell_of=[-1] * n,
-        segment_nodes=set(),
-        voronoi_nodes=set(),
-        pair_segments={},
-        pair_border_edges={},
-    )
+    voronoi = voronoi_from_entries(network, [], ([], [], []),
+                                   FloodTable.empty())
     coarse = CoarseSkeleton(network=network, nodes=set(), edges=set(), sites=[])
     return SkeletonResult(
         network=network,

@@ -32,11 +32,17 @@ from ..network.traversal import FloodTable
 from .params import SkeletonParams
 
 __all__ = ["VoronoiDecomposition", "build_voronoi", "flood_sites",
-           "recorded_parent_row", "records_from_entries",
-           "records_to_structures", "border_edges_from_cells"]
+           "recorded_parent_row", "voronoi_from_entries",
+           "border_edges_from_cells"]
 
 SitePair = Tuple[int, int]
 """An unordered adjacent-cell pair, stored as (low site id, high site id)."""
+
+Entries = Tuple[np.ndarray, np.ndarray, np.ndarray]
+"""Parallel ``(node, site, dist)`` arrays of record entries, in any order."""
+
+# Cached views of a VoronoiDecomposition, left out of its pickles.
+_LIST_VIEWS = ("records", "cell_of", "_site_rows")
 
 
 def _edge_arrays(network: SensorNetwork) -> Tuple[np.ndarray, np.ndarray]:
@@ -60,10 +66,12 @@ class VoronoiDecomposition:
             BFS predecessor toward the site.  Empty when no stage reads
             reverse paths from it (the sharded merge resolves its paths
             per site batch instead).
-        records: per node, the list of ``(site, distance)`` entries whose
-            distance is within ``alpha`` of the node's best distance —
-            exactly what the node "keeps record of" in Section III-B.
-        cell_of: per node, the nearest site (lowest site id on exact ties).
+        record_ptr, record_site, record_dist: the records, a CSR over
+            nodes sorted by ``(distance, site)`` per node: every site within
+            ``alpha`` of the node's best distance, exactly what the node
+            "keeps record of" in Section III-B.
+        cell: per node, the nearest site (lowest site id on exact ties);
+            -1 where no site reached the node.
         segment_nodes: nodes recording ≥ 2 sites.
         voronoi_nodes: nodes recording ≥ 3 sites.
         pair_segments: adjacent site pair -> the segment nodes almost
@@ -73,21 +81,39 @@ class VoronoiDecomposition:
             hold no node close enough to both sites to become a segment
             node, yet the cells still touch — these edges witness that
             adjacency and serve as fallback connectors.
+
+    ``records`` and ``cell_of`` are Python-list views of the arrays, built
+    on first read and cached; mutating them changes nothing.  Pickles
+    carry the arrays only.
     """
 
     network: SensorNetwork
     sites: List[int]
     table: FloodTable
-    records: List[List[Tuple[int, int]]]
-    cell_of: List[int]
+    record_ptr: np.ndarray
+    record_site: np.ndarray
+    record_dist: np.ndarray
+    cell: np.ndarray
     segment_nodes: Set[int]
     voronoi_nodes: Set[int]
     pair_segments: Dict[SitePair, List[int]]
     pair_border_edges: Dict[SitePair, List[Tuple[int, int]]]
 
-    @property
-    def num_cells(self) -> int:
-        return len(self.sites)
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items()
+                if key not in _LIST_VIEWS}
+
+    @cached_property
+    def records(self) -> List[List[Tuple[int, int]]]:
+        """Per node, its ``(site, distance)`` records in that CSR order."""
+        pairs = list(zip(self.record_site.tolist(), self.record_dist.tolist()))
+        ptr = self.record_ptr.tolist()
+        return [pairs[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+
+    @cached_property
+    def cell_of(self) -> List[int]:
+        """``cell`` as a list of Python ints."""
+        return self.cell.tolist()
 
     @cached_property
     def _site_rows(self) -> Dict[int, int]:
@@ -101,7 +127,7 @@ class VoronoiDecomposition:
 
     def cell_members(self, site: int) -> List[int]:
         """All nodes whose nearest site is *site*."""
-        return [v for v in self.network.nodes() if self.cell_of[v] == site]
+        return np.flatnonzero(self.cell == site).tolist()
 
     def adjacent_pairs(self) -> List[SitePair]:
         """All adjacent site pairs (segment- or border-witnessed), sorted."""
@@ -114,7 +140,8 @@ class VoronoiDecomposition:
                                    nodes, self.network.num_nodes)
 
     def sites_recorded_by(self, node: int) -> List[int]:
-        return [site for site, _ in self.records[node]]
+        lo, hi = self.record_ptr[node:node + 2].tolist()
+        return self.record_site[lo:hi].tolist()
 
     def cells_are_connected(self) -> bool:
         """Theorem 4 check: every cell induces a connected subgraph.
@@ -125,7 +152,7 @@ class VoronoiDecomposition:
         n = self.network.num_nodes
         if n == 0:
             return True
-        cell = np.asarray(self.cell_of, dtype=np.int64)
+        cell = self.cell
         u, v = _edge_arrays(self.network)
         inside = (cell[u] == cell[v]) & (cell[u] >= 0)
         graph = sparse.csr_matrix(
@@ -157,48 +184,37 @@ def recorded_parent_row(table: FloodTable, row: int, site: int,
     return table.parent_row(row, num_nodes)
 
 
-def records_from_entries(num_nodes: int, node: np.ndarray, site: np.ndarray,
-                         dist: np.ndarray) -> List[List[Tuple[int, int]]]:
-    """Per-node ``(site, distance)`` lists sorted by ``(distance, site)``,
-    from parallel entry arrays (one lexsort, no per-node scan)."""
-    order = np.lexsort((site, dist, node))
-    pairs = list(zip(site[order].tolist(), dist[order].tolist()))
-    ends = np.cumsum(np.bincount(node, minlength=num_nodes)).tolist()
-    return [pairs[start:end] for start, end in zip([0] + ends, ends)]
+def _first_seen_groups(keys: np.ndarray) -> Tuple[np.ndarray, list, list]:
+    """Group equal *keys*: the permutation that lists the groups in order
+    of their first occurrence, each keeping its input order, and every
+    group's ``[start, end)`` bounds in that permutation."""
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    rank = first[group]
+    order = np.argsort(rank, kind="stable")
+    starts = np.flatnonzero(np.diff(rank[order], prepend=-1)).tolist()
+    return order, starts, starts[1:] + [keys.size]
 
 
-def records_to_structures(
-    records: Sequence[Sequence[Tuple[int, int]]],
-) -> Tuple[List[int], Set[int], Set[int], Dict[SitePair, List[int]]]:
-    """Derive the cell structures from per-node record lists.
-
-    Returns ``(cell_of, segment_nodes, voronoi_nodes, pair_segments)``.
-    Records must already be sorted by ``(distance, site)`` per node — the
-    invariant :func:`build_voronoi` establishes.  Factored out so the
-    sharded merge (:mod:`repro.shard`) derives its structures through the
-    exact same code path as the monolithic build: iterating nodes in
-    ascending id order keeps every ``pair_segments`` list bit-identical.
-    """
-    cell_of = [near[0][0] if near else -1 for near in records]
-    segment_nodes = {node for node, near in enumerate(records)
-                     if len(near) >= 2}
-    voronoi_nodes = {node for node, near in enumerate(records)
-                     if len(near) >= 3}
-    pair_segments: Dict[SitePair, List[int]] = {}
-    for node, near in enumerate(records):
-        if len(near) < 2:
-            continue
-        near_sites = [site for site, _ in near]
-        for i in range(len(near_sites)):
-            for j in range(i + 1, len(near_sites)):
-                pair = (min(near_sites[i], near_sites[j]),
-                        max(near_sites[i], near_sites[j]))
-                pair_segments.setdefault(pair, []).append(node)
-    return cell_of, segment_nodes, voronoi_nodes, pair_segments
+def _pair_segments(ptr: np.ndarray, node: np.ndarray,
+                   site: np.ndarray) -> Dict[SitePair, List[int]]:
+    """Every site pair ``(i, j)``, ``i < j``, of each node's sorted
+    records, grouped per unordered pair: pairs in order of first
+    appearance in (node, i, j) order, nodes ascending within a pair."""
+    # Per entry, how many later entries its node holds: the pairs it opens.
+    later = np.repeat(ptr[1:], np.diff(ptr)) - np.arange(site.size) - 1
+    first = np.repeat(np.arange(site.size), later)
+    opened = np.repeat(np.cumsum(later) - later, later)
+    second = first + 1 + np.arange(first.size) - opened
+    lo = np.minimum(site[first], site[second])
+    hi = np.maximum(site[first], site[second])
+    order, starts, ends = _first_seen_groups(lo * ptr.size + hi)
+    nodes = node[first][order].tolist()
+    lo, hi = lo[order].tolist(), hi[order].tolist()
+    return {(lo[a], hi[a]): nodes[a:b] for a, b in zip(starts, ends)}
 
 
 def border_edges_from_cells(
-    network: SensorNetwork, cell_of: Sequence[int],
+    network: SensorNetwork, cell: Sequence[int],
 ) -> Dict[SitePair, List[Tuple[int, int]]]:
     """Edges crossing a cell border, grouped per adjacent site pair.
 
@@ -207,33 +223,55 @@ def border_edges_from_cells(
     oriented with the lower-site cell's endpoint first; within a pair,
     edges keep the ``(u, v)`` scan order (u ascending, then adjacency
     order), and pairs appear in order of their first edge.  One
-    vectorised pass over the CSR edges, shared by :func:`build_voronoi`,
-    the sharded merge and the distributed lift.
+    vectorised pass over the CSR edges.
     """
     if network.num_nodes == 0:
         return {}
-    cell = np.asarray(cell_of, dtype=np.int64)
+    cell = np.asarray(cell, dtype=np.int64)
     u, v = _edge_arrays(network)
     cu, cv = cell[u], cell[v]
     cross = (v > u) & (cu >= 0) & (cv >= 0) & (cu != cv)
     u, v, cu, cv = u[cross], v[cross], cu[cross], cv[cross]
-    if not u.size:
-        return {}
     low_first = cu < cv
     lo, hi = np.where(low_first, cu, cv), np.where(low_first, cv, cu)
     a, b = np.where(low_first, u, v), np.where(low_first, v, u)
-    _, first, group = np.unique(lo * network.num_nodes + hi,
-                                return_index=True, return_inverse=True)
-    # Stable sort by each pair's first scan position: pairs in order of
-    # first appearance, edges in scan order within each pair.
-    order = np.argsort(first[group], kind="stable")
+    order, starts, ends = _first_seen_groups(lo * network.num_nodes + hi)
     edges = list(zip(a[order].tolist(), b[order].tolist()))
-    pair_lo, pair_hi = lo[order].tolist(), hi[order].tolist()
-    bounds = np.flatnonzero(np.diff(first[group][order])) + 1
-    pair_border_edges: Dict[SitePair, List[Tuple[int, int]]] = {}
-    for start, end in zip([0, *bounds.tolist()], [*bounds.tolist(), len(edges)]):
-        pair_border_edges[(pair_lo[start], pair_hi[start])] = edges[start:end]
-    return pair_border_edges
+    lo, hi = lo[order].tolist(), hi[order].tolist()
+    return {(lo[s], hi[s]): edges[s:e] for s, e in zip(starts, ends)}
+
+
+def voronoi_from_entries(network: SensorNetwork, sites: Sequence[int],
+                         entries: Entries,
+                         table: FloodTable) -> VoronoiDecomposition:
+    """The decomposition whose records are *entries*.
+
+    One lexsort orders the entries by ``(node, dist, site)`` into the
+    record CSR; cells, segment and Voronoi nodes, pair segments and
+    border edges follow with array operations.  Each ``(site, node)``
+    pair may appear once.  The monolithic build, the sharded merge, the
+    distributed lift and the empty result all assemble theirs here.
+    """
+    node, site, dist = (np.asarray(a, dtype=np.int64) for a in entries)
+    order = np.lexsort((site, dist, node))
+    node, site, dist = node[order], site[order], dist[order]
+    n = network.num_nodes
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(node, minlength=n), out=ptr[1:])
+    count = np.diff(ptr)
+    cell = np.full(n, -1, dtype=np.int64)
+    cell[count > 0] = site[ptr[:-1][count > 0]]
+    return VoronoiDecomposition(
+        network=network,
+        sites=list(sites),
+        table=table,
+        record_ptr=ptr, record_site=site, record_dist=dist,
+        cell=cell,
+        segment_nodes=set(np.flatnonzero(count >= 2).tolist()),
+        voronoi_nodes=set(np.flatnonzero(count >= 3).tolist()),
+        pair_segments=_pair_segments(ptr, node, site),
+        pair_border_edges=border_edges_from_cells(network, cell),
+    )
 
 
 def build_voronoi(network: SensorNetwork, sites: Sequence[int],
@@ -270,22 +308,6 @@ def build_voronoi(network: SensorNetwork, sites: Sequence[int],
     # distances and parents at those pairs).  Nodes no site reaches get no
     # records.
     table = flood_sites(network, sites, params, tracer=tracer)
-    records = records_from_entries(
-        network.num_nodes, table.node,
-        np.asarray(sites, dtype=np.int64)[table.site_row], table.dist)
-
-    cell_of, segment_nodes, voronoi_nodes, pair_segments = \
-        records_to_structures(records)
-    pair_border_edges = border_edges_from_cells(network, cell_of)
-
-    return VoronoiDecomposition(
-        network=network,
-        sites=list(sites),
-        table=table,
-        records=records,
-        cell_of=cell_of,
-        segment_nodes=segment_nodes,
-        voronoi_nodes=voronoi_nodes,
-        pair_segments=pair_segments,
-        pair_border_edges=pair_border_edges,
-    )
+    entries = (table.node, np.asarray(sites, dtype=np.int64)[table.site_row],
+               table.dist)
+    return voronoi_from_entries(network, sites, entries, table)

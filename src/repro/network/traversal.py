@@ -127,7 +127,6 @@ class TraversalEngine:
     def __init__(self, network, batch_width: int = DEFAULT_BATCH_WIDTH):
         if batch_width < 1:
             raise ValueError("batch_width must be >= 1")
-        self.network = network
         self.batch_width = batch_width
         csr = network.csr_adjacency()
         self._csr = csr

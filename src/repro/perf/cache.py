@@ -55,7 +55,9 @@ __all__ = ["ArtifactCache", "CACHE_VERSION", "ARTIFACT_MAGIC",
 #: Version 2: disk entries gained the digest-verified integrity header.
 #: Version 3: the ``"voronoi"`` artifact holds a sparse flood table in
 #: place of the dense ``dist``/``parent`` matrices.
-CACHE_VERSION = 3
+#: Version 4: the ``"voronoi"`` artifact holds its records as CSR arrays
+#: and ``cell`` as an int64 array; ``"shard:flood"`` entries lost ``best``.
+CACHE_VERSION = 4
 
 #: Disk-entry format magic; the trailing newline keeps the header
 #: greppable (``head -c 71`` shows magic + digest).

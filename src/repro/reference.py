@@ -11,6 +11,8 @@ Inside :func:`use_reference_engine` every network hands out a
 ``ReferenceEngine`` instead of its kernel engine, so the unchanged
 pipeline — monolithic or sharded, with serial task execution — runs on
 the oracle.  The kernels must reproduce every artifact bit for bit.
+:func:`per_node_structures` derives the stage-2 structures one node
+at a time, the oracle of the array builder.
 
 No module of the package imports this one; only the tests do.
 """
@@ -18,7 +20,7 @@ No module of the package imports this one; only the tests do.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 from unittest import mock
 
 import numpy as np
@@ -32,6 +34,8 @@ __all__ = [
     "is_locally_maximal",
     "path_to_source",
     "path_to_site",
+    "per_node_records",
+    "per_node_structures",
 ]
 
 
@@ -83,6 +87,40 @@ def path_to_site(voronoi, node: int, site: int) -> List[int]:
     :class:`~repro.core.voronoi.VoronoiDecomposition`; raises
     ``ValueError`` if *node* did not record *site*."""
     return path_to_source(voronoi.site_parent_row(site, [node]), node)
+
+
+def per_node_records(num_nodes: int, node: Sequence[int],
+                         site: Sequence[int], dist: Sequence[int],
+                         ) -> List[List[Tuple[int, int]]]:
+    """Per-node ``(site, distance)`` lists sorted by ``(distance, site)``,
+    from parallel record-entry sequences."""
+    records: List[List[Tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    for v, d, s in sorted(zip(node, dist, site)):
+        records[int(v)].append((int(s), int(d)))
+    return records
+
+
+def per_node_structures(
+    records: Sequence[Sequence[Tuple[int, int]]],
+) -> Tuple[List[int], Set[int], Set[int], Dict[Tuple[int, int], List[int]]]:
+    """``(cell_of, segment_nodes, voronoi_nodes, pair_segments)`` from
+    sorted per-node records, one node at a time in ascending id order."""
+    cell_of = [near[0][0] if near else -1 for near in records]
+    segment_nodes = {node for node, near in enumerate(records)
+                     if len(near) >= 2}
+    voronoi_nodes = {node for node, near in enumerate(records)
+                     if len(near) >= 3}
+    pair_segments: Dict[Tuple[int, int], List[int]] = {}
+    for node, near in enumerate(records):
+        if len(near) < 2:
+            continue
+        near_sites = [site for site, _ in near]
+        for i in range(len(near_sites)):
+            for j in range(i + 1, len(near_sites)):
+                pair = (min(near_sites[i], near_sites[j]),
+                        max(near_sites[i], near_sites[j]))
+                pair_segments.setdefault(pair, []).append(node)
+    return cell_of, segment_nodes, voronoi_nodes, pair_segments
 
 
 class ReferenceEngine:

@@ -22,15 +22,13 @@ from ..core.coarse import (
 )
 from ..core.neighborhood import IndexData
 from ..core.voronoi import (
+    Entries,
     SitePair,
     VoronoiDecomposition,
-    border_edges_from_cells,
-    records_from_entries,
-    records_to_structures,
+    voronoi_from_entries,
 )
 from ..network.graph import SensorNetwork
 from ..network.traversal import FloodTable
-from .tile import _FAR
 
 __all__ = ["merge_stage1", "merge_flood_records", "assemble_voronoi",
            "assemble_coarse"]
@@ -69,61 +67,39 @@ def merge_stage1(num_nodes: int,
 
 
 def merge_flood_records(num_nodes: int, alpha: int,
-                        batch_results: Iterable[Dict],
-                        ) -> List[List[Tuple[int, int]]]:
-    """Reduce per-batch flood candidates to the global record lists.
+                        batch_results: Iterable[Dict]) -> Entries:
+    """Reduce per-batch flood candidates to the global record entries.
 
-    The global best distance per node is the minimum of the batch bests;
-    candidates are re-filtered against ``global best + alpha``.  Each
-    batch keeps everything within ``alpha`` of its *batch* best — a
-    superset of what survives the global filter — so the reduction loses
-    nothing and is associative and order-invariant.  Output records are
-    sorted ``(distance, site)`` per node, the
-    :func:`~repro.core.voronoi.build_voronoi` invariant.
+    The first wave to reach a node is always recorded, so the minimum
+    over all candidates is the node's global best distance; candidates
+    are re-filtered against ``global best + alpha``.  Each batch keeps
+    everything within ``alpha`` of its *batch* best — a superset of what
+    survives the global filter — so the reduction loses nothing and is
+    associative, and order-invariant once :func:`assemble_voronoi` sorts.
     """
-    best = np.full(num_nodes, _FAR, dtype=np.int64)
-    nodes_parts: List[np.ndarray] = []
-    sites_parts: List[np.ndarray] = []
-    dists_parts: List[np.ndarray] = []
-    for result in batch_results:
-        np.minimum(best, np.asarray(result["best"], dtype=np.int64), out=best)
-        nodes_parts.append(np.asarray(result["cand_node"], dtype=np.int64))
-        sites_parts.append(np.asarray(result["cand_site"], dtype=np.int64))
-        dists_parts.append(np.asarray(result["cand_dist"], dtype=np.int64))
-    if not nodes_parts:
-        return [[] for _ in range(num_nodes)]
-    node = np.concatenate(nodes_parts)
-    site = np.concatenate(sites_parts)
-    dist = np.concatenate(dists_parts)
+    results = list(batch_results)
+    node, site, dist = (
+        np.concatenate([np.empty(0, dtype=np.int64)]
+                       + [np.asarray(r[key], dtype=np.int64) for r in results])
+        for key in ("cand_node", "cand_site", "cand_dist"))
+    best = np.full(num_nodes, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(best, node, dist)
     keep = dist <= best[node] + alpha
-    return records_from_entries(num_nodes, node[keep], site[keep], dist[keep])
+    return node[keep], site[keep], dist[keep]
 
 
 def assemble_voronoi(network: SensorNetwork, sites: Sequence[int],
-                     records: List[List[Tuple[int, int]]],
-                     ) -> VoronoiDecomposition:
-    """A :class:`VoronoiDecomposition` from merged records.
+                     entries: Entries) -> VoronoiDecomposition:
+    """A :class:`VoronoiDecomposition` from merged record entries.
 
-    Cell structures derive through the same helpers the monolithic build
+    Cell structures derive through the same builder the monolithic build
     uses.  The flood table is deliberately empty: the paths phase resolves
     reverse paths per site batch, and no later stage reads the table
     (loop classification, refinement and the by-products consume records,
     cells and pair paths only).
     """
-    cell_of, segment_nodes, voronoi_nodes, pair_segments = \
-        records_to_structures(records)
-    pair_border_edges = border_edges_from_cells(network, cell_of)
-    return VoronoiDecomposition(
-        network=network,
-        sites=sorted(int(s) for s in sites),
-        table=FloodTable.empty(),
-        records=records,
-        cell_of=cell_of,
-        segment_nodes=segment_nodes,
-        voronoi_nodes=voronoi_nodes,
-        pair_segments=pair_segments,
-        pair_border_edges=pair_border_edges,
-    )
+    return voronoi_from_entries(network, sorted(int(s) for s in sites),
+                                entries, FloodTable.empty())
 
 
 def assemble_coarse(network: SensorNetwork, sites: Sequence[int],

@@ -29,9 +29,6 @@ from ..perf import task_context
 
 __all__ = ["stage1_tile_task", "flood_batch_task", "paths_batch_task"]
 
-#: Sentinel larger than any hop distance, for unreached-aware minima.
-_FAR = np.iinfo(np.int32).max
-
 
 def stage1_tile_task(config: Dict) -> Dict:
     """Stage 1 on one tile: per-owned-node statistics and elected sites.
@@ -70,14 +67,13 @@ def stage1_tile_task(config: Dict) -> Dict:
 def flood_batch_task(config: Dict) -> Dict:
     """Voronoi flood for one site batch over the full graph.
 
-    Returns, per node, the best distance to any batch site (``best``,
-    ``_FAR`` where the batch reaches nothing) and every ``(node, site,
-    dist)`` candidate within ``alpha`` of that batch-best — exactly the
-    table of the α-pruned flood over the batch's sites.  The batch best is
-    never below the global best, so the batch threshold is at least the
-    global one and the union of batch candidate sets is a superset of the
-    monolithic record set — the merge re-filters against the global best,
-    an associative reduction.
+    Returns every ``(node, site, dist)`` candidate within ``alpha`` of the
+    node's best distance to a batch site — exactly the table of the
+    α-pruned flood over the batch's sites.  The batch best is never below
+    the global best, so the batch threshold is at least the global one
+    and the union of batch candidate sets is a superset of the monolithic
+    record set — the merge re-filters against the global best, an
+    associative reduction.
     """
     cache, tracer = task_context(config.get("cache_dir"))
     network: SensorNetwork = config["network"]
@@ -86,12 +82,7 @@ def flood_batch_task(config: Dict) -> Dict:
 
     def build() -> Dict:
         table = flood_sites(network, sites, params, tracer=tracer)
-        # The first wave to reach a node is always recorded, so the
-        # table's per-node minimum is the batch best.
-        best = np.full(network.num_nodes, _FAR, dtype=np.int64)
-        np.minimum.at(best, table.node, table.dist)
         return {
-            "best": best,
             "cand_node": table.node,
             "cand_site": np.asarray(sites, dtype=np.int64)[table.site_row],
             "cand_dist": table.dist,

@@ -1,7 +1,9 @@
 """Unit tests for SensorNetwork and build_network."""
 
+import gc
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -179,7 +181,7 @@ class TestPickle:
         assert clone.positions == [] and clone.adjacency == []
 
     def test_state_keys_and_dtypes(self):
-        # The pickle layout is what disk caches hold (CACHE_VERSION 3).
+        # The pickle layout is what disk caches hold (since CACHE_VERSION 3).
         net = chain(4)
         state = net.__getstate__()
         assert set(state) == {"positions", "indptr", "indices", "field",
@@ -207,6 +209,20 @@ class TestPickle:
         extract_skeleton(clone)
         assert clone._positions is None
         assert clone._adjacency is None
+
+    def test_extracted_network_is_freed_without_a_collection(
+            self, rectangle_network):
+        # Reference counting alone must free the network: nothing it owns
+        # (its cached traversal engines included) may point back at it.
+        clone = pickle.loads(pickle.dumps(rectangle_network))
+        gc.disable()
+        try:
+            result = extract_skeleton(clone)
+            alive = weakref.ref(clone)
+            del clone, result
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestContentHash:

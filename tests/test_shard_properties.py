@@ -22,7 +22,12 @@ from repro.core.voronoi import build_voronoi
 from repro.geometry import make_field
 from repro.network import UnitDiskRadio, build_network
 from repro.network.deployment import uniform_deployment
-from repro.shard import merge_flood_records, merge_stage1, plan_tiles
+from repro.shard import (
+    assemble_voronoi,
+    merge_flood_records,
+    merge_stage1,
+    plan_tiles,
+)
 from repro.shard.plan import halo_hops_for
 from repro.shard.tile import flood_batch_task, stage1_tile_task
 
@@ -148,12 +153,16 @@ class TestMergeOrderInvariance:
         flood = [flood_batch_task({"network": network, "sites": b,
                                    "params": params, "cache_dir": None})
                  for b in batches]
-        reference = merge_flood_records(network.num_nodes, params.alpha,
-                                        flood)
+
+        def merged_records(results):
+            entries = merge_flood_records(network.num_nodes, params.alpha,
+                                          results)
+            return assemble_voronoi(network, sites, entries).records
+
+        reference = merged_records(flood)
         shuffled = list(flood)
         order.shuffle(shuffled)
-        assert merge_flood_records(network.num_nodes, params.alpha,
-                                   shuffled) == reference
+        assert merged_records(shuffled) == reference
         # Batches prune against their own best, a superset of the global
         # records: the merge recovers the monolithic records exactly.
         assert reference == build_voronoi(network, sites, params).records

@@ -16,6 +16,7 @@ Also covers the vectorised border scan and the O(n + E) Theorem 4 check
 against their scalar definitions, and the distributed lift's table.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -230,8 +231,9 @@ class TestCellScans:
         voronoi = build_voronoi(network, sites, SkeletonParams(alpha=alpha))
         assert voronoi.cells_are_connected() == scalar_cells_connected(voronoi)
         # Random relabelling usually splits some cell.
-        voronoi.cell_of = [rng.choice(sites + [-1])
-                           for _ in range(network.num_nodes)]
+        voronoi = dataclasses.replace(voronoi, cell=np.array(
+            [rng.choice(sites + [-1]) for _ in range(network.num_nodes)],
+            dtype=np.int64))
         assert voronoi.cells_are_connected() == scalar_cells_connected(voronoi)
 
     def test_site_index_rejects_non_sites(self):
