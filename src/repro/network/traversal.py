@@ -9,8 +9,10 @@ immutable, so the cache never needs invalidation):
 
 * :meth:`all_khop_sizes` — ``|N_k(p)|`` for **all** nodes at once: each
   node batch's reach block is a product of cached sparse ball operators
-  (``A + I`` and its square).  The block is ``batch × |N_k|``, so memory
-  grows with the neighbourhood, not with ``n``.
+  (``A + I`` and its square), each product one pass of scipy's compiled
+  kernel into a flop-bounded buffer (:func:`_bool_product`).  The block
+  is ``batch × |N_k|``, so memory grows with the neighbourhood, not with
+  ``n``.
 * :meth:`khop_stats` — sizes *and* l-centrality.  When ``l == k`` (the
   paper's default ``k = l = 4``) the k-hop reach rows are reused for the
   centrality accumulation inside the same sweep: because hop-reachability
@@ -44,11 +46,13 @@ pipeline tests run whole extractions on it.
 
 from __future__ import annotations
 
+import mmap
 from contextlib import nullcontext
 from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 __all__ = ["TraversalEngine", "FloodTable", "DEFAULT_BATCH_WIDTH"]
 
@@ -82,12 +86,7 @@ class FloodTable(NamedTuple):
     def recorded(self, row: int, nodes: Sequence[int]) -> np.ndarray:
         """Boolean mask: which *nodes* recorded site row *row*."""
         lo, hi = self.row_span(row)
-        members = self.node[lo:hi]
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if not members.size:
-            return np.zeros(nodes.shape, dtype=bool)
-        pos = np.minimum(np.searchsorted(members, nodes), members.size - 1)
-        return members[pos] == nodes
+        return _in_sorted(self.node[lo:hi], np.asarray(nodes, dtype=np.int64))
 
     def parent_row(self, row: int, n: int) -> np.ndarray:
         """One site row's parents scattered into a dense length-*n* row
@@ -97,6 +96,14 @@ class FloodTable(NamedTuple):
         out = np.full(n, -1, dtype=np.int64)
         out[self.node[lo:hi]] = self.parent[lo:hi]
         return out
+
+
+def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Boolean mask: which *keys* occur in the sorted array *sorted_keys*."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
 
 
 def _span(tracer, name: str):
@@ -111,6 +118,72 @@ def _span(tracer, name: str):
         return nullcontext()
     return tracer.span(f"traversal:{name}", category="traversal")
 
+
+class _ProductBuffer:
+    """Output storage for :func:`_bool_product`, reusable across products.
+
+    The one-pass product writes into arrays of flop-bounded capacity,
+    several times its nnz.  They live on private anonymous mappings, not
+    on the malloc heap: only the pages the kernel writes become resident,
+    and dropping a mapping leaves the allocator alone.  (glibc raises its
+    mmap threshold when a large malloc'd block is freed, which moves
+    later allocations onto the heap and lifts the process's peak RSS.)
+    Reused across a sweep's batches, the pages are faulted in once.
+    """
+
+    def __init__(self):
+        self._indices: Optional[mmap.mmap] = None
+        self._data: Optional[mmap.mmap] = None
+
+    def arrays(self, count: int, idx) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indices, data)`` arrays over the first *count* entries of
+        the buffer (grown, uninitialised, if it is shorter)."""
+        width = np.dtype(idx).itemsize
+        if self._data is None or len(self._data) < count \
+                or len(self._indices) < count * width:
+            self._indices = mmap.mmap(-1, max(count * width, 1))
+            self._data = mmap.mmap(-1, max(count, 1))
+        return (np.frombuffer(self._indices, dtype=idx, count=count),
+                np.frombuffer(self._data, dtype=bool, count=count))
+
+
+def _bool_product(left: sparse.csr_matrix, right: sparse.csr_matrix,
+                  buffer: Optional[_ProductBuffer] = None
+                  ) -> sparse.csr_matrix:
+    """``left @ right`` for boolean CSR operands, in one kernel pass.
+
+    scipy's ``@`` runs two passes of the same flop count: one only counts
+    the output entries to size its arrays, the second builds them.  Here
+    the output is sized by an upper bound on its nnz instead, each row's
+    flop count capped at the column count, which costs one SpMV; scipy's
+    compiled ``csr_matmat`` (the kernel behind ``@``, a private entry
+    point) then fills it in one pass.  The result is therefore the very
+    matrix ``@`` returns: a boolean OR of terms, no duplicate column in a
+    row, columns in the kernel's (unsorted) order.
+
+    The result's ``indices`` and ``data`` are views into *buffer* (a
+    fresh one by default), valid until it serves another product.
+    """
+    m, n = left.shape[0], right.shape[1]
+    capacity = int(np.minimum(left @ np.diff(right.indptr), n).sum())
+    largest = max(capacity, n, left.shape[1], left.nnz, right.nnz)
+    idx = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+    buffer = buffer or _ProductBuffer()
+    indptr = np.empty(m + 1, dtype=idx)
+    indices, data = buffer.arrays(capacity, idx)
+    _sparsetools.csr_matmat(
+        m, n,
+        left.indptr.astype(idx, copy=False),
+        left.indices.astype(idx, copy=False), left.data,
+        right.indptr.astype(idx, copy=False),
+        right.indices.astype(idx, copy=False), right.data,
+        indptr, indices, data)
+    # Exact-length arrays over the written prefix: scipy would copy a
+    # slice much shorter than the array it views.
+    indices, data = buffer.arrays(int(indptr[-1]), idx)
+    return sparse.csr_matrix((data, indices, indptr), shape=(m, n))
+
+
 DEFAULT_BATCH_WIDTH = 1024
 """Default number of reach rows built per batch (memory knob)."""
 
@@ -121,7 +194,8 @@ class TraversalEngine:
     Construct via :meth:`SensorNetwork.traversal`, which caches one engine
     per network (the adjacency is immutable).  ``batch_width`` bounds the
     k-hop sweep's working set to one sparse ``batch_width × |N_k|`` reach
-    block (plus scipy's O(n) product workspace).
+    block, plus the product kernel's O(n) scratch and the flop-bounded
+    output buffer it writes, of which only the written pages are resident.
     """
 
     def __init__(self, network, batch_width: int = DEFAULT_BATCH_WIDTH):
@@ -153,7 +227,7 @@ class TraversalEngine:
             self._ball1 = (self._csr.astype(bool) + eye).tocsr()
         q, r = divmod(hops, 2)
         if q and self._ball2 is None:
-            self._ball2 = (self._ball1 @ self._ball1).tocsr()
+            self._ball2 = _bool_product(self._ball1, self._ball1)
         return [self._ball1] * r + [self._ball2] * q
 
     # -- k-hop sizes and l-centrality -------------------------------------
@@ -242,6 +316,9 @@ class TraversalEngine:
         if n == 0:
             return row_sizes, num, cnt
         first, *rest = self._ball_operators(hops)
+        # One buffer per chain position: a product never writes over its
+        # left operand, and the next batch overwrites this one's block.
+        buffers = [_ProductBuffer() for _ in rest]
         width = self.batch_width
         for start in range(0, n, width):
             stop = min(start + width, n)
@@ -249,8 +326,8 @@ class TraversalEngine:
             # (the radii sum to *hops*), a sparse boolean batch × |N_hops|
             # block.
             reach = first[start:stop]
-            for op in rest:
-                reach = reach @ op
+            for op, buffer in zip(rest, buffers):
+                reach = _bool_product(reach, op, buffer)
             raw = np.diff(reach.indptr)
             row_sizes[start:stop] = raw
             if accumulate:
@@ -301,9 +378,13 @@ class TraversalEngine:
         fnode = np.asarray(sites, dtype=np.int64)
         best[fnode] = 0
         start_keys = frow * n + fnode
-        # Keys (row * n + node) recorded so far, kept sorted for the
-        # duplicate filter; per-level parts are merged once at the end.
-        seen = np.sort(start_keys)
+        # The duplicate filter's whole state: the sorted keys (row * n +
+        # node) of the last two levels.  A candidate from the level-L
+        # frontier neighbours a key at distance L, so it is at least L - 1
+        # hops from its site, and a recorded key sits at its true
+        # distance: if it is already recorded, it is of level L - 1 or L.
+        # Per-level parts are merged once at the end.
+        prev, cur = np.empty(0, dtype=np.int64), np.sort(start_keys)
         parts_key = [start_keys]
         parts_dist = [np.zeros(m, dtype=np.int64)]
         parts_parent = [np.full(m, -1, dtype=np.int64)]
@@ -319,26 +400,29 @@ class TraversalEngine:
             within = np.arange(total) - np.repeat(seg_ends - lens, lens)
             cand = indices[np.repeat(starts, lens) + within]
             keys = np.repeat(frow, lens) * n + cand
-            pos = np.minimum(np.searchsorted(seen, keys), seen.size - 1)
-            fresh = seen[pos] != keys
-            keys = keys[fresh]
-            if keys.size == 0:
+            # The pruning: a node first reached more than alpha levels
+            # before this one drops every wave that comes to it now.
+            seen_at = best[cand]
+            live = np.flatnonzero((seen_at == UNREACHED)
+                                  | (level + 1 - seen_at <= alpha))
+            # First occurrences in frontier order.  Dropping a key drops
+            # every copy of it, so the others' first occurrences stay.
+            uniq, first = np.unique(keys[live], return_index=True)
+            fresh = ~_in_sorted(np.sort(np.concatenate((prev, cur))), uniq)
+            uniq, first = uniq[fresh], live[first[fresh]]
+            if uniq.size == 0:
                 break
-            owner = np.repeat(fnode, lens)[fresh]
-            uniq, first = np.unique(keys, return_index=True)
             level += 1
             nodes = uniq % n
             best[nodes[best[nodes] == UNREACHED]] = level
-            keep = level - best[nodes] <= alpha
-            uniq, first = uniq[keep], first[keep]
-            if uniq.size == 0:
-                break
-            seen = np.insert(seen, np.searchsorted(seen, uniq), uniq)
+            prev, cur = cur, uniq
             order = np.argsort(first, kind="stable")
             new_keys = uniq[order]
             parts_key.append(new_keys)
             parts_dist.append(np.full(new_keys.size, level, dtype=np.int64))
-            parts_parent.append(owner[first[order]])
+            # The frontier entry whose segment holds each first occurrence.
+            parts_parent.append(fnode[np.searchsorted(
+                seg_ends, first[order], side="right")])
             frow = new_keys // n
             fnode = new_keys - frow * n
         keys = np.concatenate(parts_key)

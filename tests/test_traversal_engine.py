@@ -9,7 +9,8 @@ nodes.  Whole-pipeline checks run the unchanged pipeline with the oracle
 substituted for every network's engine.  Disconnected graphs, isolated
 nodes and ``k`` beyond the diameter are covered explicitly, and
 hypothesis fuzzes the k-hop census and the level-capped
-``hop_distances`` sweep over random graphs.
+``hop_distances`` sweep over random graphs, and the census's one-pass
+ball product against scipy's ``@`` over random boolean operands.
 """
 
 import random
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from repro.core import SkeletonExtractor
 from repro.core.equivalence import diff_results
@@ -36,7 +38,12 @@ from repro.network import (
     build_network,
 )
 from repro.network.deployment import uniform_deployment
-from repro.network.traversal import UNREACHED, TraversalEngine
+from repro.network.traversal import (
+    UNREACHED,
+    TraversalEngine,
+    _bool_product,
+    _ProductBuffer,
+)
 from repro.reference import (
     ReferenceEngine,
     is_locally_maximal,
@@ -402,6 +409,91 @@ def edge_graphs(draw):
 def test_khop_census_fuzz(net, k, l, include_self, width):
     assert_census_exact(net, net.traversal(batch_width=width), k, l,
                         include_self)
+
+
+@st.composite
+def bool_operands(draw, rows, cols):
+    """A boolean CSR matrix of the given shape: any pattern (empty rows
+    included), each row's columns in a drawn order, and int32 or int64
+    index arrays."""
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    chosen = set(draw(st.lists(st.sampled_from(cells), unique=True,
+                               max_size=len(cells)))) if cells else set()
+    row_cols = [[j for j in range(cols) if (i, j) in chosen]
+                for i in range(rows)]
+    if draw(st.booleans()):
+        row_cols = [draw(st.permutations(c)) for c in row_cols]
+    idx = draw(st.sampled_from([np.int32, np.int64]))
+    indptr = np.cumsum([0] + [len(c) for c in row_cols]).astype(idx)
+    indices = np.array([j for c in row_cols for j in c], dtype=idx)
+    matrix = csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                        shape=(rows, cols))
+    # The constructor narrows int64 indices that fit; keep the drawn type.
+    matrix.indices, matrix.indptr = indices, indptr
+    return matrix
+
+
+@st.composite
+def operand_pairs(draw):
+    """``(left, right)`` of shapes ``m × k`` and ``k × n``, any of them 0."""
+    m, k, n = (draw(st.integers(0, 9)) for _ in range(3))
+    return draw(bool_operands(m, k)), draw(bool_operands(k, n))
+
+
+def assert_same_pattern(got, want):
+    """Same shape, row sizes and per-row column sets; no column twice."""
+    assert got.shape == want.shape
+    assert np.diff(got.indptr).tolist() == np.diff(want.indptr).tolist()
+    for row in range(got.shape[0]):
+        cols = got.indices[got.indptr[row]:got.indptr[row + 1]].tolist()
+        assert len(cols) == len(set(cols))
+        assert set(cols) == set(
+            want.indices[want.indptr[row]:want.indptr[row + 1]].tolist())
+    assert got.data.all()
+
+
+@given(operand_pairs())
+@settings(deadline=None)
+def test_bool_product_has_the_pattern_of_matmul(pair):
+    left, right = pair
+    got = _bool_product(left, right)
+    assert_same_pattern(got, left @ right)
+    assert got.indices.dtype == np.int32  # every size here fits
+    # Its own output (unsorted columns) as either operand.
+    assert_same_pattern(_bool_product(got, right.T.tocsr() @ right),
+                        got @ (right.T.tocsr() @ right))
+    assert_same_pattern(_bool_product(left.T.tocsr(), got),
+                        left.T.tocsr() @ got)
+
+
+@given(st.lists(operand_pairs(), min_size=1, max_size=4))
+@settings(deadline=None)
+def test_product_buffer_serves_successive_products(pairs):
+    # One buffer, products of growing and shrinking capacity: each result
+    # is exact as long as it is read before the buffer's next product.
+    buffer = _ProductBuffer()
+    for left, right in pairs:
+        assert_same_pattern(_bool_product(left, right, buffer), left @ right)
+
+
+def test_product_buffer_grows_for_either_index_width():
+    # 100 int64 indices fill more bytes than 150 int32 ones, but the data
+    # array still has to grow.
+    buffer = _ProductBuffer()
+    assert [a.size for a in buffer.arrays(100, np.int64)] == [100, 100]
+    indices, data = buffer.arrays(150, np.int32)
+    assert (indices.size, indices.dtype, data.size) == (150, np.int32, 150)
+
+
+def test_bool_product_rejects_what_the_kernel_cannot_take():
+    # Mismatched inner dimensions (the flop-count SpMV checks them) and
+    # non-boolean data (scipy's dispatch checks it) raise before the
+    # kernel writes anything.
+    square = csr_matrix(np.eye(3, dtype=bool))
+    with pytest.raises(ValueError):
+        _bool_product(square, csr_matrix((4, 2), dtype=bool))
+    with pytest.raises(ValueError):
+        _bool_product(square.astype(np.int32), square.astype(np.int32))
 
 
 def oracle_distances(net, source, max_hops):
