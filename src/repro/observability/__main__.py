@@ -11,6 +11,7 @@ trace::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -49,11 +50,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(args: argparse.Namespace) -> Optional[str]:
+    """Why *args* cannot run, or ``None``: checked before any network is
+    built, so bad input is a one-line error rather than a traceback."""
+    if args.nodes < 1:
+        return f"--nodes must be >= 1, got {args.nodes}"
+    if not 0 <= args.drop < 1:
+        return f"--drop must be in [0, 1), got {args.drop}"
+    if not (math.isfinite(args.jitter) and args.jitter >= 0):
+        return f"--jitter must be a finite number >= 0, got {args.jitter}"
+    if args.no_events and args.out:
+        return "--no-events records no events, so --out has nothing to write"
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.no_events and args.out:
-        print("--no-events records no events, so --out has nothing to write",
-              file=sys.stderr)
+    error = _input_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     scenario = get_scenario(args.scenario)
     network = scenario.build(seed=args.seed, num_nodes=args.nodes)

@@ -87,11 +87,6 @@ class MetricsReport:
     cache_misses: Mapping[str, int] = field(default_factory=dict)
     #: corrupt disk entries quarantined per stage (cache integrity layer).
     cache_quarantined: Mapping[str, int] = field(default_factory=dict)
-    #: executor supervision counters per stage
-    #: (:func:`~repro.resilience.supervise`): attempt retries and
-    #: permanently failed tasks.
-    task_retries: Mapping[str, int] = field(default_factory=dict)
-    task_failures: Mapping[str, int] = field(default_factory=dict)
     #: total wall-clock seconds per recorded span name — pipeline stages
     #: and the vectorized :class:`~repro.network.traversal.TraversalEngine`
     #: kernels alike, so the report covers the array kernels and not just
@@ -153,14 +148,6 @@ class MetricsReport:
     def total_quarantined(self) -> int:
         return sum(self.cache_quarantined.values())
 
-    @property
-    def total_task_retries(self) -> int:
-        return sum(self.task_retries.values())
-
-    @property
-    def total_task_failures(self) -> int:
-        return sum(self.task_failures.values())
-
 
 def build_metrics(tracer) -> MetricsReport:
     """Distil *tracer*'s aggregates into a :class:`MetricsReport`."""
@@ -206,7 +193,5 @@ def build_metrics(tracer) -> MetricsReport:
         cache_hits=dict(tracer.cache_hits),
         cache_misses=dict(tracer.cache_misses),
         cache_quarantined=dict(tracer.cache_quarantined),
-        task_retries=dict(tracer.task_retries),
-        task_failures=dict(tracer.task_failures),
         stage_timings=timings,
     )

@@ -182,10 +182,6 @@ class Tracer:
         #: stage -> corrupt disk entries quarantined (fed by ArtifactCache
         #: integrity checks).
         self.cache_quarantined: Dict[str, int] = {}
-        #: stage -> supervision counters (fed by
-        #: SkeletonService.submit_batch from its supervised outcomes).
-        self.task_retries: Dict[str, int] = {}
-        self.task_failures: Dict[str, int] = {}
         self._phases: Dict[str, _PhaseAgg] = {}
         self._sites: Dict[int, Tuple[float, float]] = {}
         self._next_seq = 0
@@ -316,15 +312,6 @@ class Tracer:
         """
         self.cache_quarantined[stage] = \
             self.cache_quarantined.get(stage, 0) + 1
-
-    def on_task_retry(self, stage: str) -> None:
-        """A supervised executor task attempt failed and was retried
-        (:func:`~repro.resilience.supervise`)."""
-        self.task_retries[stage] = self.task_retries.get(stage, 0) + 1
-
-    def on_task_failure(self, stage: str) -> None:
-        """A supervised executor task exhausted its attempt budget."""
-        self.task_failures[stage] = self.task_failures.get(stage, 0) + 1
 
     def on_timer(self, node: int, tag: str, time: float) -> None:
         self.timer_fires += 1

@@ -21,9 +21,7 @@ cache hit rate next to the message-passing and traversal metrics.
 
 Disk entries are digest-verified on every read: corrupt artifacts are
 quarantined and recomputed, never deserialized (see
-:mod:`repro.perf.cache` and ``python -m repro.perf fsck``).  The
-supervision layer that retries failed workers lives one package up in
-:mod:`repro.resilience`.
+:mod:`repro.perf.cache` and ``python -m repro.perf fsck``).
 """
 
 from .cache import (

@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-__all__ = ["CrashWindow", "FaultPlan", "RetryPolicy", "splitmix64",
-           "hash_uniform"]
+__all__ = ["CrashWindow", "FaultPlan", "RetryPolicy"]
 
 _MASK = (1 << 64) - 1
 
@@ -56,13 +55,6 @@ def _uniform(seed: int, salt: int, *coords: int) -> float:
     for c in coords:
         h = _splitmix64(h ^ (c & _MASK))
     return h / 2.0**64
-
-
-#: Public aliases: the executor-level fault layer (:mod:`repro.resilience`)
-#: keys its kill/delay/backoff draws through the exact same hash, so both
-#: fault fabrics share one reproducibility argument.
-splitmix64 = _splitmix64
-hash_uniform = _uniform
 
 
 @dataclass(frozen=True)

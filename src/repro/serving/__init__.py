@@ -1,14 +1,13 @@
 """``repro.serving`` — skeleton-as-a-service over the artifact cache.
 
-The serving layer (DESIGN.md §14) wraps the extraction pipeline in a
+The serving layer (DESIGN.md §13) wraps the extraction pipeline in a
 long-lived, in-process request loop:
 
 * :class:`SkeletonService` — submit networks, get skeleton /
   segmentation / boundary artifacts back; content-addressed cache
   serving, request dedup, bounded-queue admission with load shedding,
-  per-request deadlines (full / shed), and batch fan-out supervised by
-  :func:`~repro.resilience.supervise` (retry, pool rebuild, per-task
-  failure isolation).  Single requests run the monolithic extractor.
+  per-request deadlines (full / shed).  Every computation runs the
+  monolithic extractor.
 * :class:`ServiceConfig` / :class:`SkeletonResponse` / :class:`Ticket` /
   :class:`ServiceStats` — the request-lifecycle vocabulary.
 * :class:`SystemClock` / :class:`VirtualClock` — pluggable time, so the

@@ -21,17 +21,11 @@ around it:
   ``"full"`` (the deadline is advisory: the response is merely flagged
   late) or ``"shed"`` (requests whose deadline passed while queued are
   dropped);
-* **supervised batches** — :meth:`SkeletonService.submit_batch` fans
-  its misses out through :func:`~repro.resilience.supervise`
-  under the configured :class:`~repro.resilience.SupervisorPolicy` /
-  :class:`~repro.resilience.ExecutorFaultPlan`, so a crashed batch task
-  retries and an exhausted one fails only its own requests;
 * **serving metrics** — hit / dedup / shed / computed counters and
   latency percentiles (:class:`ServiceStats`), plus
   :class:`~repro.observability.tracer.Tracer` integration (compute
-  spans, cache counters, batch supervision counters) so a served workload
-  reads out through the standard
-  :class:`~repro.observability.metrics.MetricsReport`.
+  spans and cache counters) so a served workload reads out through the
+  standard :class:`~repro.observability.metrics.MetricsReport`.
 
 Determinism is the design constraint throughout: the service never
 resolves a request from anything but the cache or a pipeline run, both
@@ -47,18 +41,15 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from ..core.params import SkeletonParams
 from ..core.pipeline import extract_skeleton, stage_span
 from ..core.result import SkeletonResult
 from ..network.graph import SensorNetwork
 from ..observability.metrics import percentile
-from ..perf import ArtifactCache, effective_jobs, set_task_context, \
-    stable_digest, task_context
-from ..resilience import ExecutorFaultPlan, SupervisorPolicy, \
-    outcome_counters, supervise
+from ..perf import ArtifactCache, stable_digest
 from .clock import SystemClock
 
 __all__ = ["ARTIFACT_KINDS", "RESULT_STAGE", "ServiceConfig",
@@ -72,10 +63,6 @@ ARTIFACT_KINDS = ("skeleton", "segmentation", "boundary", "result")
 
 #: Cache stage under which full results are published.
 RESULT_STAGE = "serve:result"
-
-#: Supervision stage (and trace span) of :meth:`SkeletonService.submit_batch`
-#: tasks.
-BATCH_STAGE = "serve:batch"
 
 _DEADLINE_ACTIONS = ("full", "shed")
 
@@ -91,7 +78,7 @@ def _check_deadline(name: str, deadline: Optional[float]) -> None:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Admission, execution and deadline policy for one service instance.
+    """Admission, worker and deadline policy for one service instance.
 
     Attributes:
         max_queue: computations allowed to wait; admission beyond this
@@ -104,33 +91,18 @@ class ServiceConfig:
             (``None`` = no deadline; otherwise finite and >= 0).
         deadline_action: ``"full"`` / ``"shed"`` — the default for
             requests that don't choose.
-        jobs: worker processes for :meth:`SkeletonService.submit_batch`
-            (``None`` follows the suite convention: ``REPRO_JOBS`` or
-            serial; otherwise >= 1).
-        supervisor: retry policy for
-            :meth:`SkeletonService.submit_batch` only (``None`` = the
-            default :class:`~repro.resilience.SupervisorPolicy`); single
-            requests run the monolithic extractor unsupervised.
-        fault_plan: deterministic executor chaos injected into
-            :meth:`SkeletonService.submit_batch` tasks only, for drills
-            and tests.
     """
 
     max_queue: int = 64
     workers: int = 0
     default_deadline: Optional[float] = None
     deadline_action: str = "full"
-    jobs: Optional[int] = None
-    supervisor: Optional[SupervisorPolicy] = None
-    fault_plan: Optional[ExecutorFaultPlan] = None
 
     def __post_init__(self) -> None:
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.deadline_action not in _DEADLINE_ACTIONS:
             raise ValueError(
                 f"deadline_action must be one of {_DEADLINE_ACTIONS}")
@@ -143,8 +115,7 @@ class SkeletonResponse:
 
     ``status``: ``"ok"`` (the artifact), ``"shed"`` (dropped by
     admission or a ``"shed"`` deadline; no artifact), ``"failed"`` (the
-    computation raised, or a batch task exhausted its attempt budget;
-    see :attr:`error`).
+    computation raised; see :attr:`error`).
     """
 
     request_id: int
@@ -246,7 +217,6 @@ class ServiceStats:
     latency_p50: float
     latency_p99: float
     latency_max: float
-    supervision: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 class SkeletonService:
@@ -280,7 +250,6 @@ class SkeletonService:
         self._stopping = False
         self._next_id = 0
         self._latencies: List[float] = []
-        self._supervision: Dict[str, Dict[str, int]] = {}
         self._counters: Dict[str, int] = {
             key: 0 for key in ("submitted", "completed", "ok", "failed",
                                "shed", "computed", "cache_hits",
@@ -531,135 +500,12 @@ class SkeletonService:
         request.response = response
         request.event.set()
 
-    def _merge_supervision(self, stage: str,
-                           counters: Dict[str, int]) -> None:
-        with self._cond:
-            slot = self._supervision.setdefault(
-                stage, dict.fromkeys(counters, 0))
-            for what, amount in counters.items():
-                slot[what] += amount
-        if self.tracer is not None:
-            for _ in range(counters["retries"]):
-                self.tracer.on_task_retry(stage)
-            for _ in range(counters["failures"]):
-                self.tracer.on_task_failure(stage)
-
-    # -- batch --------------------------------------------------------------
-
-    def submit_batch(self, items: Sequence[Union[SensorNetwork,
-                                                 Tuple[SensorNetwork, str]]],
-                     kind: str = "skeleton",
-                     params: Optional[SkeletonParams] = None,
-                     jobs: Optional[int] = None) -> List[SkeletonResponse]:
-        """Serve a batch in one supervised fan-out; responses in order.
-
-        Items are networks, or ``(network, kind)`` pairs overriding the
-        batch-level *kind*.  Within the batch, identical content keys
-        dedup to one computation, cached keys are served from the cache,
-        and the misses fan out through
-        :func:`~repro.resilience.supervise` (worker processes per *jobs*
-        / ``REPRO_JOBS``; an explicit value must be >= 1, checked before
-        any cache lookup), so a crashed batch task retries with backoff
-        and an exhausted one yields a ``"failed"`` response for exactly
-        the requests that depended on it — never an exception out of the
-        batch call.  Batch requests bypass the admission
-        queue: an explicit bulk submission is its own load statement.
-        """
-        jobs = effective_jobs(jobs if jobs is not None else self.config.jobs)
-        params = params if params is not None else SkeletonParams()
-        normalized: List[Tuple[SensorNetwork, str]] = []
-        for item in items:
-            if isinstance(item, tuple):
-                network, item_kind = item
-            else:
-                network, item_kind = item, kind
-            if item_kind not in ARTIFACT_KINDS:
-                raise ValueError(
-                    f"kind must be one of {ARTIFACT_KINDS}, got {item_kind!r}")
-            normalized.append((network, item_kind))
-
-        started_at = self.clock.now()
-        order: List[str] = []
-        by_key: Dict[str, List[int]] = {}
-        for index, (network, _item_kind) in enumerate(normalized):
-            key = self.content_key(network, params)
-            if key not in by_key:
-                order.append(key)
-            by_key.setdefault(key, []).append(index)
-
-        resolved: Dict[str, Tuple[str, Optional[SkeletonResult], bool,
-                                  Optional[str]]] = {}
-        to_compute: List[str] = []
-        with self._cond:
-            self._counters["submitted"] += len(normalized)
-            for key in order:
-                indices = by_key[key]
-                self._counters["dedup_hits"] += len(indices) - 1
-                network = normalized[indices[0]][0]
-                hit, value = self.cache.lookup(
-                    RESULT_STAGE, (network.content_hash(), params),
-                    tracer=self.tracer)
-                if hit:
-                    self._counters["cache_hits"] += len(indices)
-                    resolved[key] = ("ok", value, True, None)
-                    continue
-                to_compute.append(key)
-
-        if to_compute:
-            cache_dir = (str(self.cache.disk_dir)
-                         if self.cache.disk_dir is not None else None)
-            configs = [{"network": normalized[by_key[key][0]][0],
-                        "params": params, "cache_dir": cache_dir}
-                       for key in to_compute]
-            previous = set_task_context(self.cache, self.tracer)
-            try:
-                with stage_span(self.tracer, BATCH_STAGE):
-                    outcomes = supervise(
-                        _batch_compute_task, configs, jobs=jobs,
-                        stage=BATCH_STAGE, policy=self.config.supervisor,
-                        fault_plan=self.config.fault_plan)
-            finally:
-                set_task_context(*previous)
-            self._merge_supervision(BATCH_STAGE, outcome_counters(outcomes))
-            for key, outcome in zip(to_compute, outcomes):
-                if outcome.ok:
-                    with self._cond:
-                        self._counters["computed"] += 1
-                    network = normalized[by_key[key][0]][0]
-                    self.cache.put(RESULT_STAGE,
-                                   (network.content_hash(), params),
-                                   outcome.result)
-                    resolved[key] = ("ok", outcome.result, False, None)
-                else:
-                    message = outcome.errors[-1] if outcome.errors \
-                        else "task failed"
-                    resolved[key] = ("failed", None, False, message)
-
-        responses: List[SkeletonResponse] = []
-        finished_at = self.clock.now()
-        with self._cond:
-            for index, (network, item_kind) in enumerate(normalized):
-                key = self.content_key(network, params)
-                status, result, from_cache, error = resolved[key]
-                request = _Request(self._next_id, item_kind, started_at,
-                                   None, "full")
-                self._next_id += 1
-                request.deduped = index != by_key[key][0]
-                self._resolve_locked(request, key, status, result=result,
-                                     from_cache=from_cache, error=error)
-                assert request.response is not None
-                request.response.resolved_at = finished_at
-                responses.append(request.response)
-        return responses
-
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> ServiceStats:
         """A consistent snapshot of counters, queue depth and latencies."""
         with self._cond:
             latencies = list(self._latencies)
-            supervision = {stage: dict(values)
-                           for stage, values in self._supervision.items()}
             return ServiceStats(
                 submitted=self._counters["submitted"],
                 completed=self._counters["completed"],
@@ -673,14 +519,5 @@ class SkeletonService:
                 latency_p50=percentile(latencies, 0.50),
                 latency_p99=percentile(latencies, 0.99),
                 latency_max=max(latencies, default=0.0),
-                supervision=supervision,
             )
 
-
-def _batch_compute_task(config: Dict) -> SkeletonResult:
-    """One batch computation — a pure function of its config, executable
-    in any pool worker (module-level for pickling).  Supervision happens
-    in the parent's :func:`~repro.resilience.supervise` call."""
-    cache, tracer = task_context(config.get("cache_dir"))
-    return extract_skeleton(config["network"], config["params"],
-                            cache=cache, tracer=tracer)

@@ -6,6 +6,8 @@ time; all fixtures are read-only by convention.
 
 import os
 import random
+from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -53,6 +55,28 @@ def build_test_network(shape: str, n: int, radio_range: float, seed: int = 3):
         positions, radio=UnitDiskRadio(radio_range), field=field, rng=rng
     )
     return network.largest_component_subgraph()
+
+
+def corrupt_cache_entries(cache_dir, stage: str, limit: int = 1) -> List[str]:
+    """Flip the final payload byte of up to *limit* on-disk cache entries
+    of *stage*, leaving their recorded digests stale.
+
+    A later read of a corrupted entry must fail the
+    :mod:`repro.perf.cache` digest check, be quarantined and be
+    recomputed, never deserialized.  Files are chosen in sorted-name
+    order, so reruns hit the same entries, and the corrupted file names
+    are returned.
+    """
+    corrupted: List[str] = []
+    for path in sorted(Path(cache_dir).glob(f"{stage}-*.pkl")):
+        if len(corrupted) >= limit:
+            break
+        blob = path.read_bytes()
+        if not blob:
+            continue
+        path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
+        corrupted.append(path.name)
+    return corrupted
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from repro.perf import (
     encode_artifact,
 )
 from repro.perf.__main__ import main as perf_main
-from repro.resilience import corrupt_cache_entries
+from tests.conftest import corrupt_cache_entries
 
 
 # -- wire format ----------------------------------------------------------

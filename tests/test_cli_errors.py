@@ -1,23 +1,21 @@
 """CLI argument sanity: bad input fails with one-line errors.
 
-A bad ``REPRO_JOBS`` (or ``--jobs``), an unknown suite runner or a
-scale outside ``(0, 1]`` must produce ``error: ...`` on stderr and exit
-status 2 from every entry point — never an uncaught traceback halfway
-into a sweep.  Also smoke-tests the chaos drill CLI's two modes end to
-end.
+A bad ``REPRO_JOBS`` (or ``--jobs``), an unknown suite runner, a
+scale outside ``(0, 1]`` or an out-of-range trace option must produce
+``error: ...`` on stderr and exit status 2 from every entry point —
+never an uncaught traceback halfway into a sweep.
 """
 
 import pytest
 
 from repro.cli import TIER1_HINT
 from repro.experiments.suite import main as suite_main
-from repro.resilience.__main__ import main as chaos_main
+from repro.observability.__main__ import main as observability_main
 from repro.shard.__main__ import main as shard_main
 
 ENTRY_POINTS = [
     ("suite", lambda: suite_main(["--runners", "fig1", "--scale", "0.1"])),
     ("shard", lambda: shard_main(["--scenario", "window", "--nodes", "50"])),
-    ("chaos", lambda: chaos_main(["--mode", "exhaust", "--nodes", "50"])),
 ]
 
 
@@ -100,15 +98,23 @@ def test_unrelated_import_failure_still_raises(monkeypatch):
         shard_main(["--scenario", "window", "--nodes", "50"])
 
 
-def test_chaos_cli_recover_mode(capsys):
-    assert chaos_main(["--mode", "recover", "--nodes", "200"]) == 0
-    out = capsys.readouterr().out
-    assert "retries=1 quarantined=1" in out
-    assert "every response bit-identical" in out
 
+@pytest.mark.parametrize("argv,message", [
+    (["--drop", "1.5"], "--drop must be in [0, 1), got 1.5"),
+    (["--nodes", "0"], "--nodes must be >= 1, got 0"),
+    (["--jitter", "-1"], "--jitter must be a finite number >= 0, got -1.0"),
+    (["--jitter", "inf"], "--jitter must be a finite number >= 0, got inf"),
+], ids=["drop-above-one", "zero-nodes", "negative-jitter", "infinite-jitter"])
+def test_observability_bad_input_is_a_one_line_error(argv, message,
+                                                     monkeypatch, capsys):
+    import repro.observability.__main__ as observability_mod
 
-def test_chaos_cli_exhaust_mode(capsys):
-    assert chaos_main(["--mode", "exhaust", "--nodes", "200"]) == 0
-    out = capsys.readouterr().out
-    assert "'failures': 1" in out
-    assert "statuses: ['failed', 'ok', 'ok', 'failed']" in out
+    def never(*_args, **_kwargs):
+        raise AssertionError("a network was built before the input was "
+                             "rejected")
+
+    monkeypatch.setattr(observability_mod, "get_scenario", never)
+    assert observability_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

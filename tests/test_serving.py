@@ -1,12 +1,12 @@
-"""The serving-layer correctness battery (DESIGN.md §14).
+"""The serving-layer correctness battery (DESIGN.md §13).
 
 The contract under test: :class:`~repro.serving.SkeletonService` changes
 *when* the pipeline runs — cache hits, dedup coalescing, shedding,
-deadlines, supervised batch retries — but never *what* it produces.
-Every served artifact must be bit-identical to a direct pipeline run on
-the same network, for every artifact kind; the lifecycle semantics (dedup invariants, bounded-queue admission,
-deadline actions, chaos recovery, cache-poisoning recovery) are pinned
-on a virtual clock so they are exact statements, not races.
+deadlines — but never *what* it produces.  Every served artifact must
+be bit-identical to a direct pipeline run on the same network, for every
+artifact kind; the lifecycle semantics (dedup invariants, bounded-queue
+admission, deadline actions, cache-poisoning recovery) are pinned on a
+virtual clock so they are exact statements, not races.
 """
 
 import pytest
@@ -17,8 +17,6 @@ from repro.network import get_scenario
 from repro.observability import Tracer
 from repro.observability.metrics import build_metrics
 from repro.perf import ArtifactCache
-from repro.resilience import ExecutorFaultPlan, SupervisorPolicy
-from repro.resilience.faults import corrupt_cache_entries
 from repro.serving import (
     ARTIFACT_KINDS,
     RESULT_STAGE,
@@ -26,6 +24,7 @@ from repro.serving import (
     SkeletonService,
     VirtualClock,
 )
+from tests.conftest import corrupt_cache_entries
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +73,20 @@ def test_all_kinds_share_one_computation(window_net):
     stats = service.stats()
     assert stats.computed == 1
     assert stats.cache_hits == len(ARTIFACT_KINDS) - 1
+    # requested together, the kinds share one in-flight computation
+    direct = extract_skeleton(window_net, SkeletonParams())
+    service = SkeletonService()
+    service.pause()
+    tickets = [service.submit(window_net, kind) for kind in ARTIFACT_KINDS]
+    assert service.queue_depth == 1
+    service.resume()
+    responses = {kind: t.result() for kind, t in zip(ARTIFACT_KINDS, tickets)}
+    stats = service.stats()
+    assert stats.computed == 1
+    assert stats.dedup_hits == len(ARTIFACT_KINDS) - 1
+    assert responses["skeleton"].artifact.nodes == direct.skeleton.nodes
+    assert responses["boundary"].artifact == direct.boundary_nodes
+    assert diff_results(direct, responses["result"].artifact) == []
 
 
 # -- dedup invariants ------------------------------------------------------
@@ -96,6 +109,11 @@ def test_dedup_coalesces_identical_inflight_requests(window_net):
     assert all(r.artifact.nodes == responses[0].artifact.nodes
                for r in responses)
     assert len({r.content_key for r in responses}) == 1
+    # once the computation has published, a repeat is a cache hit
+    repeat = service.submit(window_net).result()
+    assert repeat.from_cache and not repeat.deduped
+    assert repeat.artifact.nodes == responses[0].artifact.nodes
+    assert service.stats().computed == 1
 
 
 def test_threaded_workers_dedup_and_match(window_net):
@@ -202,28 +220,6 @@ def test_deadlines_must_be_finite_and_nonnegative(window_net, deadline):
     assert service.stats().submitted == 0
 
 
-# -- chaos: injected worker faults -----------------------------------------
-
-
-def test_killed_batch_attempt_retries_to_full_result(window_net, hole_net):
-    plan = ExecutorFaultPlan(seed=3, kill_tasks={("serve:batch", 0): 1})
-    policy = SupervisorPolicy(max_attempts=3, backoff_base=0.0)
-    tracer = Tracer(record_events=False)
-    service = SkeletonService(ServiceConfig(fault_plan=plan,
-                                            supervisor=policy),
-                              tracer=tracer)
-    responses = service.submit_batch([window_net, hole_net], kind="result")
-    assert [r.status for r in responses] == ["ok", "ok"]
-    for net, response in zip([window_net, hole_net], responses):
-        direct = extract_skeleton(net, SkeletonParams())
-        assert diff_results(direct, response.artifact) == []
-    assert service.stats().supervision["serve:batch"]["retries"] == 1
-    # the tracer reads the same counters the service derived
-    report = build_metrics(tracer)
-    assert report.task_retries == {"serve:batch": 1}
-    assert report.task_failures == {}
-
-
 # -- cache poisoning recovery ----------------------------------------------
 
 
@@ -250,59 +246,6 @@ def test_poisoned_cache_entry_quarantines_and_recomputes(tmp_path,
     third = service.request(window_net)
     assert third.from_cache
     assert third.artifact.nodes == first.artifact.nodes
-
-
-# -- batch submission ------------------------------------------------------
-
-
-def test_batch_orders_dedups_and_matches_direct(window_net, hole_net):
-    service = SkeletonService()
-    responses = service.submit_batch([window_net, hole_net, window_net])
-    assert [r.status for r in responses] == ["ok", "ok", "ok"]
-    assert [r.deduped for r in responses] == [False, False, True]
-    assert responses[0].artifact.nodes == responses[2].artifact.nodes
-    direct = extract_skeleton(hole_net, SkeletonParams())
-    assert responses[1].artifact.nodes == direct.skeleton.nodes
-    stats = service.stats()
-    assert stats.computed == 2 and stats.dedup_hits == 1
-    # a second batch is served entirely from the cache
-    again = service.submit_batch([window_net, hole_net])
-    assert all(r.from_cache for r in again)
-    assert service.stats().computed == 2
-
-
-def test_batch_parallel_fanout_matches_serial(window_net, hole_net,
-                                              third_net):
-    nets = [window_net, hole_net, third_net]
-    serial = SkeletonService(ServiceConfig(jobs=1)).submit_batch(nets)
-    parallel = SkeletonService(ServiceConfig(jobs=2)).submit_batch(nets)
-    for left, right in zip(serial, parallel):
-        assert left.status == right.status == "ok"
-        assert left.artifact.nodes == right.artifact.nodes
-        assert left.artifact.edges == right.artifact.edges
-
-
-def test_batch_task_failure_is_isolated(window_net, hole_net):
-    plan = ExecutorFaultPlan(seed=11, kill_tasks={("serve:batch", 0): 99})
-    policy = SupervisorPolicy(max_attempts=2, backoff_base=0.0)
-    service = SkeletonService(ServiceConfig(fault_plan=plan,
-                                            supervisor=policy))
-    responses = service.submit_batch([window_net, hole_net])
-    assert responses[0].status == "failed"
-    assert "InjectedWorkerCrash" in responses[0].error
-    assert responses[1].status == "ok"
-    stats = service.stats()
-    assert stats.failed == 1 and stats.ok == 1
-
-
-def test_batch_mixed_kinds(window_net):
-    service = SkeletonService()
-    direct = extract_skeleton(window_net, SkeletonParams())
-    responses = service.submit_batch([(window_net, "skeleton"),
-                                      (window_net, "boundary")])
-    assert responses[0].artifact.nodes == direct.skeleton.nodes
-    assert responses[1].artifact == direct.boundary_nodes
-    assert service.stats().computed == 1
 
 
 # -- observability ---------------------------------------------------------
@@ -378,17 +321,6 @@ def test_invalid_requests_and_configs_raise(window_net):
     # "partial" (a degraded sharded run) is no longer a deadline action
     with pytest.raises(ValueError, match="deadline_action"):
         ServiceConfig(deadline_action="partial")
-    with pytest.raises(ValueError, match="jobs"):
-        ServiceConfig(jobs=0)
-
-
-def test_batch_rejects_jobs_below_one_even_when_fully_cached(window_net):
-    service = SkeletonService()
-    service.submit_batch([window_net])
-    # every key is now cached, so no task would ever reach an executor
-    with pytest.raises(ValueError, match="jobs"):
-        service.submit_batch([window_net], jobs=0)
-    assert service.stats().submitted == 1
 
 
 def test_lazy_worker_start_and_stop_refusal(window_net):
