@@ -35,19 +35,8 @@ ALL_RUNNERS = {
     "shard": run_shard_equivalence,
 }
 
-#: Names served from :mod:`.suite` on first access.  The package does not
-#: import it eagerly, so ``python -m repro.experiments.suite`` runs that
-#: module once, as ``__main__``, instead of a second time.
-_SUITE_NAMES = ("SUITE_RUNNERS", "run_figure_suite")
-
-
-def __getattr__(name):
-    if name in _SUITE_NAMES:
-        from . import suite
-
-        return getattr(suite, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+# Imported after ALL_RUNNERS: the suite looks its runner functions up there.
+from .suite import SUITE_RUNNERS, run_figure_suite
 
 __all__ = [
     "ExperimentReport",

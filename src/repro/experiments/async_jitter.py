@@ -30,7 +30,7 @@ from ..analysis import evaluate_skeleton, failure_knee, skeleton_stability
 from ..core import extract_skeleton_distributed
 from ..network import get_scenario
 from ..observability import Tracer
-from ..perf import ParallelRunner, effective_jobs, set_task_context, task_context
+from ..perf import ParallelRunner, set_task_context, task_context
 from ..runtime import AsyncProfile, LatencyModel
 from .figures import _holes, _medial
 from .harness import ExperimentReport, scaled_nodes
@@ -164,7 +164,7 @@ def run_async_jitter(scale: float = 1.0, seed: int = 1,
          "kinds": tuple(kinds), "cache_dir": cache_dir}
         for name in names
     ]
-    runner = ParallelRunner(effective_jobs(jobs))
+    runner = ParallelRunner(jobs)
     previous = set_task_context(cache, tracer)
     try:
         results = runner.map(_async_task, configs)

@@ -37,7 +37,7 @@ from ..network import (
     estimate_range_for_degree,
     get_scenario,
 )
-from ..perf import ParallelRunner, effective_jobs, set_task_context, task_context
+from ..perf import ParallelRunner, set_task_context, task_context
 from .harness import ExperimentReport, scaled_nodes
 
 __all__ = [
@@ -113,7 +113,7 @@ def _run_tasks(fn, configs, jobs, cache, tracer):
     """Fan *configs* over the executor with the runner's cache/tracer
     installed as the task context; rows return in config order, so the
     parallel sweep is bit-identical to the serial one."""
-    runner = ParallelRunner(effective_jobs(jobs))
+    runner = ParallelRunner(jobs)
     previous = set_task_context(cache, tracer)
     try:
         return runner.map(fn, configs)

@@ -13,7 +13,7 @@ all flooding protocols:
   ``causal_chain`` over the event log, the API trace-based tests consume;
 * :func:`chrome_trace` / :func:`write_chrome_trace` — Perfetto-loadable
   Chrome trace-event JSON;
-* ``python -m repro.observability`` — trace a scenario end to end, print
+* ``python -m repro trace`` — trace a scenario end to end, print
   the ASCII per-phase summary, write the trace JSON.
 
 Attach a tracer via the ``tracer=`` keyword of

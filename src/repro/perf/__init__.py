@@ -9,8 +9,8 @@ serial, recompute-everything loop into a production-shaped pipeline:
   across runners (in-memory LRU with an optional on-disk tier whose keys
   are versioned, so stale entries self-invalidate);
 * :class:`ParallelRunner` — fans independent experiment configurations
-  out over a ``ProcessPoolExecutor`` (worker count auto-detected,
-  ``REPRO_JOBS`` override, serial fallback at ``jobs=1``) and merges the
+  out over a ``ProcessPoolExecutor`` (worker count from ``jobs=`` or
+  ``REPRO_JOBS``, serial by default) and merges the
   results deterministically: output order is the config order, never the
   completion order, so a parallel run is bit-identical to the serial one.
 
@@ -21,7 +21,7 @@ cache hit rate next to the message-passing and traversal metrics.
 
 Disk entries are digest-verified on every read: corrupt artifacts are
 quarantined and recomputed, never deserialized (see
-:mod:`repro.perf.cache` and ``python -m repro.perf fsck``).
+:mod:`repro.perf.cache` and ``python -m repro fsck``).
 """
 
 from .cache import (
@@ -35,7 +35,6 @@ from .cache import (
 from .runner import (
     ParallelRunner,
     effective_jobs,
-    resolve_jobs,
     set_task_context,
     task_context,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "stable_digest",
     "ParallelRunner",
     "effective_jobs",
-    "resolve_jobs",
     "set_task_context",
     "task_context",
 ]

@@ -31,7 +31,7 @@ never deserialized: it is moved into a ``quarantine/`` subdirectory
 per stage, reported through ``tracer.on_quarantine``, and the lookup
 becomes a miss that rebuilds and republishes the artifact.  ``fsck``
 performs the same verification over the whole store offline
-(``python -m repro.perf fsck DIR``).
+(``python -m repro fsck DIR``).
 """
 
 from __future__ import annotations

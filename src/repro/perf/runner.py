@@ -14,57 +14,41 @@ Configs and results cross the process boundary via pickle;
 graphs, so handing a 3k-node scenario to a worker costs a few contiguous
 buffers.
 
-Worker count resolution: an explicit ``jobs=`` wins, then the
-``REPRO_JOBS`` environment variable, then auto-detection from
-``os.cpu_count()``.
+Worker count resolution (:func:`effective_jobs`): an explicit ``jobs=``
+wins, then the ``REPRO_JOBS`` environment variable, else serial.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
-__all__ = ["ParallelRunner", "resolve_jobs", "effective_jobs",
-           "set_task_context", "task_context"]
+__all__ = ["ParallelRunner", "effective_jobs", "set_task_context",
+           "task_context"]
 
 _JOBS_ENV = "REPRO_JOBS"
 
 
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """The effective worker count: explicit > ``REPRO_JOBS`` > auto.
-
-    Always at least 1; auto-detection uses ``os.cpu_count()`` (a single
-    core degenerates to the serial path, which is exactly right there).
+def effective_jobs(jobs: Optional[int] = None) -> int:
+    """The worker count: an explicit ``jobs=`` or a set ``REPRO_JOBS``
+    opts in to parallelism; otherwise stay serial.  A library call that
+    did not ask for parallelism must not silently fork — tests and
+    embedding code rely on single-process execution by default.
     """
     if jobs is None:
         env = os.environ.get(_JOBS_ENV, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{_JOBS_ENV} must be an integer, got {env!r}"
-                ) from None
-        else:
-            jobs = os.cpu_count() or 1
+        if not env:
+            return 1
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(
+                f"{_JOBS_ENV} must be an integer, got {env!r}"
+            ) from None
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     return jobs
-
-
-def effective_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count for sweep *runners* (vs :func:`resolve_jobs` for the
-    executor itself): an explicit ``jobs=`` or a set ``REPRO_JOBS`` opts
-    in; otherwise stay serial.  A library call that did not ask for
-    parallelism must not silently fork — tests and embedding code rely on
-    single-process execution by default.
-    """
-    if jobs is not None:
-        return resolve_jobs(jobs)
-    if os.environ.get(_JOBS_ENV, "").strip():
-        return resolve_jobs(None)
-    return 1
 
 
 # The cache/tracer a sweep runner was called with, made visible to its task
@@ -104,14 +88,14 @@ def task_context(cache_dir=None):
 class ParallelRunner:
     """Fan a pure task function out over configs, results in config order.
 
-    ``jobs=1`` (or a single-core machine under auto-detection) runs the
+    ``jobs`` resolves through :func:`effective_jobs`.  One worker runs the
     tasks inline — no executor, no pickling — which is both the fallback
     and the reference behaviour the parallel path must reproduce
     bit-identically.
     """
 
     def __init__(self, jobs: Optional[int] = None):
-        self.jobs = resolve_jobs(jobs)
+        self.jobs = effective_jobs(jobs)
 
     def map(self, fn: Callable[[Any], Any],
             configs: Sequence[Any]) -> List[Any]:
@@ -129,14 +113,3 @@ class ParallelRunner:
             # Executor.map preserves submission order, so the result list
             # is ordered by config regardless of completion interleaving.
             return list(pool.map(fn, configs))
-
-    def run_keyed(self, fn: Callable[[Any], Any],
-                  items: Sequence[Tuple[Any, Any]]) -> List[Tuple[Any, Any]]:
-        """Run ``fn(config)`` over ``(key, config)`` pairs, sorted by key.
-
-        The merge contract of every sweep runner: output is ordered by
-        config key, so serial and parallel runs produce the same list.
-        """
-        ordered = sorted(items, key=lambda kv: kv[0])
-        results = self.map(fn, [config for _, config in ordered])
-        return [(key, result) for (key, _), result in zip(ordered, results)]

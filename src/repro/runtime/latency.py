@@ -24,6 +24,7 @@ flap and ack channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .faults import _uniform
@@ -60,6 +61,10 @@ class LatencyModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
+        for name in ("base", "jitter", "tail_alpha", "tail_cap"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.base <= 0:
             raise ValueError("base latency must be positive")
         if self.jitter < 0:

@@ -40,7 +40,7 @@ from ..core.pipeline import empty_skeleton_result, stage_span
 from ..core.refine import refine_skeleton
 from ..core.result import SkeletonResult
 from ..network.graph import SensorNetwork
-from ..perf import ParallelRunner, effective_jobs, set_task_context
+from ..perf import ParallelRunner, set_task_context
 from .merge import (
     assemble_coarse,
     assemble_voronoi,
@@ -108,8 +108,7 @@ def run_sharded(network: SensorNetwork,
     of this call, and a returned run is always complete.
     """
     params = params if params is not None else SkeletonParams()
-    worker_count = effective_jobs(jobs)
-    runner = ParallelRunner(worker_count)
+    runner = ParallelRunner(jobs)
     cache_dir = (str(cache.disk_dir)
                  if cache is not None and getattr(cache, "disk_dir", None)
                  is not None else None)
@@ -144,7 +143,7 @@ def run_sharded(network: SensorNetwork,
         plan = plan_tiles(network, grid, params)
     if n == 0:
         return ShardRun(result=empty_skeleton_result(network, params),
-                        plan=plan, jobs=worker_count, timings=timings)
+                        plan=plan, jobs=runner.jobs, timings=timings)
 
     # Phase 1 — per-tile stage 1 over halo-expanded subgraphs.
     with timed("shard:stage1"):
@@ -171,7 +170,7 @@ def run_sharded(network: SensorNetwork,
         return ShardRun(
             result=empty_skeleton_result(network, params,
                                          index_data=index_data),
-            plan=plan, jobs=worker_count, timings=timings)
+            plan=plan, jobs=runner.jobs, timings=timings)
 
     # Phase 2 — site-sharded Voronoi flooding over the full graph.
     with timed("shard:flood"):
@@ -230,7 +229,7 @@ def run_sharded(network: SensorNetwork,
         segmentation=segmentation,
         boundary_nodes=boundary,
     )
-    return ShardRun(result=result, plan=plan, jobs=worker_count,
+    return ShardRun(result=result, plan=plan, jobs=runner.jobs,
                     timings=timings, num_flood_batches=len(batches))
 
 

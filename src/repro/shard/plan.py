@@ -50,7 +50,7 @@ def parse_grid(spec) -> Tuple[int, int]:
     """``"2x2"`` / ``(2, 2)`` / ``2`` → a validated ``(gx, gy)`` pair."""
     if isinstance(spec, str):
         parts = spec.lower().split("x")
-        if len(parts) != 2:
+        if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
             raise ValueError(f"grid spec must look like '2x2', got {spec!r}")
         gx, gy = (int(p) for p in parts)
     elif isinstance(spec, int):

@@ -19,7 +19,7 @@ from repro.perf import (
     decode_artifact,
     encode_artifact,
 )
-from repro.perf.__main__ import main as perf_main
+from repro.cli import main as cli_main
 from tests.conftest import corrupt_cache_entries
 
 
@@ -147,14 +147,14 @@ def test_fsck_deep_catches_unpicklable_payload(tmp_path):
 
 def test_fsck_cli_exit_codes_and_output(tmp_path, capsys):
     _seed_cache(tmp_path)
-    assert perf_main(["fsck", str(tmp_path)]) == 0
+    assert cli_main(["fsck", str(tmp_path)]) == 0
     corrupt_cache_entries(tmp_path, "stage1")
-    assert perf_main(["fsck", str(tmp_path), "--dry-run"]) == 1
+    assert cli_main(["fsck", str(tmp_path), "--dry-run"]) == 1
     out = capsys.readouterr().out
     assert "1 corrupt" in out
     # Quarantining run still reports corruption via the exit code.
-    assert perf_main(["fsck", str(tmp_path)]) == 1
-    assert perf_main(["fsck", str(tmp_path)]) == 0  # now clean
+    assert cli_main(["fsck", str(tmp_path)]) == 1
+    assert cli_main(["fsck", str(tmp_path)]) == 0  # now clean
 
 
 @pytest.mark.parametrize("kind", ["missing", "file"])
@@ -166,7 +166,7 @@ def test_fsck_cli_rejects_a_path_that_is_not_a_directory(tmp_path, capsys,
         else tmp_path / "entry.pkl"
     if kind == "file":
         target.write_bytes(b"not a cache")
-    assert perf_main(["fsck", str(target)]) == 2
+    assert cli_main(["fsck", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {target} is not an existing directory\n"
     assert captured.out == ""

@@ -1,22 +1,37 @@
 """CLI argument sanity: bad input fails with one-line errors.
 
 A bad ``REPRO_JOBS`` (or ``--jobs``), an unknown suite runner, a
-scale outside ``(0, 1]`` or an out-of-range trace option must produce
-``error: ...`` on stderr and exit status 2 from every entry point —
-never an uncaught traceback halfway into a sweep.
+scale outside ``(0, 1]``, an out-of-range trace or shard option or any
+argparse error must produce exactly one ``error: ...`` line on stderr,
+nothing on stdout and exit status 2 from every ``python -m repro``
+subcommand — never an uncaught traceback halfway into a sweep.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import TIER1_HINT
-from repro.experiments.suite import main as suite_main
-from repro.observability.__main__ import main as observability_main
-from repro.shard.__main__ import main as shard_main
+import repro
+from repro.cli import TIER1_HINT, main
+from repro.network.scenarios import MegaFieldSpec, Scenario
 
 ENTRY_POINTS = [
-    ("suite", lambda: suite_main(["--runners", "fig1", "--scale", "0.1"])),
-    ("shard", lambda: shard_main(["--scenario", "window", "--nodes", "50"])),
+    ("suite", lambda: main(["suite", "--runners", "fig1", "--scale", "0.1"])),
+    ("shard", lambda: main(["shard", "--scenario", "window", "--nodes", "50"])),
 ]
+
+
+def _assert_one_line_error(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def _never(*_args, **_kwargs):
+    raise AssertionError("work started before the input was rejected")
 
 
 @pytest.mark.parametrize("name,invoke", ENTRY_POINTS,
@@ -33,7 +48,7 @@ def test_garbage_repro_jobs_is_a_one_line_error(name, invoke, monkeypatch,
 def test_nonpositive_repro_jobs_is_a_one_line_error(jobs, monkeypatch,
                                                     capsys):
     monkeypatch.setenv("REPRO_JOBS", jobs)
-    assert shard_main(["--scenario", "window", "--nodes", "50"]) == 2
+    assert main(["shard", "--scenario", "window", "--nodes", "50"]) == 2
     assert capsys.readouterr().err == "error: jobs must be >= 1\n"
 
 
@@ -46,41 +61,86 @@ def test_nonpositive_repro_jobs_is_a_one_line_error(jobs, monkeypatch,
 ], ids=["unknown-runner", "no-runner", "scale-above-one", "scale-zero"])
 def test_suite_bad_input_is_a_one_line_error(argv, message, monkeypatch,
                                              capsys):
-    import repro.experiments.suite as suite_mod
+    monkeypatch.setattr("repro.cli.run_figure_suite", _never)
+    assert main(["suite", *argv]) == 2
+    _assert_one_line_error(capsys, message)
 
-    def never(*_args, **_kwargs):
-        raise AssertionError("the suite started before rejecting its input")
 
-    monkeypatch.setattr(suite_mod, "run_figure_suite", never)
-    assert suite_main(argv) == 2
+@pytest.mark.parametrize("argv,message", [
+    (["--grid", "2y2"], "grid spec must look like '2x2', got '2y2'"),
+    (["--grid", "axb"], "grid spec must look like '2x2', got 'axb'"),
+    (["--grid", "0x0"], "grid must be at least 1x1, got 0x0"),
+    (["--scale", "2"], "scale must be in (0, 1], got 2.0"),
+    (["--scale", "0"], "scale must be in (0, 1], got 0.0"),
+    (["--nodes", "0"], "--nodes must be >= 1, got 0"),
+    (["--scenario", "window", "--nodes", "0"], "--nodes must be >= 1, got 0"),
+    (["--local-max-hops", "0"], "local_max_hops must be >= 1"),
+    (["--scenario", "window", "--local-max-hops", "0"],
+     "local_max_hops must be >= 1"),
+], ids=["malformed-grid", "non-integer-grid", "empty-grid",
+        "scale-above-one", "scale-zero", "zero-nodes", "zero-nodes-paper",
+        "zero-hops", "zero-hops-paper"])
+def test_shard_bad_input_is_a_one_line_error(argv, message, monkeypatch,
+                                             capsys):
+    monkeypatch.setattr(MegaFieldSpec, "build", _never)
+    monkeypatch.setattr(Scenario, "build", _never)
+    monkeypatch.setattr("repro.cli.run_sharded", _never)
+    assert main(["shard", *argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {message}")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["suite", "--bogus"], "unrecognized arguments: --bogus"),
+    (["suite", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+    (["trace", "--scheduler", "lockstep"],
+     "argument --scheduler: invalid choice: 'lockstep'"),
+    (["trace", "--nodes", "x"], "argument --nodes: invalid int value: 'x'"),
+    (["fsck"], "the following arguments are required: cache_dir"),
+    (["fsck", "dir", "--deep=1"], "argument --deep: ignored explicit argument '1'"),
+    (["shard", "--scenario", "atlantis"],
+     "argument --scenario: invalid choice: 'atlantis'"),
+    (["shard", "--scale", "big"], "argument --scale: invalid float value: 'big'"),
+], ids=["no-command", "unknown-command", "suite-unknown-flag",
+        "suite-bad-jobs", "trace-bad-choice", "trace-bad-int",
+        "fsck-no-dir", "fsck-flag-value", "shard-bad-scenario",
+        "shard-bad-float"])
+def test_usage_errors_are_one_line_errors(argv, message, capsys):
+    assert main(argv) == 2
+    _assert_one_line_error(capsys, message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["shard", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: python -m repro" in capsys.readouterr().out
+
+
 # A spawn-mode pool worker that can't see the src/ layout surfaces in the
-# parent as ModuleNotFoundError('repro...'); every CLI must translate that
+# parent as ModuleNotFoundError('repro...'); the CLI must translate that
 # to the tier-1 PYTHONPATH hint instead of a traceback.  Simulated by
-# making the entry point's compute function raise what the pool would.
+# making the subcommand's compute function raise what the pool would.
 MISSING_REPRO_CASES = [
-    ("suite", "repro.experiments.suite", "run_figure_suite",
-     lambda: suite_main(["--runners", "fig1", "--scale", "0.1"])),
-    ("shard", "repro.shard.__main__", "run_sharded",
-     lambda: shard_main(["--scenario", "window", "--nodes", "50"])),
+    ("suite", "run_figure_suite",
+     lambda: main(["suite", "--runners", "fig1", "--scale", "0.1"])),
+    ("shard", "run_sharded",
+     lambda: main(["shard", "--scenario", "window", "--nodes", "50"])),
 ]
 
 
-@pytest.mark.parametrize("name,module,attr,invoke", MISSING_REPRO_CASES,
+@pytest.mark.parametrize("name,attr,invoke", MISSING_REPRO_CASES,
                          ids=[case[0] for case in MISSING_REPRO_CASES])
-def test_worker_import_failure_prints_tier1_hint(name, module, attr, invoke,
+def test_worker_import_failure_prints_tier1_hint(name, attr, invoke,
                                                  monkeypatch, capsys):
-    import importlib
-
     def boom(*_args, **_kwargs):
         raise ModuleNotFoundError("No module named 'repro'", name="repro")
 
-    monkeypatch.setattr(importlib.import_module(module), attr, boom)
+    monkeypatch.setattr(f"repro.cli.{attr}", boom)
     assert invoke() == 2
     err = capsys.readouterr().err
     assert err == TIER1_HINT + "\n"
@@ -88,15 +148,12 @@ def test_worker_import_failure_prints_tier1_hint(name, module, attr, invoke,
 
 
 def test_unrelated_import_failure_still_raises(monkeypatch):
-    import repro.shard.__main__ as shard_mod
-
     def boom(*_args, **_kwargs):
         raise ModuleNotFoundError("No module named 'nope'", name="nope")
 
-    monkeypatch.setattr(shard_mod, "run_sharded", boom)
+    monkeypatch.setattr("repro.cli.run_sharded", boom)
     with pytest.raises(ModuleNotFoundError, match="nope"):
-        shard_main(["--scenario", "window", "--nodes", "50"])
-
+        main(["shard", "--scenario", "window", "--nodes", "50"])
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -107,14 +164,31 @@ def test_unrelated_import_failure_still_raises(monkeypatch):
 ], ids=["drop-above-one", "zero-nodes", "negative-jitter", "infinite-jitter"])
 def test_observability_bad_input_is_a_one_line_error(argv, message,
                                                      monkeypatch, capsys):
-    import repro.observability.__main__ as observability_mod
-
-    def never(*_args, **_kwargs):
-        raise AssertionError("a network was built before the input was "
-                             "rejected")
-
-    monkeypatch.setattr(observability_mod, "get_scenario", never)
-    assert observability_main(argv) == 2
+    monkeypatch.setattr("repro.cli.get_scenario", _never)
+    assert main(["trace", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_python_dash_m_repro(tmp_path):
+    """The real entry point: ``python -m repro`` in a fresh interpreter,
+    where a double import of the CLI module would be a RuntimeWarning."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro",
+             *args], capture_output=True, text=True, env=env, timeout=120)
+
+    fsck = run("fsck", str(tmp_path))
+    assert fsck.returncode == 0, fsck.stderr
+    assert fsck.stdout.startswith(f"fsck {tmp_path}: 0 ok, 0 corrupt")
+    bare = run()
+    assert bare.returncode == 2
+    assert bare.stderr == ("error: the following arguments are required: "
+                           "command\n")
+    assert bare.stdout == ""

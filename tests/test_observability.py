@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core import (
     SkeletonParams,
     extract_skeleton,
@@ -27,7 +28,6 @@ from repro.observability import (
     percentile,
     write_chrome_trace,
 )
-from repro.observability.__main__ import main as observability_main
 from repro.runtime import (
     AsyncScheduler,
     ConvergenceReport,
@@ -407,8 +407,8 @@ class TestCliAndRendering:
 
     def test_cli_writes_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        code = observability_main([
-            "--scenario", "window", "--nodes", "150", "--seed", "1",
+        code = cli_main([
+            "trace", "--scenario", "window", "--nodes", "150", "--seed", "1",
             "--out", str(out),
         ])
         assert code == 0
@@ -418,7 +418,7 @@ class TestCliAndRendering:
         assert doc["traceEvents"]
 
     def test_cli_rejects_out_without_events(self, capsys):
-        assert observability_main(["--no-events", "--out", "x.json"]) == 2
+        assert cli_main(["trace", "--no-events", "--out", "x.json"]) == 2
         assert "nothing to write" in capsys.readouterr().err
 
     def test_query_standalone(self):

@@ -1,13 +1,10 @@
 """The parallel executor and its determinism contract (repro.perf.runner).
 
-Worker-count resolution, serial/parallel bit-identity of ``map`` and
-``run_keyed``, the task-context plumbing, and the end-to-end contract on
-real runners: ``run_fig4_scenarios`` and the figure suite produce
-row-identical reports serially, with ``jobs=2``, and against a cold or
-warm artifact cache.
+Worker-count resolution, serial/parallel bit-identity of ``map``, the
+task-context plumbing, and the end-to-end contract on real runners:
+``run_fig4_scenarios`` and the figure suite produce row-identical reports
+serially, with ``jobs=2``, and against a cold or warm artifact cache.
 """
-
-import os
 
 import pytest
 
@@ -18,7 +15,6 @@ from repro.perf import (
     ArtifactCache,
     ParallelRunner,
     effective_jobs,
-    resolve_jobs,
     set_task_context,
     task_context,
 )
@@ -45,29 +41,30 @@ def _context_probe(config):
 class TestResolveJobs:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
-        assert resolve_jobs(3) == 3
+        assert effective_jobs(3) == 3
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs(None) == 5
-
-    def test_auto_detect(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == (os.cpu_count() or 1)
+        assert effective_jobs(None) == 5
+        assert ParallelRunner().jobs == 5
 
     def test_rejects_garbage_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.raises(ValueError, match="REPRO_JOBS"):
-            resolve_jobs(None)
+            effective_jobs(None)
 
-    def test_rejects_nonpositive(self):
+    def test_rejects_nonpositive(self, monkeypatch):
         with pytest.raises(ValueError):
-            resolve_jobs(0)
+            effective_jobs(0)
+        monkeypatch.setenv("REPRO_JOBS", "-3")
+        with pytest.raises(ValueError):
+            ParallelRunner()
 
     def test_effective_jobs_defaults_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         # A runner that was not asked for parallelism must not fork.
         assert effective_jobs(None) == 1
+        assert ParallelRunner().jobs == 1
         assert effective_jobs(4) == 4
         monkeypatch.setenv("REPRO_JOBS", "2")
         assert effective_jobs(None) == 2
@@ -91,11 +88,6 @@ class TestParallelRunner:
 
     def test_single_config_runs_inline(self):
         assert ParallelRunner(8).map(_square, [3]) == [9]
-
-    def test_run_keyed_sorts_by_key(self):
-        items = [(("b", 1), 2), (("a", 0), 3), (("a", 1), 4)]
-        out = ParallelRunner(1).run_keyed(_square, items)
-        assert out == [(("a", 0), 9), (("a", 1), 16), (("b", 1), 4)]
 
 
 # -- task context ---------------------------------------------------------

@@ -47,6 +47,15 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             LatencyModel(**kwargs)
 
+    @pytest.mark.parametrize("field", ["base", "jitter", "tail_alpha",
+                                       "tail_cap"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(kind="heavy_tail", jitter=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LatencyModel(**kwargs)
+
     def test_zero_jitter_normalises_to_fixed(self):
         model = LatencyModel.uniform_jitter(0.0)
         assert model.kind == "fixed" and model.is_degenerate
