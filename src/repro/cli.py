@@ -76,8 +76,16 @@ def _check_scale(scale: float) -> None:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
 
 
-def _print_cache_stats(cache: Optional[ArtifactCache]) -> None:
-    stats = cache.stats() if cache is not None else None
+def _print_cache_stats(cache: Optional[ArtifactCache], jobs: int) -> None:
+    if cache is None:
+        return
+    if jobs > 1:
+        # Forked pool workers count hits and misses in their own copies
+        # of the cache; this process's counters never see them.
+        print(f"artifact cache: hit rate unmeasured ({jobs} worker "
+              f"processes keep their own counters)")
+        return
+    stats = cache.stats()
     if stats:
         print(f"artifact cache: hit rate {cache.hit_rate:.2f} "
               f"(per stage: {stats})")
@@ -85,7 +93,7 @@ def _print_cache_stats(cache: Optional[ArtifactCache]) -> None:
 
 def _suite(args: argparse.Namespace) -> Run:
     _check_scale(args.scale)
-    effective_jobs(args.jobs)
+    jobs = effective_jobs(args.jobs)
     cache = ArtifactCache(disk_dir=args.cache_dir or None)
 
     def run() -> int:
@@ -95,7 +103,7 @@ def _suite(args: argparse.Namespace) -> Run:
         for report in reports:
             report.print()
             print()
-        _print_cache_stats(cache)
+        _print_cache_stats(cache, jobs)
         return 0
 
     return run
@@ -109,6 +117,8 @@ def _trace(args: argparse.Namespace) -> Run:
     if not (math.isfinite(args.jitter) and args.jitter >= 0):
         raise ValueError(
             f"--jitter must be a finite number >= 0, got {args.jitter}")
+    if args.jitter > 0 and args.scheduler == "sync":
+        raise ValueError("--jitter applies to --scheduler async only")
     if args.no_events and args.out:
         raise ValueError(
             "--no-events records no events, so --out has nothing to write")
@@ -172,7 +182,7 @@ def _shard(args: argparse.Namespace) -> Run:
         raise ValueError(f"--nodes must be >= 1, got {args.nodes}")
     _check_scale(args.scale)
     grid = parse_grid(args.grid)
-    effective_jobs(args.jobs)
+    jobs = effective_jobs(args.jobs)
     overrides = ({} if args.local_max_hops is None
                  else {"local_max_hops": args.local_max_hops})
     if args.scenario in MEGA_SCENARIOS:
@@ -211,7 +221,7 @@ def _shard(args: argparse.Namespace) -> Run:
         summary = sharded.result.stage_summary()
         print("stage summary: "
               + ", ".join(f"{k}={v}" for k, v in summary.items()))
-        _print_cache_stats(cache)
+        _print_cache_stats(cache, jobs)
         if args.compare_monolithic:
             assert_equivalent(extract_skeleton(network, params),
                               sharded.result)

@@ -122,7 +122,6 @@ class SkeletonNodeProtocol(NodeProtocol):
         self.is_critical: Optional[bool] = None
         # Phase 4 state: site -> (distance, parent).
         self.site_records: Dict[int, Tuple[int, Optional[int]]] = {}
-        self._site_forwarded = False
         self._site_anchor: Optional[int] = None
         # Event-driven state: hop-TTL gossip (distance per origin, pending
         # re-forwards), versions for monotone recomputation, the adaptive
@@ -210,7 +209,6 @@ class SkeletonNodeProtocol(NodeProtocol):
         if not self.site_records:
             self.site_records[site] = (my_dist, message.sender)
             api.broadcast(self.SITE, (site, my_dist))
-            self._site_forwarded = True
             self._site_anchor = site
             return
         if site in self.site_records:
@@ -434,7 +432,6 @@ class SkeletonNodeProtocol(NodeProtocol):
                 if self.is_critical:
                     self.site_records[self.node_id] = (0, None)
                     api.broadcast(self.SITE, (self.node_id, 0))
-                    self._site_forwarded = True
                     self._site_anchor = self.node_id
             self._flush(api)
 
@@ -541,7 +538,6 @@ class SkeletonNodeProtocol(NodeProtocol):
                 # distance 0.
                 self.site_records[self.node_id] = (0, None)
                 api.broadcast(self.SITE, (self.node_id, 0))
-                self._site_forwarded = True
                 self._site_anchor = self.node_id
 
     def is_active(self) -> bool:
@@ -606,6 +602,10 @@ def run_distributed_stages(network: SensorNetwork,
     exhausted ``max_rounds``) into a partial outcome with
     ``stats.quiesced == False`` instead of an error.
 
+    *latency*, *async_profile* and *deadline* tune the event-driven runtime
+    only; passing any of them with ``scheduler="sync"`` raises
+    ``ValueError`` rather than being silently ignored.
+
     A *tracer* (see :mod:`repro.observability`) records every protocol
     event — sends, deliveries, drops, retries, corrections, timers, crash
     transitions — with virtual-time stamps; it never changes the outcome.
@@ -615,6 +615,14 @@ def run_distributed_stages(network: SensorNetwork,
     params = params if params is not None else SkeletonParams()
     if scheduler not in _SCHEDULERS:
         raise ValueError(f"scheduler must be one of {_SCHEDULERS}")
+    if scheduler == "sync":
+        async_only = [name for name, value in (
+            ("latency", latency), ("async_profile", async_profile),
+            ("deadline", deadline),
+        ) if value is not None]
+        if async_only:
+            raise ValueError(f"{', '.join(async_only)} only apply to "
+                             f"scheduler='async'")
     with stage_span(tracer, "stages1-2:distributed"):
         if scheduler == "async":
             engine = AsyncScheduler(

@@ -1,7 +1,7 @@
 """Structured observability for the distributed runtimes.
 
 Zero-overhead-when-disabled tracing and metrics for both schedulers and
-all flooding protocols:
+any protocol they run:
 
 * :class:`Tracer` — records spans (pipeline stages, protocol phases,
   per-site floods) and events (send / deliver / drop / retry / ack loss /

@@ -25,13 +25,12 @@ a single ``is not None`` check, so the disabled cost is one branch per
 already-expensive operation.
 
 **Phase attribution.**  A message's ``kind`` tag *is* its protocol phase
-("nbr", "size", "index", "site", "val", ...): the paper's pipeline runs one
+("nbr", "size", "index", "site", ...): the paper's pipeline runs one
 message kind per phase, so per-kind aggregation yields the per-phase
 breakdown without the protocols carrying any extra bookkeeping.  Site
 floods additionally expose per-site first/last activity windows, parsed
-from the ``(site, hops)`` payload convention shared by
-:class:`~repro.runtime.flooding.VoronoiFloodProtocol` and
-:class:`~repro.core.distributed.SkeletonNodeProtocol`.
+from the ``(site, hops)`` payload of
+:class:`~repro.core.distributed.SkeletonNodeProtocol`'s "site" messages.
 """
 
 from __future__ import annotations

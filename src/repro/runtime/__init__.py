@@ -3,10 +3,11 @@
 Two schedulers over the same per-node protocol abstraction: a round-based
 synchronous simulator and an event-driven asynchronous one (priority-queue
 event loop, per-link latency models, adaptive timers, deficit-counting
-convergence detection).  Shared across both: broadcast accounting, the
-reusable flooding protocols the paper's algorithm is built from, and a
+convergence detection).  Shared across both: broadcast accounting and a
 deterministic fault-injection layer (message drops, link flaps, node
-crashes) with link-layer ack/retry recovery.
+crashes) with link-layer ack/retry recovery.  The per-node program the
+paper's stages 1-2 run on them is
+:class:`~repro.core.distributed.SkeletonNodeProtocol`.
 """
 
 from .message import Message
@@ -21,11 +22,6 @@ from .async_scheduler import (
     live_components,
 )
 from .stats import ConvergenceReport, RunStats
-from .flooding import (
-    NeighborhoodGossipProtocol,
-    ValueGossipProtocol,
-    VoronoiFloodProtocol,
-)
 
 __all__ = [
     "Message",
@@ -43,7 +39,4 @@ __all__ = [
     "live_components",
     "ConvergenceReport",
     "RunStats",
-    "NeighborhoodGossipProtocol",
-    "ValueGossipProtocol",
-    "VoronoiFloodProtocol",
 ]

@@ -107,15 +107,6 @@ class FaultPlan:
         if not 0.0 <= self.flap_probability < 1.0:
             raise ValueError("flap_probability must be in [0, 1)")
 
-    @property
-    def is_null(self) -> bool:
-        """True when the plan can never perturb a run."""
-        return (
-            self.drop_probability == 0.0
-            and self.flap_probability == 0.0
-            and not self.crashes
-        )
-
     # -- per-round predicates (all pure functions of the plan) --------------
 
     def node_up(self, node: int, rnd: int) -> bool:

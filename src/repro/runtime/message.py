@@ -7,8 +7,8 @@ complexity counts) carrying a *kind* tag and an arbitrary payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any
 
 __all__ = ["Message"]
 
@@ -37,9 +37,3 @@ class Message:
     payload: Any = None
     round_sent: int = 0
     correction: bool = False
-
-    def payload_items(self) -> Mapping:
-        """The payload as a mapping (convenience for dict payloads)."""
-        if isinstance(self.payload, Mapping):
-            return self.payload
-        raise TypeError(f"payload of {self.kind!r} message is not a mapping")

@@ -212,31 +212,6 @@ class RunStats:
         """The busiest node's transmission count (load-balance indicator)."""
         return max(self.broadcasts_per_node.values(), default=0)
 
-    def merged_with(self, other: "RunStats") -> "RunStats":
-        """Combine two phases' counters into one summary."""
-        merged = RunStats(
-            broadcasts=self.broadcasts + other.broadcasts,
-            receptions=self.receptions + other.receptions,
-            rounds=self.rounds + other.rounds,
-            retries=self.retries + other.retries,
-            drops=self.drops + other.drops,
-            acks_dropped=self.acks_dropped + other.acks_dropped,
-            redundant_deliveries=(
-                self.redundant_deliveries + other.redundant_deliveries
-            ),
-            corrections=self.corrections + other.corrections,
-            corrections_suppressed=(
-                self.corrections_suppressed + other.corrections_suppressed
-            ),
-            seen_evictions=self.seen_evictions + other.seen_evictions,
-            quiesced=self.quiesced and other.quiesced,
-            broadcasts_per_round=self.broadcasts_per_round + other.broadcasts_per_round,
-        )
-        merged.broadcasts_per_node = dict(self.broadcasts_per_node)
-        for node, count in other.broadcasts_per_node.items():
-            merged.broadcasts_per_node[node] = merged.broadcasts_per_node.get(node, 0) + count
-        return merged
-
     def summary(self) -> str:
         base = (
             f"rounds={self.rounds} broadcasts={self.broadcasts} "

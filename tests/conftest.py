@@ -21,10 +21,12 @@ except ModuleNotFoundError as exc:  # pragma: no cover - misconfiguration aid
             "PYTHONPATH=src python -m pytest -x -q)") from exc
     raise
 
-from repro.core import SkeletonExtractor
+from repro.core import SkeletonExtractor, SkeletonNodeProtocol
 from repro.geometry import make_field
-from repro.network import UnitDiskRadio, build_network
+from repro.geometry.primitives import Point
+from repro.network import SensorNetwork, UnitDiskRadio, build_network
 from repro.network.deployment import uniform_deployment
+from repro.runtime import NodeProtocol
 
 try:
     from hypothesis import settings as _hyp_settings
@@ -55,6 +57,43 @@ def build_test_network(shape: str, n: int, radio_range: float, seed: int = 3):
         positions, radio=UnitDiskRadio(radio_range), field=field, rng=rng
     )
     return network.largest_component_subgraph()
+
+
+def chain(n: int):
+    """Nodes 0..n-1 on a line, each linked to its immediate neighbours."""
+    positions = [Point(float(i), 0.0) for i in range(n)]
+    return build_network(positions, radio=UnitDiskRadio(1.1))
+
+
+def linked(n: int, edges):
+    """*n* nodes with exactly the given links (positions play no part in
+    the message-passing protocols)."""
+    adjacency = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return SensorNetwork([Point(float(i), 0.0) for i in range(n)], adjacency)
+
+
+class PingOnce(NodeProtocol):
+    """Broadcasts once at start; counts receptions.  For scheduler tests
+    that need traffic but no protocol logic."""
+
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.received = 0
+
+    def on_start(self, api):
+        api.broadcast("ping")
+
+    def on_message(self, message, api):
+        self.received += 1
+
+
+def skeleton_protocols(params, async_profile=None):
+    """A scheduler's protocol factory: the distributed pipeline's
+    :class:`SkeletonNodeProtocol` on every node."""
+    return lambda v: SkeletonNodeProtocol(v, params, async_profile=async_profile)
 
 
 def corrupt_cache_entries(cache_dir, stage: str, limit: int = 1) -> List[str]:

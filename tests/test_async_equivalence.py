@@ -1,11 +1,11 @@
 """Cross-scheduler equivalence and graceful degradation.
 
 The zero-jitter (degenerate latency) event-driven run must be
-*bit-identical* to the synchronous run — for each flooding protocol and
-for the full distributed pipeline — so that any divergence observed under
-jitter is attributable to asynchrony, not to simulator drift.  Partitions
-must terminate via the convergence detector and surface per-fragment
-partial results.
+*bit-identical* to the synchronous run — in each protocol phase's per-node
+state and for the full distributed pipeline — so that any divergence
+observed under jitter is attributable to asynchrony, not to simulator
+drift.  Partitions must terminate via the convergence detector and surface
+per-fragment partial results.
 """
 
 import pytest
@@ -14,19 +14,17 @@ from repro.core import SkeletonParams, extract_skeleton_distributed, \
     run_distributed_stages
 from repro.geometry.primitives import Point
 from repro.network import UnitDiskRadio, build_network
+from repro.observability import Tracer
 from repro.runtime import (
     AsyncProfile,
     AsyncScheduler,
     CrashWindow,
     FaultPlan,
     LatencyModel,
-    NeighborhoodGossipProtocol,
     SynchronousScheduler,
-    ValueGossipProtocol,
-    VoronoiFloodProtocol,
     live_components,
 )
-from tests.conftest import build_test_network
+from tests.conftest import build_test_network, skeleton_protocols
 
 
 @pytest.fixture(scope="module")
@@ -41,41 +39,37 @@ def annulus():
     return build_test_network("annulus", 500, 5.0, seed=9)
 
 
-def run_both(network, factory):
-    sync = SynchronousScheduler(network, factory)
-    sync_stats = sync.run()
-    asyn = AsyncScheduler(network, factory)
-    async_stats = asyn.run()
-    return sync, sync_stats, asyn, async_stats
-
-
 class TestZeroJitterProtocolIdentity:
-    def test_neighborhood_gossip(self, network):
-        sync, s_stats, asyn, a_stats = run_both(
-            network, lambda v: NeighborhoodGossipProtocol(v, k=3)
-        )
-        assert [p.known for p in sync.protocols] == \
-            [p.known for p in asyn.protocols]
+    """Per-node protocol state, phase by phase, on both schedulers."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, network):
+        runs = []
+        for scheduler in (SynchronousScheduler, AsyncScheduler):
+            tracer = Tracer()
+            sched = scheduler(network, skeleton_protocols(SkeletonParams()),
+                              tracer=tracer)
+            runs.append((sched.protocols, sched.run(), tracer.query()))
+        return runs
+
+    def test_neighborhood_gossip(self, runs):
+        (sync, s_stats, _), (asyn, a_stats, _) = runs
+        assert [p.known for p in sync] == [p.known for p in asyn]
         assert a_stats.broadcasts == s_stats.broadcasts
         assert a_stats.corrections == 0 and a_stats.corrections_suppressed == 0
 
-    def test_value_gossip(self, network):
-        sync, s_stats, asyn, a_stats = run_both(
-            network, lambda v: ValueGossipProtocol(v, l=4, value=v * v)
-        )
-        assert [p.values for p in sync.protocols] == \
-            [p.values for p in asyn.protocols]
-        assert a_stats.broadcasts == s_stats.broadcasts
-        assert a_stats.corrections == 0
+    def test_value_gossip(self, runs):
+        (sync, _, _), (asyn, _, _) = runs
+        assert [p.sizes for p in sync] == [p.sizes for p in asyn]
+        assert [p.indices for p in sync] == [p.indices for p in asyn]
 
-    def test_voronoi_flood(self, network):
-        sites = set(list(network.nodes())[::17])
-        factory = lambda v: VoronoiFloodProtocol(v, is_site=v in sites)
-        sync, s_stats, asyn, a_stats = run_both(network, factory)
-        assert [p.records for p in sync.protocols] == \
-            [p.records for p in asyn.protocols]
-        assert a_stats.broadcasts == s_stats.broadcasts
-        assert a_stats.corrections == 0
+    def test_voronoi_flood(self, runs):
+        (sync, _, s_query), (asyn, _, a_query) = runs
+        assert [p.site_records for p in sync] == \
+            [p.site_records for p in asyn]
+        # The same nodes forward the same number of site waves.
+        assert a_query.sends_by_node(phase="site") == \
+            s_query.sends_by_node(phase="site")
 
 
 class TestZeroJitterPipelineIdentity:

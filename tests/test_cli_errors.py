@@ -161,7 +161,10 @@ def test_unrelated_import_failure_still_raises(monkeypatch):
     (["--nodes", "0"], "--nodes must be >= 1, got 0"),
     (["--jitter", "-1"], "--jitter must be a finite number >= 0, got -1.0"),
     (["--jitter", "inf"], "--jitter must be a finite number >= 0, got inf"),
-], ids=["drop-above-one", "zero-nodes", "negative-jitter", "infinite-jitter"])
+    (["--scheduler", "sync", "--jitter", "0.5"],
+     "--jitter applies to --scheduler async only"),
+], ids=["drop-above-one", "zero-nodes", "negative-jitter", "infinite-jitter",
+        "jitter-on-sync"])
 def test_observability_bad_input_is_a_one_line_error(argv, message,
                                                      monkeypatch, capsys):
     monkeypatch.setattr("repro.cli.get_scenario", _never)

@@ -6,9 +6,12 @@ from repro.core import (
     SkeletonParams,
     build_voronoi,
     compute_indices,
+    extract_skeleton_distributed,
     find_critical_nodes,
     run_distributed_stages,
 )
+from repro.runtime import AsyncProfile, LatencyModel
+from tests.conftest import chain
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +102,15 @@ class TestTheorem5Bounds:
         (n1, m1), (n2, m2) = sizes
         # Messages per node stay flat as n doubles.
         assert m2 / n2 == pytest.approx(m1 / n1, rel=0.1)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("latency", LatencyModel.fixed()),
+    ("async_profile", AsyncProfile()),
+    ("deadline", 10.0),
+], ids=["latency", "async_profile", "deadline"])
+def test_sync_scheduler_rejects_async_only_arguments(name, value):
+    # Silently ignoring them would report an untuned run as a tuned one.
+    with pytest.raises(ValueError, match=f"^{name} only apply to "
+                                         f"scheduler='async'$"):
+        extract_skeleton_distributed(chain(3), **{name: value})

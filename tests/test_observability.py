@@ -33,13 +33,12 @@ from repro.runtime import (
     ConvergenceReport,
     FaultPlan,
     LatencyModel,
-    NeighborhoodGossipProtocol,
     RetryPolicy,
     RunStats,
     SynchronousScheduler,
 )
 from repro.viz import render_trace_summary
-from tests.conftest import build_test_network
+from tests.conftest import PingOnce, build_test_network
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +86,10 @@ class TestTracerEvents:
 
     def test_single_protocol_run(self, small_network):
         tracer = Tracer()
-        stats = SynchronousScheduler(
-            small_network, lambda v: NeighborhoodGossipProtocol(v, k=3),
-            tracer=tracer,
-        ).run()
+        stats = SynchronousScheduler(small_network, PingOnce,
+                                     tracer=tracer).run()
         assert [e for e in tracer.events if e.kind == "send"]
-        assert tracer.phase_names() == ["nbr"]
+        assert tracer.phase_names() == ["ping"]
         assert stats.broadcasts == sum(
             1 for e in tracer.events if e.kind == "send"
         )
@@ -383,15 +380,11 @@ class TestInvariantChecks:
             report.check_invariants()
 
     def test_schedulers_run_the_checks(self, small_network):
-        scheduler = SynchronousScheduler(
-            small_network, lambda v: NeighborhoodGossipProtocol(v, k=2),
-        )
+        scheduler = SynchronousScheduler(small_network, PingOnce)
         scheduler.stats.broadcasts_per_round.append(7)
         with pytest.raises(RuntimeError):
             scheduler.run()
-        async_scheduler = AsyncScheduler(
-            small_network, lambda v: NeighborhoodGossipProtocol(v, k=2),
-        )
+        async_scheduler = AsyncScheduler(small_network, PingOnce)
         async_scheduler.stats.broadcasts_per_round.append(7)
         with pytest.raises(RuntimeError):
             async_scheduler.run()

@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.params import SkeletonParams
 from repro.geometry import Point
 from repro.network import (QuasiUnitDiskRadio, SensorNetwork, UnitDiskRadio,
@@ -210,3 +211,22 @@ def test_content_hash_stable_across_rebuilds_and_pickling():
 def test_content_hash_changes_on_any_perturbation(perturbation):
     assert (_grid_network(**perturbation).content_hash()
             != _grid_network().content_hash())
+
+
+@pytest.mark.parametrize("jobs,line", [
+    ("1", "artifact cache: hit rate 0.50 "
+          "(per stage: {'fig': {'hits': 1, 'misses': 1}})"),
+    ("2", "artifact cache: hit rate unmeasured "
+          "(2 worker processes keep their own counters)"),
+], ids=["serial", "pool"])
+def test_suite_cache_line_under_a_pool(jobs, line, monkeypatch, capsys):
+    # Pool workers count cache traffic in their own forked copies, so the
+    # parent's counters cannot give a hit rate for a parallel run.
+    def fake_suite(*, cache, **_kwargs):
+        cache.get_or_build("fig", 1, lambda: "built")
+        cache.get_or_build("fig", 1, lambda: "built")
+        return []
+
+    monkeypatch.setattr("repro.cli.run_figure_suite", fake_suite)
+    assert cli_main(["suite", "--jobs", jobs]) == 0
+    assert capsys.readouterr().out.splitlines() == [line]

@@ -1,43 +1,29 @@
-"""Tests for the synchronous runtime and its flooding protocols."""
+"""Tests for the synchronous runtime, driven by the distributed pipeline's
+own per-node program (:class:`SkeletonNodeProtocol`) phase by phase."""
 
 import pytest
 
-from repro.core import compute_khop_sizes
-from repro.geometry.primitives import Point
-from repro.network import UnitDiskRadio, build_network
-from repro.runtime import (
-    Message,
-    NeighborhoodGossipProtocol,
-    NodeProtocol,
-    SynchronousScheduler,
-    ValueGossipProtocol,
-    VoronoiFloodProtocol,
-)
+from repro.core import SkeletonParams, compute_khop_sizes
+from repro.observability import Tracer
+from repro.runtime import NodeProtocol, SynchronousScheduler
+from tests.conftest import PingOnce, chain, linked, skeleton_protocols
+
+# Two hubs (0 and 8, three leaves each) joined by the path 0-1-...-8: with
+# k = l = 1 the hubs are the only elected sites, and node 4 is equidistant.
+DUMBBELL = linked(15, [(i, i + 1) for i in range(8)]
+                  + [(0, 9), (0, 10), (0, 11), (8, 12), (8, 13), (8, 14)])
 
 
-def chain(n):
-    positions = [Point(float(i), 0.0) for i in range(n)]
-    return build_network(positions, radio=UnitDiskRadio(1.1))
-
-
-class _PingOnce(NodeProtocol):
-    """Broadcasts once at start; counts receptions."""
-
-    def __init__(self, node_id):
-        super().__init__(node_id)
-        self.received = 0
-
-    def on_start(self, api):
-        api.broadcast("ping")
-
-    def on_message(self, message, api):
-        self.received += 1
+def run_skeleton(network, params, tracer=None):
+    sched = SynchronousScheduler(network, skeleton_protocols(params),
+                                 tracer=tracer)
+    return sched, sched.run()
 
 
 class TestScheduler:
     def test_single_round_delivery(self):
         net = chain(3)
-        sched = SynchronousScheduler(net, _PingOnce)
+        sched = SynchronousScheduler(net, PingOnce)
         stats = sched.run()
         assert stats.rounds == 1
         assert stats.broadcasts == 3
@@ -46,7 +32,7 @@ class TestScheduler:
 
     def test_receptions_counted_per_link(self):
         net = chain(3)
-        stats = SynchronousScheduler(net, _PingOnce).run()
+        stats = SynchronousScheduler(net, PingOnce).run()
         assert stats.receptions == 4  # degree sum
 
     def test_quiet_network_stops_immediately(self):
@@ -67,128 +53,77 @@ class TestScheduler:
         with pytest.raises(RuntimeError, match="quiesce"):
             SynchronousScheduler(net, Chatter).run(max_rounds=20)
 
-    def test_stats_merge(self):
-        net = chain(3)
-        s1 = SynchronousScheduler(net, _PingOnce).run()
-        s2 = SynchronousScheduler(net, _PingOnce).run()
-        merged = s1.merged_with(s2)
-        assert merged.broadcasts == s1.broadcasts + s2.broadcasts
-        assert merged.rounds == s1.rounds + s2.rounds
-
 
 class TestNeighborhoodGossip:
+    """Phase 1: k rounds of aggregated k-hop neighbourhood gossip."""
+
     def test_matches_centralized_khop(self, rectangle_network):
-        k = 3
-        sched = SynchronousScheduler(
-            rectangle_network, lambda v: NeighborhoodGossipProtocol(v, k=k)
-        )
-        sched.run()
-        distributed = [p.neighborhood_size for p in sched.protocols]
-        assert distributed == compute_khop_sizes(rectangle_network, k)
+        sched, _ = run_skeleton(rectangle_network, SkeletonParams(k=3))
+        distributed = [len(p.known) for p in sched.protocols]
+        assert distributed == compute_khop_sizes(rectangle_network, 3)
 
     def test_message_bound_is_k_per_node(self, rectangle_network):
-        k = 3
-        stats = SynchronousScheduler(
-            rectangle_network, lambda v: NeighborhoodGossipProtocol(v, k=k)
-        ).run()
-        assert stats.broadcasts <= k * rectangle_network.num_nodes
-        assert stats.max_node_broadcasts <= k
+        tracer = Tracer()
+        run_skeleton(rectangle_network, SkeletonParams(k=3), tracer)
+        per_node = tracer.query().sends_by_node(phase="nbr")
+        assert max(per_node.values()) <= 3
+        assert sum(per_node.values()) <= 3 * rectangle_network.num_nodes
 
     def test_exactly_k_rounds(self, rectangle_network):
-        k = 4
-        stats = SynchronousScheduler(
-            rectangle_network, lambda v: NeighborhoodGossipProtocol(v, k=k)
-        ).run()
-        assert stats.rounds == k
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            NeighborhoodGossipProtocol(0, k=0)
+        tracer = Tracer()
+        run_skeleton(rectangle_network, SkeletonParams(k=4), tracer)
+        rounds = {e.time for e in tracer.query().of_kind("send")
+                  if e.phase == "nbr"}
+        assert len(rounds) == 4 and max(rounds) - min(rounds) == 3
 
 
 class TestValueGossip:
+    """Phase 2: each node's k-hop size spreads l hops."""
+
     def test_values_spread_l_hops(self):
-        net = chain(7)
-        l = 2
-        sched = SynchronousScheduler(
-            net, lambda v: ValueGossipProtocol(v, l=l, value=v * 10)
-        )
-        sched.run()
+        sched, _ = run_skeleton(chain(7), SkeletonParams(k=1, l=2))
         middle = sched.protocols[3]
-        assert set(middle.values) == {1, 2, 3, 4, 5}
-        assert middle.values[1] == 10
+        assert set(middle.sizes) == {1, 2, 3, 4, 5}
+        assert middle.sizes[1] == 3
 
     def test_lazy_value(self):
-        net = chain(3)
-        protocols = {}
-
-        def factory(v):
-            protocols[v] = ValueGossipProtocol(v, l=1)
-            return protocols[v]
-
-        sched = SynchronousScheduler(net, factory)
-        for v, p in protocols.items():
-            p.set_value(v)
-        sched.run()
-        assert protocols[1].values == {0: 0, 1: 1, 2: 2}
-
-    def test_rejects_bad_l(self):
-        with pytest.raises(ValueError):
-            ValueGossipProtocol(0, l=0)
+        # A node's value exists only once phase 1 has computed it, so no
+        # size announcement goes out before the last gossip round.
+        tracer = Tracer()
+        sched, _ = run_skeleton(chain(3), SkeletonParams(k=2, l=1), tracer)
+        sends = tracer.query().of_kind("send")
+        assert min(e.time for e in sends if e.phase == "size") \
+            > max(e.time for e in sends if e.phase == "nbr")
+        assert sched.protocols[1].sizes == {0: 3, 1: 3, 2: 3}
 
 
 class TestVoronoiFlood:
+    """Phase 4: concurrent site flooding from the elected sites."""
+
+    def _flood(self):
+        sched, _ = run_skeleton(DUMBBELL, SkeletonParams(k=1, l=1))
+        assert [p.node_id for p in sched.protocols if p.is_critical] == [0, 8]
+        return sched.protocols
+
     def test_nearest_site_wins(self):
-        net = chain(7)
-        sites = {0, 6}
-        sched = SynchronousScheduler(
-            net, lambda v: VoronoiFloodProtocol(v, is_site=v in sites, alpha=1)
-        )
-        sched.run()
-        # Node 2 is at distance 2 from site 0 and 4 from site 6.
-        records = sched.protocols[2].recorded_sites
-        assert 0 in records
-        assert records[0][0] == 2
+        # Node 2 is 2 hops from hub 0 and 6 from hub 8.
+        assert self._flood()[2].site_records == {0: (2, 1)}
 
     def test_middle_node_records_both_sites(self):
-        net = chain(7)
-        sites = {0, 6}
-        sched = SynchronousScheduler(
-            net, lambda v: VoronoiFloodProtocol(v, is_site=v in sites, alpha=1)
-        )
-        sched.run()
-        assert len(sched.protocols[3].recorded_sites) == 2
+        assert self._flood()[4].site_records == {0: (4, 3), 8: (4, 5)}
 
     def test_message_bound_one_per_node(self, rectangle_network):
-        sites = {0, 50, 100}
-        stats = SynchronousScheduler(
-            rectangle_network,
-            lambda v: VoronoiFloodProtocol(v, is_site=v in sites, alpha=1),
-        ).run()
-        assert stats.broadcasts <= rectangle_network.num_nodes
-        assert stats.max_node_broadcasts <= 1
+        tracer = Tracer()
+        run_skeleton(rectangle_network, SkeletonParams(), tracer)
+        per_node = tracer.query().sends_by_node(phase="site")
+        assert max(per_node.values()) <= 1
 
-    def test_parent_pointers_lead_to_site(self):
-        net = chain(5)
-        sched = SynchronousScheduler(
-            net, lambda v: VoronoiFloodProtocol(v, is_site=v == 0, alpha=1)
-        )
-        sched.run()
-        node = 4
-        hops = 0
-        while node != 0:
-            _, parent = sched.protocols[node].recorded_sites[0]
-            node = parent
-            hops += 1
-        assert hops == 4
-
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError):
-            VoronoiFloodProtocol(0, is_site=True, alpha=-1)
-
-
-def test_message_payload_items():
-    msg = Message(sender=0, kind="x", payload={"a": 1})
-    assert msg.payload_items()["a"] == 1
-    with pytest.raises(TypeError):
-        Message(sender=0, kind="x", payload=[1]).payload_items()
+    def test_parent_pointers_lead_to_site(self, rectangle_network):
+        sched, _ = run_skeleton(rectangle_network, SkeletonParams())
+        protocols = sched.protocols
+        for p in protocols:
+            for site, (dist, _) in p.site_records.items():
+                node = p.node_id
+                for _ in range(dist):
+                    node = protocols[node].site_records[site][1]
+                assert node == site

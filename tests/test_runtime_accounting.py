@@ -12,14 +12,7 @@ import pytest
 
 from repro.core import SkeletonParams, run_distributed_stages
 from repro.observability import Tracer
-from repro.runtime import (
-    FaultPlan,
-    NeighborhoodGossipProtocol,
-    RetryPolicy,
-    SynchronousScheduler,
-    ValueGossipProtocol,
-    VoronoiFloodProtocol,
-)
+from repro.runtime import FaultPlan, RetryPolicy
 from tests.conftest import build_test_network
 
 FAULTY = FaultPlan(seed=23, drop_probability=0.15)
@@ -34,33 +27,31 @@ FABRICS = [
 
 @pytest.mark.parametrize("plan,policy", FABRICS)
 class TestPerNodeBudgets:
+    """Each phase's per-node budget with non-default k, l and
+    local_max_hops, read from the lean tracer's aggregates (no event log)."""
+
+    PARAMS = SkeletonParams(k=3, l=4, local_max_hops=2)
+
+    def _phase(self, network, plan, policy, phase):
+        tracer = Tracer(record_events=False)
+        run_distributed_stages(network, self.PARAMS, fault_plan=plan,
+                               retry_policy=policy, tracer=tracer)
+        return tracer.metrics().by_phase()[phase]
+
     def test_neighborhood_gossip_at_most_k(self, rectangle_network, plan, policy):
-        k = 3
-        stats = SynchronousScheduler(
-            rectangle_network, lambda v: NeighborhoodGossipProtocol(v, k=k),
-            fault_plan=plan, retry_policy=policy,
-        ).run()
-        assert stats.max_node_broadcasts <= k
-        assert stats.broadcasts <= k * rectangle_network.num_nodes
+        nbr = self._phase(rectangle_network, plan, policy, "nbr")
+        assert nbr.max_node_sends <= 3
+        assert nbr.broadcasts <= 3 * rectangle_network.num_nodes
 
     def test_value_gossip_at_most_l(self, rectangle_network, plan, policy):
-        l = 4
-        stats = SynchronousScheduler(
-            rectangle_network, lambda v: ValueGossipProtocol(v, l=l, value=v),
-            fault_plan=plan, retry_policy=policy,
-        ).run()
-        assert stats.max_node_broadcasts <= l
-        assert stats.broadcasts <= l * rectangle_network.num_nodes
+        size = self._phase(rectangle_network, plan, policy, "size")
+        assert size.max_node_sends <= 4
+        assert size.broadcasts <= 4 * rectangle_network.num_nodes
 
     def test_voronoi_flood_at_most_one(self, rectangle_network, plan, policy):
-        sites = {0, 50, 100}
-        stats = SynchronousScheduler(
-            rectangle_network,
-            lambda v: VoronoiFloodProtocol(v, is_site=v in sites, alpha=1),
-            fault_plan=plan, retry_policy=policy,
-        ).run()
-        assert stats.max_node_broadcasts <= 1
-        assert stats.broadcasts <= rectangle_network.num_nodes
+        site = self._phase(rectangle_network, plan, policy, "site")
+        assert site.max_node_sends <= 1
+        assert site.broadcasts <= rectangle_network.num_nodes
 
 
 @pytest.mark.parametrize("plan,policy", FABRICS)

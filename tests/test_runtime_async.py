@@ -3,31 +3,32 @@ detection, timers under crashes, and partition discovery."""
 
 import pytest
 
-from repro.geometry.primitives import Point
-from repro.network import UnitDiskRadio, build_network
+from repro.core import SkeletonParams
+from repro.observability import Tracer
 from repro.runtime import (
     AsyncProfile,
     AsyncScheduler,
     CrashWindow,
     FaultPlan,
     LatencyModel,
-    NeighborhoodGossipProtocol,
     RetryPolicy,
     SeqWindow,
     SynchronousScheduler,
     live_components,
 )
+from tests.conftest import PingOnce, chain, skeleton_protocols
 
 
-def chain(n):
-    positions = [Point(float(i), 0.0) for i in range(n)]
-    return build_network(positions, radio=UnitDiskRadio(1.1))
+def gossip(k):
+    """The pipeline protocol with k-hop neighbourhood gossip."""
+    return skeleton_protocols(SkeletonParams(k=k, l=1))
 
 
-def gossip_async(network, k=3, latency=None, plan=None, policy=None, **run_kw):
+def gossip_async(network, k=3, latency=None, plan=None, policy=None,
+                 tracer=None, **run_kw):
     sched = AsyncScheduler(
-        network, lambda v: NeighborhoodGossipProtocol(v, k=k),
-        latency=latency, fault_plan=plan, retry_policy=policy,
+        network, gossip(k), latency=latency, fault_plan=plan,
+        retry_policy=policy, tracer=tracer,
     )
     stats = sched.run(**run_kw)
     return sched, stats
@@ -123,9 +124,7 @@ class TestEventLoop:
     def test_zero_jitter_gossip_matches_synchronous(self):
         network = chain(7)
         sched, stats = gossip_async(network, k=3)
-        sync = SynchronousScheduler(
-            network, lambda v: NeighborhoodGossipProtocol(v, k=3)
-        )
+        sync = SynchronousScheduler(network, gossip(3))
         sync_stats = sync.run()
         assert [p.known for p in sched.protocols] == \
             [p.known for p in sync.protocols]
@@ -133,12 +132,13 @@ class TestEventLoop:
         assert stats.corrections == 0
 
     def test_convergence_report(self):
-        sched, stats = gossip_async(chain(7), k=3)
+        tracer = Tracer()
+        sched, stats = gossip_async(chain(7), k=3, tracer=tracer)
         report = stats.convergence
         assert stats.quiesced and report.quiesced
-        # The k-th wavefront hop lands at virtual time k and nothing is
-        # transmitted after it.
-        assert report.virtual_time == 3.0
+        # The clock stops at the last event: nothing happens after it.
+        assert report.virtual_time == max(e.time for e in tracer.events)
+        assert report.timer_fires == tracer.timer_fires > 0
         assert report.deliveries > 0
         assert report.events >= report.deliveries
         assert report.max_outstanding > 0
@@ -171,9 +171,7 @@ class TestEventLoop:
             gossip_async(chain(3), k=1, deadline_action="abort")
 
     def test_negative_timer_delay_rejected(self):
-        sched = AsyncScheduler(
-            chain(3), lambda v: NeighborhoodGossipProtocol(v, k=1)
-        )
+        sched = AsyncScheduler(chain(3), PingOnce)
         with pytest.raises(ValueError):
             sched.schedule_timer(0, -1.0, "flush")
 
@@ -191,14 +189,15 @@ class TestEventLoop:
     def test_corrections_not_counted_as_broadcasts(self):
         network = chain(9)
         latency = LatencyModel.uniform_jitter(1.5, seed=11)
-        _, stats = gossip_async(network, k=3, latency=latency)
-        # The paper's per-node bound (≤ k algorithmic broadcasts) holds
-        # even when repairs happened.
-        assert max(stats.broadcasts_per_node.values()) <= 3
-        sync_stats = SynchronousScheduler(
-            network, lambda v: NeighborhoodGossipProtocol(v, k=3)
-        ).run()
-        assert stats.broadcasts == sync_stats.broadcasts
+        tracer = Tracer()
+        _, stats = gossip_async(network, k=3, latency=latency, tracer=tracer)
+        query = tracer.query()
+        assert stats.corrections > 0
+        assert stats.corrections == len(query.of_kind("correction"))
+        assert stats.broadcasts == len(query.of_kind("send"))
+        # The paper's per-node bound (≤ k algorithmic gossip broadcasts)
+        # holds even when repairs happened.
+        assert max(query.sends_by_node(phase="nbr").values()) <= 3
 
 
 class TestAsyncFaults:
@@ -214,31 +213,36 @@ class TestAsyncFaults:
 
     def test_crashed_sender_exhausts_retry_budget(self):
         # A permanently crashed sender with no retries left loses the whole
-        # frame: one drop per unreachable neighbour (the satellite-4 path).
-        network = chain(3)
+        # frame: one drop per unreachable neighbour.
         plan = FaultPlan(crashes={1: CrashWindow(start=0)})
-        policy = RetryPolicy(max_retries=0)
-        sched, stats = gossip_async(network, k=2, plan=plan, policy=policy)
-        # Node 1's own announcement (2 neighbours) plus each endpoint's
-        # frame addressed only to the dead centre.
+        sched = AsyncScheduler(chain(3), PingOnce, fault_plan=plan,
+                               retry_policy=RetryPolicy(max_retries=0))
+        stats = sched.run()
+        # Node 1's own ping (2 neighbours) plus each endpoint's ping
+        # addressed only to the dead centre.
         assert stats.drops == 4
         assert stats.retries == 0
-        assert sched.protocols[0].known == {0}
-        assert sched.protocols[2].known == {2}
+        assert [p.received for p in sched.protocols] == [0, 0, 0]
 
     def test_recoverable_crash_defers_timer(self):
         # A timer due inside a crash window fires after recovery instead of
-        # being lost; the node still converges.
+        # being lost; the node still converges.  Node 2's first phase
+        # deadline, k hops of 1.5 plus a grace of 2, falls due at 5.0.
         network = chain(5)
-        plan = FaultPlan(crashes={2: CrashWindow(start=1, end=4)})
+        plan = FaultPlan(crashes={2: CrashWindow(start=4, end=6)})
         policy = RetryPolicy(max_retries=8)
+        tracer = Tracer()
         sched = AsyncScheduler(
             network,
-            lambda v: NeighborhoodGossipProtocol(v, k=2, aggregation_delay=0.5),
-            fault_plan=plan, retry_policy=policy,
+            skeleton_protocols(SkeletonParams(k=2, l=1),
+                               AsyncProfile(aggregation_delay=0.5)),
+            fault_plan=plan, retry_policy=policy, tracer=tracer,
         )
         stats = sched.run()
         assert stats.quiesced
+        phase_fires = [e.time for e in tracer.events if e.kind == "timer"
+                       and e.node == 2 and e.extra["tag"] == "phase"]
+        assert phase_fires[0] == 6.0
         assert sched.protocols[2].known == {0, 1, 2, 3, 4}
 
     def test_permanent_crash_discards_timer(self):
@@ -247,11 +251,12 @@ class TestAsyncFaults:
         policy = RetryPolicy(max_retries=2)
         sched = AsyncScheduler(
             network,
-            lambda v: NeighborhoodGossipProtocol(v, k=2, aggregation_delay=0.5),
+            skeleton_protocols(SkeletonParams(k=2, l=1),
+                               AsyncProfile(aggregation_delay=0.5)),
             fault_plan=plan, retry_policy=policy,
         )
         stats = sched.run()
-        # The run still quiesces: the dead node's pending flush timer is
+        # The run still quiesces: the dead node's pending phase timer is
         # dropped rather than rescheduled forever.
         assert stats.quiesced
         assert stats.convergence.partitioned
@@ -275,23 +280,17 @@ class TestLiveComponents:
 
 class TestSynchronousDeadlineAction:
     def test_return_partial_flags_quiesced(self):
-        sched = SynchronousScheduler(
-            chain(8), lambda v: NeighborhoodGossipProtocol(v, k=7)
-        )
+        sched = SynchronousScheduler(chain(8), gossip(7))
         stats = sched.run(max_rounds=2, deadline_action="return_partial")
         assert not stats.quiesced
         assert sched.protocols[0].known >= {0, 1}
 
     def test_raise_is_default(self):
-        sched = SynchronousScheduler(
-            chain(8), lambda v: NeighborhoodGossipProtocol(v, k=7)
-        )
+        sched = SynchronousScheduler(chain(8), gossip(7))
         with pytest.raises(RuntimeError, match="quiesce"):
             sched.run(max_rounds=2)
 
     def test_invalid_action_rejected(self):
-        sched = SynchronousScheduler(
-            chain(3), lambda v: NeighborhoodGossipProtocol(v, k=1)
-        )
+        sched = SynchronousScheduler(chain(3), PingOnce)
         with pytest.raises(ValueError):
             sched.run(deadline_action="abort")
