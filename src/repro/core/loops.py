@@ -303,10 +303,18 @@ def _bidirectional_search(view: Callable[[int], Row], source: int,
     ``nx.shortest_path(G, source, target, weight="weight")`` on a graph
     with the same adjacency order.
 
-    Returns ``(path, relaxed)``: the path (``None`` when *target* is
-    unreachable) and the ids of the edges the search relaxed along, i.e.
-    pushed a node along.  Deleting any other edge leaves the search
-    unchanged: it was never read, or reading it changed nothing.
+    Returns ``(path, bearing)``: the path (``None`` when *target* is
+    unreachable) and the ids of the edges whose push bears on it.  A
+    push bears on the result when its entry was popped (a stale pop too:
+    it flips the direction), it set the final pred of a node the path is
+    read through (which covers the final meet and the far-side entry it
+    met), it blocked a later relaxation, or its entry is the only one
+    left in the other fringe.  Deleting any other edge leaves the search
+    unchanged: reading it pushed nothing, or its entries were never
+    popped, never read back and blocked nothing, so the same entries pop
+    in the same order (the shared counter keeps their relative order).
+    Nor can the other fringe run dry: the old path avoids the edge, so
+    the search on the smaller graph still finds a path.
     """
     if source == target:
         return [source], set()
@@ -315,15 +323,19 @@ def _bidirectional_search(view: Callable[[int], Row], source: int,
         {source: None}, {target: None})
     seen: Tuple[Dict[int, float], Dict[int, float]] = (
         {source: 0}, {target: 0})
-    fringe: Tuple[list, list] = ([(0, 0, source)], [(0, 1, target)])
+    # The edge whose push set each seen (and pred) entry; -1 at the ends.
+    pushed: Tuple[Dict[int, int], Dict[int, int]] = (
+        {source: -1}, {target: -1})
+    fringe: Tuple[list, list] = ([(0, 0, source, -1)], [(0, 1, target, -1)])
     counter = count(2)
-    relaxed: Set[int] = set()
+    bearing: Set[int] = set()
     finaldist = None
     meetnode = None
     direction = 1
     while fringe[0] and fringe[1]:
         direction = 1 - direction
-        dist, _, v = heappop(fringe[direction])
+        dist, _, v, along = heappop(fringe[direction])
+        bearing.add(along)
         final = dists[direction]
         if v in final:
             continue
@@ -333,15 +345,22 @@ def _bidirectional_search(view: Callable[[int], Row], source: int,
             node = meetnode
             while node is not None:
                 path.append(node)
+                bearing.add(pushed[0][node])
                 node = preds[0][node]
             path.reverse()
+            bearing.add(pushed[1][meetnode])
             node = preds[1][meetnode]
             while node is not None:
                 path.append(node)
+                bearing.add(pushed[1][node])
                 node = preds[1][node]
-            return path, relaxed
+            other = fringe[1 - direction]
+            if len(other) == 1:
+                bearing.add(other[0][3])
+            bearing.discard(-1)
+            return path, bearing
         near, far = seen[direction], seen[1 - direction]
-        pred = preds[direction]
+        pred, setter = preds[direction], pushed[direction]
         heap = fringe[direction]
         for eid, w, cost in view(v):
             length = dist + cost
@@ -350,14 +369,17 @@ def _bidirectional_search(view: Callable[[int], Row], source: int,
                     raise ValueError("Contradictory paths found: negative weights?")
             elif w not in near or length < near[w]:
                 near[w] = length
-                heappush(heap, (length, next(counter), w))
+                heappush(heap, (length, next(counter), w, eid))
                 pred[w] = v
-                relaxed.add(eid)
+                setter[w] = eid
                 if w in far:
                     total = length + far[w]
                     if finaldist is None or finaldist > total:
                         finaldist, meetnode = total, w
-    return None, relaxed
+            else:
+                bearing.add(setter[w])
+    bearing.discard(-1)
+    return None, bearing
 
 
 class RingEnumerator:
@@ -372,8 +394,9 @@ class RingEnumerator:
     Every :meth:`iter_rings` call yields a prefix of exactly the list the
     networkx enumeration it replaced returns for the current graph, and
     leaves the neighbour dicts in the order that enumeration leaves them.
-    Between calls the owner may only :meth:`remove_edge`.  Three things
-    keep each call down to what changed, all exact:
+    Between calls the owner may only :meth:`remove_edge`.  Each call
+    redoes only what the removals since the last one invalidated, all
+    exact:
 
     * Edge ids are the ``Graph.edges()`` ranks at construction.  Removing
       edges keeps the survivors' order, so the ids are a monotone
@@ -386,14 +409,25 @@ class RingEnumerator:
       ``i`` in rank order.  After the first call every list starts in rank
       order, so that view is the rank-ordered row rotated to start just
       after ``i``; searches read it directly.
-    * A search stays valid until an edge it relaxed along is removed: it
-      then reads its old view minus edges whose reading pushed nothing, so
-      it pushes the same heap entries with the same counters.  An
-      invalidated search is parked under its old ring weight — deleting
-      edges never shortens a path, so that is a lower bound — and rerun
-      only when the greedy reaches that weight.  Each weight level is
-      complete before any of its rings is yielded, so mask deduplication
-      keeps the lowest-rank edge's ring, as the full sort does.
+    * A search stays valid until an edge whose push bears on its result
+      is removed (see :func:`_bidirectional_search`): without any other
+      edge it pushes the same entries, pops them in the same order and
+      reads the same preds.  An invalidated search is parked under its
+      old ring weight — deleting edges never shortens a path, so that is
+      a lower bound — and rerun only when the greedy reaches that weight.
+      Each weight level is complete before any of its rings is yielded,
+      so mask deduplication keeps the lowest-rank edge's ring, as the
+      full sort does.
+    * The cycle rank is kept, not recounted: removing an edge lowers it by
+      one when it is a self-loop or a cached ring shows it lies on a
+      cycle, and otherwise (bridges, pendant edges, parked searches) the
+      next call recounts the components.
+    * The greedy resumes.  After each complete weight level it records
+      how far into the queue it read and how many rings it had accepted,
+      a prefix of one basis list and one accepted-ring list.  A removal
+      invalidates every level at or above the least old weight among the
+      searches it forgets; the next call replays the accepted rings of
+      the levels below without reducing them again, then continues.
 
     Totals are compared as networkx's sums; the lower bound needs them
     exact, which the pipeline's integer hop weights are.
@@ -409,9 +443,10 @@ class RingEnumerator:
         self._ids: Dict[int, Dict[int, int]] = {node: {} for node in adjacency}
         for eid, (u, v) in enumerate(ends):
             self._ids[u][v] = self._ids[v][u] = eid
-        # Per node: its neighbours sorted by edge id, and the ids alone (the
-        # bisect keys).  Nodes whose dict is not in id order also keep their
-        # start order, which the first call reads.
+        # Per node: its neighbours sorted by edge id, twice over so that
+        # every rotation is one slice, and the ids alone (the bisect keys).
+        # Nodes whose dict is not in id order also keep their start order,
+        # which the first call reads.
         self._rows: Dict[int, Row] = {}
         self._row_ids: Dict[int, List[int]] = {}
         self._start: Dict[int, Row] = {}
@@ -419,21 +454,28 @@ class RingEnumerator:
             ids = self._ids[node]
             start = [(ids[w], w, cost) for w, cost in nbrs.items()]
             row = sorted(start)
-            self._rows[node] = row
+            self._rows[node] = row + row
             self._row_ids[node] = [entry[0] for entry in row]
             if row != start:
                 self._start[node] = start
         # Per searched edge: (path, total, mask), with path ``None`` when
-        # unreachable; the edges each ring's search relaxed along, and the
-        # reverse index.  Rings not proven invalid wait in a sorted queue of
-        # (total, path, id); invalidated searches in a heap of (lower bound,
-        # id), where every edge starts, unsearched, at -inf.
+        # unreachable; the edges bearing on each ring's search, and the
+        # reverse index.  Rings not proven invalid wait in a sorted queue
+        # of (total, path, id); invalidated searches in a heap of (lower
+        # bound, id), where every edge starts, unsearched, at -inf.
         self._found: Dict[int, Tuple[Optional[List[int]], float, int]] = {}
-        self._relaxed: Dict[int, Set[int]] = {}
+        self._bearing: Dict[int, Set[int]] = {}
         self._users: Dict[int, Set[int]] = {}
         self._queue: List[Tuple[float, List[int], int]] = []
         self._parked: List[Tuple[float, int]] = [(-math.inf, eid)
                                                  for eid in self._ends]
+        # The cycle rank, ``None`` until recounted; the greedy's basis and
+        # accepted rings, and its (weight, queue position, accepted) after
+        # each complete level.
+        self._rank: Optional[int] = None
+        self._basis: List[Tuple[int, int]] = []
+        self._accepted: List[List[int]] = []
+        self._levels: List[Tuple[float, int, int]] = []
         self._calls = 0
         self._version = 0
 
@@ -463,7 +505,8 @@ class RingEnumerator:
         return out
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge (u, v) and park every search that relaxed along it.
+        """Delete edge (u, v) and park every search whose result it
+        bears on.
 
         An :meth:`iter_rings` iterator opened before the removal raises
         ``RuntimeError`` when read again."""
@@ -477,15 +520,29 @@ class RingEnumerator:
         for node in {u, v}:
             ids = self._row_ids[node]
             k = bisect_left(ids, eid)
-            del ids[k], self._rows[node][k]
+            del self._rows[node][k + len(ids)], self._rows[node][k], ids[k]
             if node in self._start:
                 self._start[node] = [entry for entry in self._start[node]
                                      if entry[0] != eid]
         self._version += 1
+        if self._rank is not None:
+            if u == v or self._on_cycle(eid):
+                self._rank -= 1
+            else:
+                self._rank = None
         # A parked edge leaves a dead heap entry, skipped when reached.
         self._forget(eid)
         for user in self._users.pop(eid, ()):
             self._park(user)
+
+    def _on_cycle(self, eid: int) -> bool:
+        """Whether a cached ring proves edge *eid* lies on a cycle: its
+        own, or one through it (every path edge bears on its search)."""
+        path = self._found.get(eid, (None,))[0]
+        if path is not None and len(path) >= 3:
+            return True
+        found, bit = self._found, 1 << eid
+        return any(found[user][2] & bit for user in self._users.get(eid, ()))
 
     def _park(self, eid: int) -> None:
         """Defer edge *eid*'s search until the greedy reaches its old
@@ -493,13 +550,16 @@ class RingEnumerator:
         heappush(self._parked, (self._forget(eid), eid))
 
     def _forget(self, eid: int) -> float:
-        """Drop edge *eid*'s cached search; returns its ring's total."""
+        """Drop edge *eid*'s cached search, and the greedy's levels from
+        its ring's total up; returns that total."""
         path, total, _ = self._found.pop(eid, (None, math.inf, 0))
         if path is not None and len(path) >= 3:
             queue = self._queue
             del queue[bisect_left(queue, (total, path, eid))]
+            levels = self._levels
+            del levels[bisect_left(levels, (total,)):]
         users = self._users
-        for edge in self._relaxed.pop(eid, ()):
+        for edge in self._bearing.pop(eid, ()):
             if edge in users:
                 users[edge].discard(eid)
         return total
@@ -509,15 +569,15 @@ class RingEnumerator:
         rows, row_ids, start = self._rows, self._row_ids, self._start
 
         def view(node: int) -> Row:
-            ids, row = row_ids[node], rows[node]
+            ids, twice = row_ids[node], rows[node]
             lo = bisect_left(ids, eid)
             if node in start:
                 after = [entry for entry in start[node] if entry[0] > eid]
-                return after + row[:lo]
-            return row[bisect_right(ids, eid, lo):] + row[:lo]
+                return after + twice[:lo]
+            return twice[bisect_right(ids, eid, lo):lo + len(ids)]
 
         u, v = self._ends[eid]
-        path, relaxed = _bidirectional_search(view, u, v)
+        path, bearing = _bidirectional_search(view, u, v)
         self.searches += 1
         if path is None or len(path) < 3:
             # Unreachable stays unreachable, and a self-loop closes no
@@ -525,17 +585,14 @@ class RingEnumerator:
             self._found[eid] = (path, math.inf, 0)
             return
         adjacency, ids = self.adjacency, self._ids
-        mask = 0
-        for i in range(len(path)):
-            mask ^= 1 << ids[path[i]][path[(i + 1) % len(path)]]
-        total = sum(
-            adjacency[path[i]][path[(i + 1) % len(path)]]
-            for i in range(len(path))
-        )
+        mask = total = 0
+        for a, b in zip(path, path[1:] + path[:1]):
+            mask ^= 1 << ids[a][b]
+            total += adjacency[a][b]
         self._found[eid] = (path, total, mask)
-        self._relaxed[eid] = relaxed
+        self._bearing[eid] = bearing
         users = self._users
-        for edge in relaxed:
+        for edge in bearing:
             if edge in users:
                 users[edge].add(eid)
             else:
@@ -561,12 +618,13 @@ class RingEnumerator:
 
     def iter_rings(self) -> Iterator[List[int]]:
         """An independent family of ordered tight cycles, cheapest first,
-        enumerated only as far as it is read."""
-        if not self._ends:
-            return iter(())
-        rank_target = (len(self._ends) - len(self.adjacency)
-                       + self._components())
-        if rank_target <= 0:
+        enumerated only as far as it is read.  Opening a new iterator
+        makes any older one raise ``RuntimeError`` when read again."""
+        self._version += 1
+        if self._rank is None:
+            self._rank = (len(self._ends) - len(self.adjacency)
+                          + self._components())
+        if self._rank <= 0:
             return iter(())
         if self._start and self._calls:
             # The last call read these start orders; from now on every
@@ -584,21 +642,29 @@ class RingEnumerator:
             for node in self._start:
                 nbrs = self.adjacency[node]
                 nbrs.clear()
-                nbrs.update((w, cost) for _, w, cost in self._rows[node])
+                nbrs.update((w, cost) for _, w, cost
+                            in self._rows[node][:len(self._row_ids[node])])
         self._calls += 1
-        return self._greedy(rank_target)
+        return self._greedy(self._rank)
 
     def _greedy(self, rank_target: int) -> Iterator[List[int]]:
-        """Reduce the queued rings weight level by weight level, rerunning
-        parked searches as their bounds come up."""
+        """Replay the rings of the levels still valid, then reduce the
+        queued rings weight level by weight level, rerunning parked
+        searches as their bounds come up."""
         version = self._version
         queue, parked, found, ends = (self._queue, self._parked,
                                       self._found, self._ends)
         # Accepted masks with their top bits: ``min(r, r ^ bm)`` takes
         # ``r ^ bm`` exactly when r holds bm's top bit, the cheaper test.
-        basis: List[Tuple[int, int]] = []
-        accepted = 0
-        pos = 0
+        basis, kept, levels = self._basis, self._accepted, self._levels
+        _, pos, accepted = levels[-1] if levels else (None, 0, 0)
+        del basis[accepted:], kept[accepted:]
+        for i in range(min(accepted, rank_target)):
+            yield list(kept[i])
+            if self._version != version:
+                raise RuntimeError("RingEnumerator changed during iteration")
+        if accepted >= rank_target:
+            return
         while True:
             # Complete the next level: every parked search whose bound does
             # not exceed it might land on it.  Reruns land at or after pos,
@@ -636,12 +702,14 @@ class RingEnumerator:
                 if reduced == 0:
                     continue
                 basis.append((mask, 1 << (mask.bit_length() - 1)))
+                kept.append(path)
                 yield list(path)
                 if self._version != version:
                     raise RuntimeError("RingEnumerator changed during iteration")
                 accepted += 1
                 if accepted >= rank_target:
                     return
+            levels.append((weight, pos, accepted))
 
     def rings(self) -> List[List[int]]:
         """The whole family :meth:`iter_rings` yields."""
@@ -706,10 +774,11 @@ class _CycleClassifier:
         self.skeleton_nodes = skeleton_nodes
         self.tracer = tracer
         self.clearance = hop_clearance(network, boundary_nodes, tracer=tracer)
-        self.witness_records: List[Tuple[int, FrozenSet[int]]] = [
-            (w, frozenset(voronoi.sites_recorded_by(w)))
-            for w in sorted(voronoi.voronoi_nodes)
-        ]
+        # Site -> the Voronoi nodes recording it, ascending.
+        self.witness_index: Dict[int, List[int]] = {}
+        for w in sorted(voronoi.voronoi_nodes):
+            for site in voronoi.sites_recorded_by(w):
+                self.witness_index.setdefault(site, []).append(w)
         self._cache: Dict[FrozenSet[SitePair], Tuple[bool, List[int], float]] = {}
 
     def classify(self, site_ring: Sequence[int],
@@ -723,8 +792,10 @@ class _CycleClassifier:
         if key in self._cache:
             return self._cache[key]
         params = self.params
-        ring_set = frozenset(site_ring)
-        witnesses = [w for w, records in self.witness_records if ring_set <= records]
+        # The Voronoi nodes recording every site of the ring.
+        index = self.witness_index
+        rows = sorted((index.get(site, []) for site in set(site_ring)), key=len)
+        witnesses = sorted(set(rows[0]).intersection(*rows[1:]))
         short_fake = len(ordered) < params.min_loop_hops
 
         ratio = 0.0

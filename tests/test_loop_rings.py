@@ -8,7 +8,9 @@ tie-breaking, and so every skeleton, depends on that order.  The oracle below is
 kept verbatim as a test-only reference.
 """
 
-from itertools import islice
+from functools import partial
+from heapq import heappop, heappush
+from itertools import count, islice
 from typing import List, Set, Tuple
 
 import networkx as nx
@@ -216,18 +218,19 @@ class TestIncrementalEnumeration:
         assert_same_call(oracle, enumerator)
         while enumerator.edges():
             current = enumerator.edges()
-            # Bias towards the two removals that matter: edges some cached
-            # search relaxed along (it must rerun), and unrelaxed edges at
-            # nodes a cached search expanded (it must be reused intact).
+            # Bias towards the two removals that matter: edges bearing on
+            # some cached search (it must rerun), and edges at nodes a
+            # cached search expanded that bear on none (it must be reused
+            # intact).
             users = enumerator._users
-            relaxed = [(u, v) for u, v in current
+            bearing = [(u, v) for u, v in current
                        if users.get(edge_id(enumerator, u, v))]
-            expanded = {node for along in enumerator._relaxed.values()
+            expanded = {node for along in enumerator._bearing.values()
                         for eid in along for node in enumerator._ends[eid]}
             read_only = [(u, v) for u, v in current
                          if (u in expanded or v in expanded)
-                         and (u, v) not in relaxed]
-            pools = [pool for pool in (current, relaxed, read_only) if pool]
+                         and (u, v) not in bearing]
+            pools = [pool for pool in (current, bearing, read_only) if pool]
             pool = pools[data.draw(st.integers(0, len(pools) - 1))]
             u, v = data.draw(st.sampled_from(pool))
             if data.draw(st.booleans()):
@@ -260,7 +263,7 @@ class TestIncrementalEnumeration:
         # A 4x4 grid of unit squares, inserted row by row: its neighbour
         # dicts already follow the edge ranks, so repeat calls search
         # nothing, and dropping a corner edge reruns only the searches
-        # that pushed along it.
+        # it bears on (six pushed along it).
         nodes = list(range(16))
         edges = []
         for r in range(4):
@@ -277,7 +280,7 @@ class TestIncrementalEnumeration:
         oracle.remove_edge(14, 15)
         enumerator.remove_edge(14, 15)
         assert_same_call(oracle, enumerator)
-        assert 0 < enumerator.searches - len(edges) < len(edges) // 2
+        assert enumerator.searches - len(edges) == 4
         # Reading only the first ring reruns only the parked searches whose
         # old weight does not exceed that ring's: dropping (10, 11) breaks
         # weight-6 rings left by the earlier drops, and their searches stay
@@ -295,8 +298,8 @@ class TestIncrementalEnumeration:
         expected = oracle.rings()
         assert enumerator.rings() == expected
         assert next(lazy.iter_rings()) == expected[0]
-        assert 0 < lazy.searches - lazy_before \
-            < enumerator.searches - eager_before
+        assert lazy.searches - lazy_before == 5
+        assert enumerator.searches - eager_before == 6
         assert lazy.rings() == oracle.rings()
 
     def test_stale_reuse_would_pick_another_tied_path(self):
@@ -316,7 +319,7 @@ class TestIncrementalEnumeration:
             stale.rings()
         assert cached_path(enumerator, 2, 4) == [2, 1, 3, 4]
         assert edge_id(enumerator, 4, 0) in \
-            enumerator._relaxed[edge_id(enumerator, 2, 4)]
+            enumerator._bearing[edge_id(enumerator, 2, 4)]
         for target in (oracle, enumerator, stale):
             target.remove_edge(0, 4)
         expected = oracle.rings()
@@ -351,6 +354,37 @@ class TestLazyEnumeration:
             enumerator.remove_edge(u, v)
         assert_same_call(oracle, enumerator)
 
+    @given(site_graphs(), st.data())
+    @settings(deadline=None)
+    def test_kept_rank_matches_networkx(self, graph_spec, data):
+        """After every removal the kept cycle rank is E - V + C, or
+        unknown until the next call recounts it; after every call it is
+        known.  The drawn graphs carry bridges, pendant edges and
+        self-loops, whose removal the cached rings cannot place on a
+        cycle."""
+        nodes, edges = graph_spec
+        oracle, enumerator = both(nodes, edges)
+
+        def rank():
+            graph = oracle.graph
+            return (graph.number_of_edges() - graph.number_of_nodes()
+                    + nx.number_connected_components(graph))
+
+        while True:
+            expected = oracle.rings()
+            read = list(islice(enumerator.iter_rings(), data.draw(
+                st.integers(0, len(expected)))))
+            assert read == expected[:len(read)]
+            assert enumerator._rank == rank()
+            if not enumerator.edges():
+                break
+            pool = ring_edges(read[-1]) if read and data.draw(
+                st.booleans()) else enumerator.edges()
+            u, v = data.draw(st.sampled_from(pool))
+            oracle.remove_edge(u, v)
+            enumerator.remove_edge(u, v)
+            assert enumerator._rank in (None, rank())
+
     def test_iterator_from_before_a_removal_raises(self):
         oracle, enumerator = both(range(4), [(0, 1, 1), (1, 2, 1), (2, 0, 1),
                                              (2, 3, 1), (3, 0, 1)])
@@ -377,6 +411,201 @@ class _PathOnlyInvalidation(RingEnumerator):
 def _has_edge(path, u, v) -> bool:
     return any({path[i], path[(i + 1) % len(path)]} == {u, v}
                for i in range(len(path)))
+
+
+def clause_search(view, source, target, omit=frozenset(), every_push=False):
+    """The enumerator's bidirectional search again, with each reason a
+    push bears on the result named: ``pop`` (its entry was popped and
+    settled a node), ``stale`` (its entry was popped stale), ``pred`` (it
+    set the final pred of a path node other than the meet), ``meet`` (it
+    made the final meet, or is the far-side entry that push met),
+    ``blocked`` (it blocked a later relaxation) and ``fringe`` (its entry
+    was the only one left in the other fringe).  The result leaves out
+    the reasons in *omit*; *every_push* counts every push, the rule
+    before bearing."""
+    if source == target:
+        return [source], set()
+    dists = ({}, {})
+    preds = ({source: None}, {target: None})
+    seen = ({source: 0}, {target: 0})
+    pushed = ({source: -1}, {target: -1})
+    fringe = ([(0, 0, source, -1)], [(0, 1, target, -1)])
+    counter = count(2)
+    bearing = set()
+
+    def bear(clause, eid):
+        if clause not in omit:
+            bearing.add(eid)
+
+    finaldist = meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v, along = heappop(fringe[direction])
+        final = dists[direction]
+        if v in final:
+            bear("stale", along)
+            continue
+        bear("pop", along)
+        final[v] = dist
+        if v in dists[1 - direction]:
+            path = []
+            node = meetnode
+            while node is not None:
+                path.append(node)
+                bear("meet" if node == meetnode else "pred", pushed[0][node])
+                node = preds[0][node]
+            path.reverse()
+            bear("meet", pushed[1][meetnode])
+            node = preds[1][meetnode]
+            while node is not None:
+                path.append(node)
+                bear("pred", pushed[1][node])
+                node = preds[1][node]
+            other = fringe[1 - direction]
+            if len(other) == 1:
+                bear("fringe", other[0][3])
+            bearing.discard(-1)
+            return path, bearing
+        near, far = seen[direction], seen[1 - direction]
+        for eid, w, cost in view(v):
+            length = dist + cost
+            if w in final:
+                continue
+            if w not in near or length < near[w]:
+                near[w] = length
+                heappush(fringe[direction], (length, next(counter), w, eid))
+                preds[direction][w] = v
+                pushed[direction][w] = eid
+                if every_push:
+                    bearing.add(eid)
+                if w in far:
+                    total = length + far[w]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, w
+            else:
+                bear("blocked", pushed[direction][w])
+    bearing.discard(-1)
+    return None, bearing
+
+
+class _ClauseVariant(RingEnumerator):
+    """An enumerator whose searches run :func:`clause_search`, leaving
+    the clauses in ``omit`` out (a wrong variant unless ``omit`` is
+    empty); ``every_push`` parks every search that pushed along a dropped
+    edge."""
+
+    omit = frozenset()
+    every_push = False
+
+    def _search(self, eid):
+        real = loops_module._bidirectional_search
+        loops_module._bidirectional_search = partial(
+            clause_search, omit=self.omit, every_push=self.every_push)
+        try:
+            super()._search(eid)
+        finally:
+            loops_module._bidirectional_search = real
+
+
+def omitting(*clauses):
+    """The :class:`_ClauseVariant` that leaves *clauses* out."""
+    return type("Omitting", (_ClauseVariant,), {"omit": frozenset(clauses)})
+
+
+class _ParkEveryPusher(_ClauseVariant):
+    """The rule before bearing: park every search that pushed along a
+    dropped edge."""
+
+    every_push = True
+
+
+class TestBearingRule:
+    """The parking rule: a removal parks only the searches its edge bears
+    on, and leaving out a clause of "bears on" gives wrong rings."""
+
+    @given(site_graphs(), st.data())
+    @settings(deadline=None)
+    def test_clause_search_is_the_enumerators_search(self, graph_spec, data):
+        """With no clause left out, the test's tagged search caches what
+        the enumerator's own search does, across removals."""
+        nodes, edges = graph_spec
+        enumerator = RingEnumerator.from_edges(nodes, edges)
+        tagged = _ClauseVariant.from_edges(nodes, edges)
+        while True:
+            assert enumerator.rings() == tagged.rings()
+            assert enumerator._found == tagged._found
+            assert enumerator._bearing == tagged._bearing
+            if not enumerator.edges():
+                break
+            u, v = data.draw(st.sampled_from(enumerator.edges()))
+            enumerator.remove_edge(u, v)
+            tagged.remove_edge(u, v)
+
+    @pytest.mark.parametrize("clause, nodes, edges, drop, search", [
+        # The search for (4, 0) popped the entry pushed along (4, 2) on
+        # its way to 4-5-1-0, a path without that edge; rerun without
+        # it, it returns 4-3-1-0.
+        ("pop", [4, 5, 1, 0, 2, 3],
+         [(0, 4, 2), (4, 2, 2), (2, 5, 3), (1, 0, 3), (1, 5, 2), (4, 3, 2),
+          (3, 1, 3), (4, 5, 3)], (4, 2), (4, 0)),
+        # The search for (0, 2) met at 3: its path 0-3-2 ends on the
+        # backward push along (3, 2), whose entry was never popped.
+        ("meet", [0, 1, 3, 2],
+         [(3, 0, 1), (2, 3, 3), (2, 1, 2), (0, 2, 2), (0, 1, 3)],
+         (3, 2), (0, 2)),
+    ])
+    def test_leaving_a_clause_out_gives_other_rings(self, clause, nodes,
+                                                    edges, drop, search):
+        oracle, enumerator = both(nodes, edges)
+        wrong = omitting(clause).from_edges(nodes, edges)
+        for _ in range(2):
+            assert_same_call(oracle, enumerator)
+            wrong.rings()
+        dropped, searched = edge_id(enumerator, *drop), edge_id(
+            enumerator, *search)
+        assert dropped in enumerator._bearing[searched]
+        assert dropped not in wrong._bearing[searched]
+        for target in (oracle, enumerator, wrong):
+            target.remove_edge(*drop)
+        expected = oracle.rings()
+        assert enumerator.rings() == expected
+        assert wrong.rings() != expected
+
+    def test_bearing_rule_runs_fewer_searches(self, monkeypatch):
+        """``identify_loops`` runs fewer searches than under the
+        park-every-pusher rule, with the same loop analysis, and the cycle
+        rank is counted once, then kept.  Spiral's 7 site edges lose one,
+        and both rules rerun the same searches there."""
+        counts = {}
+        for scenario in ("window", "two_holes", "spiral"):
+            network = PAPER_SCENARIOS[scenario].build(seed=1, num_nodes=500)
+            runs = {}
+            for rule in (RingEnumerator, _ParkEveryPusher):
+                made = []
+
+                class Recording(rule):
+                    def __init__(self, adjacency):
+                        super().__init__(adjacency)
+                        self.recounts = 0
+                        made.append(self)
+
+                    def _components(self):
+                        self.recounts += 1
+                        return super()._components()
+
+                monkeypatch.setattr(loops_module, "RingEnumerator", Recording)
+                analysis = extract_skeleton(network).loop_analysis
+                (enumerator,) = made
+                runs[rule] = (loop_fields(analysis), enumerator.searches,
+                              enumerator.recounts)
+            assert runs[RingEnumerator][0] == runs[_ParkEveryPusher][0]
+            assert runs[RingEnumerator][2] == 1
+            counts[scenario] = (runs[RingEnumerator][1],
+                                runs[_ParkEveryPusher][1])
+        # (bearing rule, park every pusher)
+        assert counts == {"window": (11, 12), "two_holes": (37, 61),
+                          "spiral": (10, 10)}
 
 
 class TestIdentifyLoopsOracle:
