@@ -215,9 +215,12 @@ def _shard(args: argparse.Namespace) -> Run:
               f"halo_width={sharded.plan.halo_width:.2f} "
               f"replication={sharded.plan.replication_factor():.2f} "
               f"flood_batches={sharded.num_flood_batches}")
-        for phase, seconds in sharded.timings.items():
+        timings = {name: seconds for name, seconds
+                   in tracer.metrics().stage_timings.items()
+                   if name.startswith("shard:")}
+        for phase, seconds in timings.items():
             print(f"  {phase:<14} {seconds:8.2f}s")
-        print(f"  {'total':<14} {sharded.total_seconds:8.2f}s")
+        print(f"  {'total':<14} {sum(timings.values()):8.2f}s")
         summary = sharded.result.stage_summary()
         print("stage summary: "
               + ", ".join(f"{k}={v}" for k, v in summary.items()))

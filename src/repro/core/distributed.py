@@ -123,9 +123,16 @@ class SkeletonNodeProtocol(NodeProtocol):
         # Phase 4 state: site -> (distance, parent).
         self.site_records: Dict[int, Tuple[int, Optional[int]]] = {}
         self._site_anchor: Optional[int] = None
+        # Repair re-forwards left.  Both fabrics start with the same budget;
+        # the synchronous one rejects ``async_profile``, so it gets the
+        # default.
+        self._corrections_left = (
+            async_profile.correction_budget if async_profile is not None
+            else AsyncProfile.correction_budget
+        )
         # Event-driven state: hop-TTL gossip (distance per origin, pending
-        # re-forwards), versions for monotone recomputation, the adaptive
-        # phase deadline, and the shared correction budget.
+        # re-forwards), versions for monotone recomputation and the adaptive
+        # phase deadline.
         self._profile = async_profile
         self._async = False
         self._phase = self._P_NBR
@@ -133,7 +140,6 @@ class SkeletonNodeProtocol(NodeProtocol):
         self._grace = 0.0
         self._hop_time = 1.0
         self._flush_armed = False
-        self._corrections_left = 0
         self._nbr_dists: Dict[int, int] = {node_id: 0}
         self._nbr_pending: Dict[int, int] = {}
         self._size_vers: Dict[int, int] = {}
@@ -166,7 +172,6 @@ class SkeletonNodeProtocol(NodeProtocol):
         if self._async:
             if self._profile is None:
                 self._profile = AsyncProfile()
-            self._corrections_left = self._profile.correction_budget
             base = api.base_latency
             self._hop_time = base + self._profile.aggregation_delay
             self._grace = self._profile.grace * base

@@ -14,7 +14,8 @@ from .message import Message
 from .protocol import NodeApi, NodeProtocol
 from .faults import CrashWindow, FaultPlan, RetryPolicy
 from .latency import LatencyModel
-from .scheduler import SeqWindow, SynchronousScheduler
+from .link import SeqWindow
+from .scheduler import SynchronousScheduler
 from .async_scheduler import (
     AsyncNodeApi,
     AsyncProfile,

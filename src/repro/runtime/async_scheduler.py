@@ -32,24 +32,28 @@ a genuinely non-converging run into either an error or a partial result
 (``deadline_action``), mirroring the synchronous ``max_rounds`` contract.
 
 Faults reuse :class:`~repro.runtime.faults.FaultPlan` with the round
-coordinate of every draw taken as ``int(virtual time)``; link-layer
-recovery (:class:`~repro.runtime.faults.RetryPolicy`) becomes genuinely
-asynchronous — retransmissions are scheduled on a timeout that backs off
-exponentially (``rto``, ``rto_backoff``) instead of riding a global round.
+coordinate of every draw taken as ``int(virtual time)``.  The link layer
+(ARQ state, dedup, ack resolution, accounting, crash tracing) is the one
+:class:`~repro.runtime.link.LinkLayer` the synchronous scheduler also
+runs on; what differs is timing.  Here a receiver's crash, ack and
+duplicate state are settled when the frame arrives, and recovery
+(:class:`~repro.runtime.faults.RetryPolicy`) is genuinely asynchronous —
+retransmissions are scheduled on a timeout that backs off exponentially
+(``rto``, ``rto_backoff``) instead of riding a global round.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..network.graph import SensorNetwork
 from .faults import FaultPlan, RetryPolicy
 from .latency import LatencyModel
-from .message import Message
-from .protocol import NodeApi, NodeProtocol
-from .scheduler import SeqWindow
+from .link import LinkLayer, ProtocolFactory, _Transmission, \
+    check_deadline_action
+from .protocol import NodeApi
 from .stats import ConvergenceReport, RunStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -57,16 +61,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["AsyncNodeApi", "AsyncProfile", "AsyncScheduler"]
 
-ProtocolFactory = Callable[[int], NodeProtocol]
-
 # Same-time event ranks: deliveries drain first (the "round's messages"),
 # then link-layer retransmissions go back on air, then protocol timers fire
 # (the local analogue of a round-end hook).
 _RANK_DELIVERY = 0
 _RANK_RETX = 1
 _RANK_TIMER = 2
-
-_DEADLINE_ACTIONS = ("raise", "return_partial")
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,6 @@ class AsyncNodeApi(NodeApi):
         return self._scheduler.now
 
     @property
-    def round(self) -> int:
-        return int(self._scheduler.now)
-
-    @property
     def base_latency(self) -> float:
         """The latency model's base delay — the unit phase schedules use."""
         return self._scheduler.latency.base
@@ -136,26 +132,7 @@ class AsyncNodeApi(NodeApi):
         self._scheduler.schedule_timer(self.node_id, delay, tag)
 
 
-class _Transmission:
-    """Link-layer state of one broadcast: ack bookkeeping and retry budget."""
-
-    __slots__ = ("message", "seq", "awaiting", "retries_left", "transmitted",
-                 "rto", "trace_id", "trace_parent")
-
-    def __init__(self, message: Message, seq: int, awaiting: Set[int],
-                 retries_left: int, rto: float):
-        self.message = message
-        self.seq = seq
-        self.awaiting = awaiting
-        self.retries_left = retries_left
-        self.transmitted = False
-        self.rto = rto
-        # Tracing-only bookkeeping (None when no tracer is attached).
-        self.trace_id: Optional[int] = None
-        self.trace_parent: Optional[int] = None
-
-
-class AsyncScheduler:
+class AsyncScheduler(LinkLayer):
     """Runs one protocol instance per node over an event-driven fabric."""
 
     def __init__(self, network: SensorNetwork, protocol_factory: ProtocolFactory,
@@ -163,32 +140,15 @@ class AsyncScheduler:
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  tracer: Optional["Tracer"] = None):
-        self.network = network
         self.latency = latency if latency is not None else LatencyModel.fixed()
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
-        self.tracer = tracer
-        self._trace_up: Dict[int, bool] = {}
-        self.protocols: List[NodeProtocol] = [
-            protocol_factory(node) for node in network.nodes()
-        ]
-        self.apis: List[AsyncNodeApi] = [
-            AsyncNodeApi(node, network.neighbors(node), self)
-            for node in network.nodes()
-        ]
         self.now = 0.0
-        self.stats = RunStats()
-        self._started = False
+        super().__init__(network, protocol_factory, AsyncNodeApi, fault_plan,
+                         retry_policy, tracer)
         # Event heap: (time, rank, key, seq, payload).  ``key`` is the frame
         # seq for deliveries (send order) and the node id for timers (round-
         # hook order); ``seq`` is a unique tiebreak so payloads never compare.
         self._events: List[Tuple[float, int, int, int, tuple]] = []
         self._event_seq = 0
-        self._next_seq = 0
-        window = retry_policy.dedup_window if retry_policy is not None else 1
-        self._seen_seqs: List[SeqWindow] = [
-            SeqWindow(window) for _ in network.nodes()
-        ]
         # Dijkstra–Scholten-style deficit counting: sends raise the sender's
         # deficit, consumed/dropped deliveries settle it.
         self._deficit: Dict[int, int] = {v: 0 for v in network.nodes()}
@@ -196,6 +156,12 @@ class AsyncScheduler:
         self._pending_retx = 0
         self._pending_timers = 0
         self._report = ConvergenceReport()
+
+    @property
+    def round(self) -> int:
+        """The coarse epoch ``int(now)``: the round coordinate of every
+        fault draw."""
+        return int(self.now)
 
     # -- event plumbing -----------------------------------------------------
 
@@ -213,26 +179,11 @@ class AsyncScheduler:
 
     def queue_broadcast(self, sender: int, kind: str, payload,
                         correction: bool = False) -> None:
-        message = Message(sender=sender, kind=kind, payload=payload,
-                          round_sent=int(self.now), correction=correction)
-        awaiting = (
-            set(self.network.neighbors(sender))
-            if self.retry_policy is not None else set()
+        policy = self.retry_policy
+        rto = policy.rto * self.latency.base if policy is not None else 0.0
+        self._transmit(
+            self._new_transmission(sender, kind, payload, correction, rto)
         )
-        retries = self.retry_policy.max_retries if self.retry_policy else 0
-        rto = (self.retry_policy.rto * self.latency.base
-               if self.retry_policy else 0.0)
-        tx = _Transmission(message, self._next_seq, awaiting, retries, rto)
-        if self.tracer is not None:
-            tx.trace_parent = self.tracer.current_cause
-        self._next_seq += 1
-        self._transmit(tx)
-
-    def record_suppressed_correction(self, node: int) -> None:
-        """A node's correction was swallowed by a spent re-forward budget."""
-        self.stats.record_correction_suppressed()
-        if self.tracer is not None:
-            self.tracer.on_suppress(node, self.now)
 
     # -- the fabric ---------------------------------------------------------
 
@@ -240,30 +191,15 @@ class AsyncScheduler:
         """Put one frame on the air: draw per-neighbour outcomes, schedule
         delivery events, and arm the retransmission timeout if needed."""
         plan = self.fault_plan
-        policy = self.retry_policy
-        tr = self.tracer
         sender = tx.message.sender
         rnd = int(self.now)
-        neighbors = self.network.neighbors(sender)
         if plan is not None and not plan.node_up(sender, rnd):
-            # The frame sits in the crashed sender's queue: spending retry
-            # budget to try again after recovery mirrors the synchronous
-            # fabric; with no budget left the whole broadcast is lost.
-            if tx.retries_left > 0:
-                tx.retries_left -= 1
+            if self._sender_down(tx):
                 self._schedule_retx(tx, self._recovery_time(sender, rnd))
-            else:
-                self.stats.record_drop(len(neighbors))
-                if tr is not None:
-                    tr.on_drop(tx.message, sender, None, self.now,
-                               count=len(neighbors))
             return
-        if tr is not None:
-            if tx.transmitted:
-                tr.on_retry(tx.message, self.now, len(neighbors), tx.trace_id)
-            else:
-                tx.trace_id = tr.on_send(tx.message, self.now, len(neighbors),
-                                         parent=tx.trace_parent)
+        neighbors = self.network.neighbors(sender)
+        if self.tracer is not None:
+            self._trace_on_air(tx, len(neighbors))
         delivered = 0
         for v in neighbors:
             if plan is not None and (
@@ -271,9 +207,7 @@ class AsyncScheduler:
                 or not plan.link_up(sender, v, rnd)
                 or not plan.delivers(sender, v, rnd, tx.seq)
             ):
-                self.stats.record_drop()
-                if tr is not None:
-                    tr.on_drop(tx.message, sender, v, self.now)
+                self._drop(tx, v)
                 continue
             delivered += 1
             delay = self.latency.delay(sender, v, tx.seq)
@@ -286,19 +220,10 @@ class AsyncScheduler:
             # receiver may crash mid-flight); the delivery event carries the
             # transmission so arrival processing can settle ``awaiting``.
             self._push(self.now + delay, _RANK_DELIVERY, tx.seq,
-                       ("msg", v, sender, tx.seq, tx))
-        if tx.transmitted:
-            self.stats.record_retry(sender, delivered)
-        elif tx.message.correction:
-            self.stats.record_correction(sender, delivered)
-            tx.transmitted = True
-        else:
-            self.stats.record_broadcast(sender, delivered)
-            tx.transmitted = True
-        if policy is not None and tx.awaiting and tx.retries_left > 0:
-            tx.retries_left -= 1
+                       ("msg", v, tx))
+        if self._sent(tx, delivered):
             self._schedule_retx(tx, self.now + tx.rto)
-            tx.rto *= policy.rto_backoff
+            tx.rto *= self.retry_policy.rto_backoff
 
     def _schedule_retx(self, tx: _Transmission, at: float) -> None:
         self._pending_retx += 1
@@ -334,24 +259,6 @@ class AsyncScheduler:
     def _node_up(self, node: int) -> bool:
         return self.fault_plan is None or self.fault_plan.node_up(node, int(self.now))
 
-    def _trace_crash_transitions(self) -> None:
-        """Emit crash/recover events for nodes whose up-state flipped.
-
-        Tracing-only bookkeeping: only nodes with a crash schedule can ever
-        flip, so the scan is bounded by the fault plan, not the network.
-        """
-        plan = self.fault_plan
-        rnd = int(self.now)
-        for node in plan.crashes:
-            up = plan.node_up(node, rnd)
-            was_up = self._trace_up.get(node, True)
-            if up != was_up:
-                self._trace_up[node] = up
-                if up:
-                    self.tracer.on_recover(node, self.now)
-                else:
-                    self.tracer.on_crash(node, self.now)
-
     def _process_batch(self, events: List[tuple]) -> None:
         """Handle every event sharing one virtual-time instant.
 
@@ -372,61 +279,36 @@ class AsyncScheduler:
                 timers.append(payload)
         if inboxes:
             self.stats.start_round()
-        plan = self.fault_plan
+        arq = self.retry_policy is not None
         tr = self.tracer
-        rnd = int(self.now)
-        if tr is not None and plan is not None:
+        if tr is not None and self.fault_plan is not None:
             self._trace_crash_transitions()
         for node, batch in inboxes.items():
             api = self.apis[node]
             protocol = self.protocols[node]
             up = self._node_up(node)
-            for _, _, sender, seq, tx in batch:
-                self._settle(sender)
+            for _, _, tx in batch:
+                self._settle(tx.message.sender)
                 self._report.deliveries += 1
                 if not up:
                     # A crash outlasting the flight also swallows the ack:
                     # the sender keeps this receiver in ``awaiting`` and the
                     # ARQ retries into the crash window, exactly like the
-                    # synchronous fabric (which resolves acks at delivery).
-                    self.stats.record_drop()
-                    if tr is not None:
-                        tr.on_drop(tx.message, sender, node, self.now)
+                    # synchronous fabric (which resolves acks at send time).
+                    self._drop(tx, node)
                     continue
-                if self.retry_policy is not None:
-                    if node in tx.awaiting:
-                        if plan is None or plan.ack_delivers(
-                            node, sender, rnd, seq
-                        ):
-                            tx.awaiting.discard(node)
-                        else:
-                            self.stats.record_ack_drop()
-                            if tr is not None:
-                                tr.on_ack_drop(tx.message, node, sender,
-                                               self.now)
-                    fresh, evicted = self._seen_seqs[node].add(seq)
-                    if evicted:
-                        self.stats.record_seen_eviction(evicted)
-                    if not fresh:
-                        self.stats.record_redundant()
-                        if tr is not None:
-                            tr.on_redundant(tx.message, node, self.now)
-                        continue
+                if arq and not self._receive(tx, node):
+                    continue
                 if tr is None:
                     protocol.on_message(tx.message, api)
                 else:
-                    tr.on_deliver(node, tx.message, tx.trace_id, self.now)
-                    tr.begin_handling(tx.trace_id)
-                    try:
-                        protocol.on_message(tx.message, api)
-                    finally:
-                        tr.end_handling()
+                    self._deliver_traced(node, tx, protocol, api)
         for node in inboxes:
             if self._node_up(node):
                 self.protocols[node].on_batch_end(self.apis[node])
         for tx in retx:
             self._pending_retx -= 1
-            if self.retry_policy is not None and not tx.awaiting:
+            if not tx.awaiting:
                 continue  # fully acked while the timeout was pending
             self._transmit(tx)
         for _, node, tag in timers:
@@ -455,8 +337,7 @@ class AsyncScheduler:
         run carries the convergence detector's report in
         :attr:`RunStats.convergence`.
         """
-        if deadline_action not in _DEADLINE_ACTIONS:
-            raise ValueError(f"deadline_action must be one of {_DEADLINE_ACTIONS}")
+        check_deadline_action(deadline_action)
         if not self._started:
             self._start()
         processed = 0
@@ -510,30 +391,16 @@ def live_components(network: SensorNetwork,
     """Connected components of the topology that survives the fault plan —
     nodes never permanently crashed, linked by edges between survivors.
     One component means the network heals; more means it is partitioned and
-    each fragment can at best compute a partial result.
+    each fragment can at best compute a partial result.  Components are
+    sorted id lists, largest first (ties by smallest member).
     """
-    if fault_plan is None:
-        alive = set(network.nodes())
-    else:
-        alive = {
-            v for v in network.nodes()
-            if not fault_plan.node_permanently_down(v, 2**62)
-        }
-    seen: Set[int] = set()
-    components: List[List[int]] = []
-    for start in sorted(alive):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in network.neighbors(u):
-                if v in alive and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        components.append(sorted(comp))
-    components.sort(key=lambda c: (-len(c), c[0]))
-    return components
+    alive = [
+        v for v in network.nodes()
+        if fault_plan is None or not fault_plan.node_permanently_down(v, 2**62)
+    ]
+    # The induced subgraph renumbers ``alive[i]`` to ``i``; the renumbering
+    # is monotone, so mapping back keeps each list sorted and the order.
+    return [
+        [alive[i] for i in component]
+        for component in network.induced_subgraph(alive).connected_components()
+    ]

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the synchronous runtime.
+"""Deterministic fault injection for the message-passing runtimes.
 
 The paper's evaluation (Section IV) runs on lossy radios — QUDG and
 log-normal shadowing — yet the baseline simulator assumes perfect

@@ -7,25 +7,28 @@ speed"): computation proceeds in rounds, broadcasts queued in round *r* are
 delivered to every radio neighbour at the start of round *r+1*, and the run
 ends when the network is quiet.
 
-With a :class:`~repro.runtime.faults.FaultPlan` the delivery fabric becomes
-lossy: frames drop per link, links flap per round, and nodes crash and
-recover on schedule.  An optional :class:`~repro.runtime.faults.RetryPolicy`
-adds link-layer recovery — per-neighbour acks over the same faulty links,
-bounded retransmission, and sequence-number duplicate suppression at
-receivers.  The fault-free code path is untouched, and a fault plan whose
-probabilities are zero (and with no crashes) reproduces it bit-for-bit.
+One round body serves every fabric.  With a
+:class:`~repro.runtime.faults.FaultPlan` the fabric becomes lossy: frames
+drop per link, links flap per round, and nodes crash and recover on
+schedule; without one every link delivers and no hash is drawn.  A
+:class:`~repro.runtime.faults.RetryPolicy` adds link-layer recovery —
+per-neighbour acks over the same faulty links, bounded retransmission in
+the next round, and sequence-number duplicate suppression at receivers
+(:mod:`repro.runtime.link`).  Every receiver's fate is settled when the
+frame is sent, and deliveries are logged as they are handled, so a
+zero-probability plan logs the same events in the same order as no plan.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, \
-    Sequence, Set, Tuple
+from collections import defaultdict
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..network.graph import SensorNetwork
 from .faults import FaultPlan, RetryPolicy
-from .message import Message
-from .protocol import NodeApi, NodeProtocol
+from .link import LinkLayer, ProtocolFactory, _Transmission, \
+    check_deadline_action
+from .protocol import NodeApi
 from .stats import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -33,124 +36,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["SynchronousScheduler"]
 
-ProtocolFactory = Callable[[int], NodeProtocol]
 
-_DEADLINE_ACTIONS = ("raise", "return_partial")
-
-
-class SeqWindow:
-    """Receiver-side duplicate suppression with bounded memory.
-
-    A sliding window over the most recently seen sequence numbers: the
-    oldest entry is evicted once ``capacity`` is exceeded.  Retransmissions
-    arrive within the retry budget's horizon — far inside any reasonable
-    window — so eviction does not reopen realistic duplicates; it replaces
-    the previously unbounded one-entry-per-frame-ever set.
-    """
-
-    __slots__ = ("capacity", "_seen", "_order")
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._seen: Set[int] = set()
-        self._order: Deque[int] = deque()
-
-    def add(self, seq: int) -> Tuple[bool, int]:
-        """Record *seq*; returns ``(fresh, evicted)`` where *fresh* is False
-        for a duplicate still inside the window and *evicted* counts entries
-        the window slid past."""
-        if seq in self._seen:
-            return False, 0
-        self._seen.add(seq)
-        self._order.append(seq)
-        evicted = 0
-        while len(self._order) > self.capacity:
-            self._seen.discard(self._order.popleft())
-            evicted += 1
-        return True, evicted
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-class _Transmission:
-    """One broadcast's link-layer state: who still owes an ack, and the
-    remaining retransmission budget.
-
-    ``transmitted`` flips on the first on-air frame; that frame is counted
-    as the algorithmic broadcast, every later one as a retry.
-    """
-
-    __slots__ = ("message", "seq", "awaiting", "retries_left", "transmitted",
-                 "trace_id", "trace_parent")
-
-    def __init__(self, message: Message, seq: int,
-                 awaiting: Set[int], retries_left: int):
-        self.message = message
-        self.seq = seq
-        self.awaiting = awaiting
-        self.retries_left = retries_left
-        self.transmitted = False
-        # Tracing-only bookkeeping (None when no tracer is attached):
-        # the tracer-assigned broadcast id, and the msg id whose handling
-        # queued this broadcast (the causal edge).
-        self.trace_id: Optional[int] = None
-        self.trace_parent: Optional[int] = None
-
-
-class SynchronousScheduler:
+class SynchronousScheduler(LinkLayer):
     """Runs one protocol instance per node over a :class:`SensorNetwork`."""
 
     def __init__(self, network: SensorNetwork, protocol_factory: ProtocolFactory,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  tracer: Optional["Tracer"] = None):
-        self.network = network
-        self.protocols: List[NodeProtocol] = [
-            protocol_factory(node) for node in network.nodes()
-        ]
-        self.apis: List[NodeApi] = [
-            NodeApi(node, network.neighbors(node), self)
-            for node in network.nodes()
-        ]
         self.round = 0
-        self.stats = RunStats()
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
-        self.tracer = tracer
-        self._outbox: List[Message] = []
-        self._started = False
-        # Tracing-only side tables, keyed by message identity only while
-        # the message is alive in ``_outbox`` (so ids cannot be recycled):
-        # the causal parent captured at queue time, and this round's
-        # message -> trace id map used to stamp deliveries.
-        self._trace_parents: Dict[int, int] = {}
-        self._trace_up: Dict[int, bool] = {}
-        # Link-layer state (fault path only).
-        self._next_seq = 0
+        super().__init__(network, protocol_factory, NodeApi, fault_plan,
+                         retry_policy, tracer)
+        self._outbox: List[_Transmission] = []
         self._retry_queue: List[_Transmission] = []
-        window = retry_policy.dedup_window if retry_policy is not None else 1
-        self._seen_seqs: List[SeqWindow] = [
-            SeqWindow(window) for _ in network.nodes()
-        ]
+
+    @property
+    def now(self) -> float:
+        """Virtual time: the round number."""
+        return float(self.round)
 
     # -- API used by NodeApi ------------------------------------------------
 
     def queue_broadcast(self, sender: int, kind: str, payload,
                         correction: bool = False) -> None:
-        message = Message(sender=sender, kind=kind, payload=payload,
-                          round_sent=self.round, correction=correction)
-        if self.tracer is not None:
-            cause = self.tracer.current_cause
-            if cause is not None:
-                self._trace_parents[id(message)] = cause
-        self._outbox.append(message)
-
-    def record_suppressed_correction(self, node: int) -> None:
-        """A node's correction was swallowed by a spent re-forward budget."""
-        self.stats.record_correction_suppressed()
-        if self.tracer is not None:
-            self.tracer.on_suppress(node, float(self.round))
+        self._outbox.append(
+            self._new_transmission(sender, kind, payload, correction)
+        )
 
     # -- execution ------------------------------------------------------------
 
@@ -160,220 +71,79 @@ class SynchronousScheduler:
         self._started = True
 
     def _any_active(self) -> bool:
-        if self.fault_plan is None:
-            return any(p.is_active() for p in self.protocols)
         # A node that crashed for good can never act again; ignoring it is
         # what lets runs with permanent crashes quiesce instead of spinning
         # until max_rounds.
+        plan = self.fault_plan
         return any(
-            p.is_active()
-            and not self.fault_plan.node_permanently_down(p.node_id, self.round)
+            p.is_active() and (
+                plan is None
+                or not plan.node_permanently_down(p.node_id, self.round))
             for p in self.protocols
         )
 
     def step(self) -> bool:
         """Execute one round; returns False when the network is quiet.
 
-        A round delivers every broadcast queued in the previous round (plus
-        any pending retransmissions), invokes message handlers, then
-        round-end hooks.
+        A round puts pending retransmissions and then every broadcast queued
+        in the previous round on the air, settles each link (crashes, drops,
+        flaps, acks, duplicates), invokes message handlers, then round-end
+        hooks.
         """
         if not self._started:
             self._start()
-        if self.fault_plan is not None:
-            return self._step_faulty()
-        in_flight = self._outbox
-        if not in_flight and not self._any_active():
+        # Pending retransmissions go on air before this round's new frames:
+        # they carry older data, matching FIFO link behaviour.
+        transmissions = self._retry_queue + self._outbox
+        if not transmissions and not self._any_active():
             return False
         self._outbox = []
-        self.stats.start_round()
-        tr = self.tracer
-        now = float(self.round + 1)
-        trace_ids: Dict[int, int] = {}
-        # Account each broadcast once, then fan it out to neighbours.  The
-        # tracer hooks live in a separate loop so the tracerless hot path
-        # pays nothing per message.
-        inboxes: Dict[int, List[Message]] = defaultdict(list)
-        if tr is None:
-            for msg in in_flight:
-                neighbors = self.network.neighbors(msg.sender)
-                if msg.correction:
-                    self.stats.record_correction(msg.sender, len(neighbors))
-                else:
-                    self.stats.record_broadcast(msg.sender, len(neighbors))
-                for v in neighbors:
-                    inboxes[v].append(msg)
-        else:
-            for msg in in_flight:
-                neighbors = self.network.neighbors(msg.sender)
-                trace_ids[id(msg)] = tr.on_send(
-                    msg, now, len(neighbors),
-                    parent=self._trace_parents.pop(id(msg), None),
-                )
-                if msg.correction:
-                    self.stats.record_correction(msg.sender, len(neighbors))
-                else:
-                    self.stats.record_broadcast(msg.sender, len(neighbors))
-                for v in neighbors:
-                    inboxes[v].append(msg)
-        self.round += 1
-        for node, messages in inboxes.items():
-            api = self.apis[node]
-            protocol = self.protocols[node]
-            if tr is None:
-                for msg in messages:
-                    protocol.on_message(msg, api)
-            else:
-                for msg in messages:
-                    msg_id = trace_ids[id(msg)]
-                    tr.on_deliver(node, msg, msg_id, now)
-                    tr.begin_handling(msg_id)
-                    try:
-                        protocol.on_message(msg, api)
-                    finally:
-                        tr.end_handling()
-        for node in self.network.nodes():
-            self.protocols[node].on_round_end(self.apis[node])
-        return True
-
-    def _trace_crash_transitions(self, now: float) -> None:
-        """Emit crash/recover events for nodes whose up-state flipped.
-
-        Tracing-only bookkeeping: only nodes with a crash schedule can ever
-        flip, so the scan is bounded by the fault plan, not the network.
-        """
-        plan = self.fault_plan
-        for node in plan.crashes:
-            up = plan.node_up(node, self.round)
-            was_up = self._trace_up.get(node, True)
-            if up != was_up:
-                self._trace_up[node] = up
-                if up:
-                    self.tracer.on_recover(node, now)
-                else:
-                    self.tracer.on_crash(node, now)
-
-    def _step_faulty(self) -> bool:
-        """One round over the faulty fabric (drops, flaps, crashes, ARQ)."""
-        plan = self.fault_plan
-        policy = self.retry_policy
-        new_msgs = self._outbox
-        if not new_msgs and not self._retry_queue and not self._any_active():
-            return False
-        self._outbox = []
+        self._retry_queue = []
         self.stats.start_round()
         self.round += 1
         rnd = self.round
+        plan = self.fault_plan
+        arq = self.retry_policy is not None
         tr = self.tracer
-        now = float(rnd)
-        if tr is not None:
-            self._trace_crash_transitions(now)
-
-        # Pending retransmissions go on air before this round's new frames:
-        # they carry older data, matching FIFO link behaviour.
-        transmissions: List[_Transmission] = list(self._retry_queue)
-        self._retry_queue = []
-        for msg in new_msgs:
-            awaiting = (
-                set(self.network.neighbors(msg.sender))
-                if policy is not None else set()
-            )
-            tx = _Transmission(msg, self._next_seq, awaiting,
-                               policy.max_retries if policy is not None else 0)
-            if tr is not None:
-                tx.trace_parent = self._trace_parents.pop(id(msg), None)
-            transmissions.append(tx)
-            self._next_seq += 1
-
-        inboxes: Dict[int, List[Message]] = defaultdict(list)
-        inbox_ids: Dict[int, List[Optional[int]]] = defaultdict(list)
-        for t in transmissions:
-            sender = t.message.sender
-            if not plan.node_up(sender, rnd):
-                # The frame sits in the crashed sender's queue; trying again
-                # after recovery costs retry budget like any retransmission.
-                if t.retries_left > 0:
-                    t.retries_left -= 1
-                    self._retry_queue.append(t)
-                else:
-                    fanout = len(self.network.neighbors(sender))
-                    self.stats.record_drop(fanout)
-                    if tr is not None:
-                        tr.on_drop(t.message, sender, None, now, count=fanout)
+        if tr is not None and plan is not None:
+            self._trace_crash_transitions()
+        adjacency = self.network.adjacency
+        inboxes: Dict[int, List[_Transmission]] = defaultdict(list)
+        for tx in transmissions:
+            sender = tx.message.sender
+            if plan is not None and not plan.node_up(sender, rnd):
+                if self._sender_down(tx):
+                    self._retry_queue.append(tx)
                 continue
+            neighbors = adjacency[sender]
             if tr is not None:
-                fanout = len(self.network.neighbors(sender))
-                if t.transmitted:
-                    tr.on_retry(t.message, now, fanout, t.trace_id)
-                else:
-                    t.trace_id = tr.on_send(t.message, now, fanout,
-                                            parent=t.trace_parent)
-            delivered = 0
-            for v in self.network.neighbors(sender):
-                if (
-                    not plan.node_up(v, rnd)
-                    or not plan.link_up(sender, v, rnd)
-                    or not plan.delivers(sender, v, rnd, t.seq)
+                self._trace_on_air(tx, len(neighbors))
+            delivered = len(neighbors)
+            for v in neighbors:
+                if plan is not None and not (
+                    plan.node_up(v, rnd)
+                    and plan.link_up(sender, v, rnd)
+                    and plan.delivers(sender, v, rnd, tx.seq)
                 ):
-                    self.stats.record_drop()
-                    if tr is not None:
-                        tr.on_drop(t.message, sender, v, now)
-                    continue
-                delivered += 1
-                if policy is not None:
-                    fresh, evicted = self._seen_seqs[v].add(t.seq)
-                    if evicted:
-                        self.stats.record_seen_eviction(evicted)
-                    if fresh:
-                        inboxes[v].append(t.message)
-                        if tr is not None:
-                            inbox_ids[v].append(t.trace_id)
-                            tr.on_deliver(v, t.message, t.trace_id, now)
-                    else:
-                        self.stats.record_redundant()
-                        if tr is not None:
-                            tr.on_redundant(t.message, v, now)
-                    if v in t.awaiting:
-                        if plan.ack_delivers(v, sender, rnd, t.seq):
-                            t.awaiting.discard(v)
-                        else:
-                            self.stats.record_ack_drop()
-                            if tr is not None:
-                                tr.on_ack_drop(t.message, v, sender, now)
-                else:
-                    inboxes[v].append(t.message)
-                    if tr is not None:
-                        inbox_ids[v].append(t.trace_id)
-                        tr.on_deliver(v, t.message, t.trace_id, now)
-            if t.transmitted:
-                self.stats.record_retry(sender, delivered)
-            elif t.message.correction:
-                self.stats.record_correction(sender, delivered)
-                t.transmitted = True
-            else:
-                self.stats.record_broadcast(sender, delivered)
-                t.transmitted = True
-            if policy is not None and t.awaiting and t.retries_left > 0:
-                t.retries_left -= 1
-                self._retry_queue.append(t)
-
-        for node, messages in inboxes.items():
+                    self._drop(tx, v)
+                    delivered -= 1
+                elif not arq or self._receive(tx, v):
+                    inboxes[v].append(tx)
+            if self._sent(tx, delivered):
+                self._retry_queue.append(tx)
+        # Deliveries are logged as they are handled, after every send of
+        # the round, so all fabrics share one event order.
+        for node, batch in inboxes.items():
             api = self.apis[node]
             protocol = self.protocols[node]
-            if tr is None:
-                for msg in messages:
-                    protocol.on_message(msg, api)
-            else:
-                ids = inbox_ids[node]
-                for msg, msg_id in zip(messages, ids):
-                    tr.begin_handling(msg_id)
-                    try:
-                        protocol.on_message(msg, api)
-                    finally:
-                        tr.end_handling()
-        for node in self.network.nodes():
-            if plan.node_up(node, rnd):
-                self.protocols[node].on_round_end(self.apis[node])
+            for tx in batch:
+                if tr is None:
+                    protocol.on_message(tx.message, api)
+                else:
+                    self._deliver_traced(node, tx, protocol, api)
+        for protocol, api in zip(self.protocols, self.apis):
+            if plan is None or plan.node_up(api.node_id, rnd):
+                protocol.on_round_end(api)
         return True
 
     def run(self, max_rounds: int = 100_000,
@@ -388,8 +158,7 @@ class SynchronousScheduler:
         or flap-starved run is a *result*, not an error, and the per-node
         protocol state accumulated before the deadline is still wanted.
         """
-        if deadline_action not in _DEADLINE_ACTIONS:
-            raise ValueError(f"deadline_action must be one of {_DEADLINE_ACTIONS}")
+        check_deadline_action(deadline_action)
         rounds = 0
         while self.step():
             rounds += 1

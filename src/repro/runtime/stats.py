@@ -124,18 +124,6 @@ class RunStats:
         self.retries += 1
         self.receptions += fanout
 
-    def record_drop(self, count: int = 1) -> None:
-        """Record *count* lost link-level delivery attempts."""
-        self.drops += count
-
-    def record_ack_drop(self, count: int = 1) -> None:
-        """Record *count* lost acknowledgements."""
-        self.acks_dropped += count
-
-    def record_redundant(self, count: int = 1) -> None:
-        """Record *count* duplicate frames suppressed at receivers."""
-        self.redundant_deliveries += count
-
     def record_correction(self, sender: int, fanout: int) -> None:
         """Record one repair broadcast heard by *fanout* neighbours.
 
@@ -146,14 +134,6 @@ class RunStats:
         """
         self.corrections += 1
         self.receptions += fanout
-
-    def record_correction_suppressed(self, count: int = 1) -> None:
-        """Record *count* corrections swallowed by a spent re-forward budget."""
-        self.corrections_suppressed += count
-
-    def record_seen_eviction(self, count: int = 1) -> None:
-        """Record *count* dedup-set entries evicted by the sliding window."""
-        self.seen_evictions += count
 
     def start_round(self) -> None:
         self.rounds += 1

@@ -26,8 +26,7 @@ Phase layout (DESIGN.md §12):
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -58,18 +57,13 @@ __all__ = ["ShardRun", "run_sharded", "extract_skeleton_sharded"]
 
 @dataclass
 class ShardRun:
-    """A sharded extraction plus its run accounting."""
+    """A sharded extraction plus its run accounting.  Per-phase wall time
+    is the ``shard:*`` spans of the tracer passed to :func:`run_sharded`."""
 
     result: SkeletonResult
     plan: TilePlan
     jobs: int
-    #: wall-clock seconds per phase, in execution order.
-    timings: Dict[str, float] = field(default_factory=dict)
     num_flood_batches: int = 0
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.timings.values())
 
     @property
     def is_degraded(self) -> bool:
@@ -112,7 +106,6 @@ def run_sharded(network: SensorNetwork,
     cache_dir = (str(cache.disk_dir)
                  if cache is not None and getattr(cache, "disk_dir", None)
                  is not None else None)
-    timings: Dict[str, float] = {}
 
     def run_tasks(fn, configs):
         """Map *fn* over *configs* with the shard task context set."""
@@ -122,31 +115,15 @@ def run_sharded(network: SensorNetwork,
         finally:
             set_task_context(*previous)
 
-    def timed(name: str):
-        class _Timer:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()
-                self_inner.span = stage_span(tracer, name)
-                self_inner.span.__enter__()
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                self_inner.span.__exit__(*exc)
-                timings[name] = timings.get(name, 0.0) + \
-                    (time.perf_counter() - self_inner.t0)
-                return False
-
-        return _Timer()
-
     n = network.num_nodes
-    with timed("shard:plan"):
+    with stage_span(tracer, "shard:plan"):
         plan = plan_tiles(network, grid, params)
     if n == 0:
         return ShardRun(result=empty_skeleton_result(network, params),
-                        plan=plan, jobs=runner.jobs, timings=timings)
+                        plan=plan, jobs=runner.jobs)
 
     # Phase 1 — per-tile stage 1 over halo-expanded subgraphs.
-    with timed("shard:stage1"):
+    with stage_span(tracer, "shard:stage1"):
         configs = []
         for flat, tile in enumerate(plan.tiles):
             if not tile.owned:
@@ -170,10 +147,10 @@ def run_sharded(network: SensorNetwork,
         return ShardRun(
             result=empty_skeleton_result(network, params,
                                          index_data=index_data),
-            plan=plan, jobs=runner.jobs, timings=timings)
+            plan=plan, jobs=runner.jobs)
 
     # Phase 2 — site-sharded Voronoi flooding over the full graph.
-    with timed("shard:flood"):
+    with stage_span(tracer, "shard:flood"):
         batches = _group_by_tile(sites, plan.owner_of)
         configs = [{"network": network, "sites": batch, "params": params,
                     "cache_dir": cache_dir} for batch in batches]
@@ -182,7 +159,7 @@ def run_sharded(network: SensorNetwork,
         voronoi = assemble_voronoi(network, sites, records)
 
     # Phase 3 — connector planning, then sharded path realization.
-    with timed("shard:paths"):
+    with stage_span(tracer, "shard:paths"):
         connectors, plans = plan_connectors(
             voronoi.adjacent_pairs(), voronoi.pair_segments,
             voronoi.pair_border_edges, index_data.index,
@@ -206,7 +183,7 @@ def run_sharded(network: SensorNetwork,
 
     # Phase 4 — merge-side finish: by-products, seam-aware loop
     # classification on the merged site graph, refinement.
-    with timed("shard:finish"):
+    with stage_span(tracer, "shard:finish"):
         boundary = detect_boundary_nodes(
             network, index_data.khop_sizes, params.boundary_threshold_factor
         )
@@ -230,7 +207,7 @@ def run_sharded(network: SensorNetwork,
         boundary_nodes=boundary,
     )
     return ShardRun(result=result, plan=plan, jobs=runner.jobs,
-                    timings=timings, num_flood_batches=len(batches))
+                    num_flood_batches=len(batches))
 
 
 def extract_skeleton_sharded(network: SensorNetwork,

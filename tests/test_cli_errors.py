@@ -4,7 +4,8 @@ A bad ``REPRO_JOBS`` (or ``--jobs``), an unknown suite runner, a
 scale outside ``(0, 1]``, an out-of-range trace or shard option or any
 argparse error must produce exactly one ``error: ...`` line on stderr,
 nothing on stdout and exit status 2 from every ``python -m repro``
-subcommand — never an uncaught traceback halfway into a sweep.
+subcommand — never an uncaught traceback halfway into a sweep.  One
+successful command is checked too: the shard timing table.
 """
 
 import os
@@ -16,6 +17,7 @@ import pytest
 import repro
 from repro.cli import TIER1_HINT, main
 from repro.network.scenarios import MegaFieldSpec, Scenario
+from repro.observability import Tracer
 
 ENTRY_POINTS = [
     ("suite", lambda: main(["suite", "--runners", "fig1", "--scale", "0.1"])),
@@ -195,3 +197,26 @@ def test_python_dash_m_repro(tmp_path):
     assert bare.stderr == ("error: the following arguments are required: "
                            "command\n")
     assert bare.stdout == ""
+
+
+def test_shard_timings_are_the_tracer_spans(monkeypatch, capsys):
+    """The shard timing table is a view over the run's ``shard:*`` spans,
+    not a clock of its own, and its total is their sum."""
+    tracers = []
+
+    class RecordingTracer(Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracers.append(self)
+
+    monkeypatch.setattr("repro.cli.Tracer", RecordingTracer)
+    assert main(["shard", "--scenario", "window", "--nodes", "50"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")]
+    timings = tracers[0].metrics().stage_timings
+    phases = ["shard:plan", "shard:stage1", "shard:flood", "shard:paths",
+              "shard:finish"]
+    assert [name for name, _ in rows] == phases + ["total"]
+    for name, printed in rows[:-1]:
+        assert printed == f"{timings[name]:.2f}s"
+    assert rows[-1][1] == f"{sum(timings[p] for p in phases):.2f}s"

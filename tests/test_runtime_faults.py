@@ -1,8 +1,14 @@
 """Fault-injection runtime: determinism, recovery, crash semantics, accounting."""
 
+import dataclasses
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
 from repro.core import SkeletonParams, run_distributed_stages
+from repro.network import get_scenario
 from repro.observability import Tracer
 from repro.runtime import (
     AsyncScheduler,
@@ -124,6 +130,96 @@ class TestZeroDropIdentity:
         assert plain.stats.broadcasts == faulty.stats.broadcasts
         assert plain.stats.rounds == faulty.stats.rounds
         assert faulty.stats.retries == 0
+
+
+def _traced_window_run(**kwargs):
+    """The distributed stages on Window (400 nodes, seed 1), traced."""
+    network = get_scenario("window").build(seed=1, num_nodes=400)
+    tracer = Tracer()
+    outcome = run_distributed_stages(network, tracer=tracer, **kwargs)
+    return outcome, tracer
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _event_multiset(tracer):
+    """Every recorded event without its ``seq``, sorted: what a fabric
+    logged, whatever order it logged it in."""
+    return sorted(
+        json.dumps([e.time, e.kind, e.node, e.phase, e.msg_id, e.parent,
+                    e.extra], sort_keys=True)
+        for e in tracer.events
+    )
+
+
+# Recorded on the two-loop synchronous scheduler (see test_lossy_run_pinned).
+LOSSY_COUNTERS = {
+    "broadcasts": 2961, "receptions": 31648, "rounds": 21, "retries": 3143,
+    "drops": 5212, "acks_dropped": 1941, "redundant_deliveries": 14738,
+    "corrections": 0, "corrections_suppressed": 0, "seen_evictions": 0,
+}
+LOSSY_PER_ROUND = [298, 297, 295, 295, 297, 296, 295, 293, 297, 24, 108, 85,
+                   55, 15, 4, 1, 1, 4, 1, 0, 0]
+LOSSY_EVENT_KINDS = {
+    "send": 2961, "retry": 3143, "deliver": 16910, "drop": 5200,
+    "ack_drop": 1941, "redundant": 14738, "crash": 1, "recover": 1,
+}
+LOSSY_PER_NODE_DIGEST = (
+    "ceaabe5970cd1a1f83e17da4042f11a12ea28c9bfdd6e33941c287c6f4603e4e")
+LOSSY_METRICS_DIGEST = (
+    "cea69d4f47f57f0b3f5593afe6f827d0556327b55e1441555355afd472a8db19")
+LOSSY_EVENTS_DIGEST = (
+    "0dffc2e8bc607a862a068b4147e271af030c743a3f865deadcd874e86f89d19f")
+
+
+@pytest.fixture(scope="module")
+def plain_window_run():
+    return _traced_window_run()
+
+
+class TestOneSynchronousFabric:
+    """One round body serves every synchronous fabric: a plan or policy
+    that never fires changes nothing, down to the event log."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(fault_plan=FaultPlan(seed=7, drop_probability=0.0),
+             retry_policy=RetryPolicy(max_retries=3)),
+        dict(retry_policy=RetryPolicy(max_retries=3)),
+    ], ids=["zero-probability-plan", "retry-policy-only"])
+    def test_idle_fault_layer_logs_the_plain_run(self, plain_window_run,
+                                                 kwargs):
+        plain, plain_tracer = plain_window_run
+        outcome, tracer = _traced_window_run(**kwargs)
+        assert outcome.stats == plain.stats
+        assert outcome.site_records == plain.site_records
+        assert tracer.events == plain_tracer.events
+
+    def test_lossy_run_pinned(self):
+        # Drops, flaps, one crash window and ARQ.  The literals were
+        # recorded on the synchronous scheduler that still had separate
+        # fault-free and faulty round bodies.  The seed is one where no
+        # record needs a correction, so the values are the link layer's
+        # alone (the correction budget is pinned by
+        # TestVoronoiCorrectionUnderLoss).
+        plan = FaultPlan(seed=11, drop_probability=0.1, flap_probability=0.05,
+                         crashes={17: CrashWindow(start=4, end=9)})
+        outcome, tracer = _traced_window_run(
+            fault_plan=plan, retry_policy=RetryPolicy(max_retries=3))
+        stats = outcome.stats
+        counters = {name: getattr(stats, name) for name in stats._COUNTERS}
+        assert counters == LOSSY_COUNTERS
+        assert stats.broadcasts_per_round == LOSSY_PER_ROUND
+        assert _digest(sorted(stats.broadcasts_per_node.items())) \
+            == LOSSY_PER_NODE_DIGEST
+        report = dataclasses.asdict(tracer.metrics())
+        del report["stage_timings"]
+        assert _digest(report) == LOSSY_METRICS_DIGEST
+        assert Counter(e.kind for e in tracer.events) == LOSSY_EVENT_KINDS
+        assert _digest(_event_multiset(tracer)) == LOSSY_EVENTS_DIGEST
 
 
 class TestRetryRecovery:
@@ -260,14 +356,15 @@ class TestVoronoiCorrectionUnderLoss:
         # Records converged to true hop distances despite the stale start.
         assert (dist[3], dist[4], dist[5]) == (2, 1, 3)
 
-    def test_sync_fabric_suppresses_the_correction(self):
-        # The synchronous runtime gives the protocol no correction budget:
-        # node 3 upgrades its own record, but its re-forward is suppressed
-        # and counted, so descendant 5 keeps the stale distance.
+    def test_sync_fabric_corrects_descendants(self):
+        # The synchronous runtime gives the protocol the same correction
+        # budget as the event-driven one: node 3 upgrades its record and
+        # re-forwards it, so descendant 5 drops its stale distance 4.
         plan = FaultPlan(crashes={4: CrashWindow(start=5, end=7)})
         dist, stats = self._run(SynchronousScheduler, plan)
-        assert (stats.corrections, stats.corrections_suppressed) == (0, 1)
-        assert (dist[3], dist[4], dist[5]) == (2, 1, 4)
+        assert stats.corrections > 0
+        assert stats.corrections_suppressed == 0
+        assert (dist[3], dist[4], dist[5]) == (2, 1, 3)
 
     def test_no_corrections_without_faults(self):
         for scheduler in (SynchronousScheduler, AsyncScheduler):
