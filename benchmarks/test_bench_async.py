@@ -5,7 +5,8 @@ event-driven runtime, asserts the acceptance envelope — the zero-jitter
 run is exactly the synchronous extraction, and the uniform arm stays
 homotopy-correct at bounded nonzero jitter — and records the rows,
 per-arm failure knees and stability curves in ``BENCH_async.json`` at
-the repository root.
+the repository root — only at ``REPRO_BENCH_SCALE=1.0``, the scale that
+file is recorded at.
 """
 
 import json
@@ -72,9 +73,15 @@ def test_bench_async_jitter(benchmark, bench_scale):
         f"Window skeleton degraded below the jitter=1 envelope: {window}"
     )
 
+    scale = max(bench_scale, MIN_ASYNC_SCALE)
+    if scale != 1.0:
+        # The committed record is the full-scale run; rows from a smaller
+        # one would overwrite it with numbers that do not compare.
+        print(f"scale {scale} is not 1.0: {OUTPUT_PATH.name} not written")
+        return
     OUTPUT_PATH.write_text(json.dumps({
         "benchmark": "async jitter sweep",
-        "scale": max(bench_scale, MIN_ASYNC_SCALE),
+        "scale": scale,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rows": report.rows,

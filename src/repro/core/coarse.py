@@ -10,7 +10,8 @@ nodes" from here on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..network.graph import SensorNetwork
 from .params import SkeletonParams
@@ -163,28 +164,50 @@ def compose_pair_path(path_a: Sequence[int], path_b: Sequence[int],
     return list(reversed(path_a)) + (list(path_b[1:]) if joined else list(path_b))
 
 
-def _batched_site_paths(
-    voronoi: VoronoiDecomposition,
-    requests: Dict[int, List[int]],
-    batch_width: Optional[int],
-    tracer=None,
-) -> Dict[Tuple[int, int], List[int]]:
-    """Resolve ``site -> nodes`` path requests with one lockstep parent
-    walk per site, returning ``(site, node) -> [node, ..., site]``.
+def _coarse_skeleton(voronoi: VoronoiDecomposition, index: Sequence[float],
+                     resolve: Callable[[Dict[int, List[int]]], Dict]
+                     ) -> CoarseSkeleton:
+    """Plan every pair's connection, resolve the reverse paths the plans
+    need, and stitch each pair's path from its two halves.
 
-    Each site's table rows are scattered into one dense parent row at a
-    time.  Raises ``ValueError`` if a requested node did not record its
-    site.
+    *resolve* maps ``{site: sorted endpoints}`` to ``{(site, endpoint):
+    [endpoint, ..., site]}``.  Only it differs between executions: the
+    monolithic build walks its flood table, :func:`repro.shard.run_sharded`
+    fans the requests out to workers; so seam-crossing pair paths come out
+    node for node equal.
     """
-    engine = voronoi.network.traversal(batch_width)
-    out: Dict[Tuple[int, int], List[int]] = {}
-    for site in sorted(requests):
-        targets = sorted(set(requests[site]))
-        paths = engine.reconstruct_paths(
-            voronoi.site_parent_row(site, targets), targets, tracer=tracer)
-        for node, path in zip(targets, paths):
-            out[(site, node)] = path
-    return out
+    # Pass 1 — pick each pair's connector and record which (site, endpoint)
+    # reverse paths realizing it will need.
+    connectors, plans = plan_connectors(
+        voronoi.adjacent_pairs(), voronoi.pair_segments,
+        voronoi.pair_border_edges, index,
+    )
+    requests: Dict[int, Set[int]] = {}
+    for _, (site_a, node_a), (site_b, node_b), _joined in plans:
+        requests.setdefault(site_a, set()).add(node_a)
+        requests.setdefault(site_b, set()).add(node_b)
+
+    # Pass 2 — resolve every reverse path, batched per site.
+    resolved = resolve({site: sorted(requests[site])
+                        for site in sorted(requests)})
+
+    nodes: Set[int] = set(voronoi.sites)
+    edges: Set[SkeletonEdge] = set()
+    pair_paths: Dict[SitePair, List[int]] = {}
+    for pair, (site_a, node_a), (site_b, node_b), joined in plans:
+        full = compose_pair_path(resolved[(site_a, node_a)],
+                                 resolved[(site_b, node_b)], joined)
+        pair_paths[pair] = full
+        nodes.update(full)
+        edges.update(path_edges(full))
+    return CoarseSkeleton(
+        network=voronoi.network,
+        nodes=nodes,
+        edges=edges,
+        sites=list(voronoi.sites),
+        connectors=connectors,
+        pair_paths=pair_paths,
+    )
 
 
 def build_coarse_skeleton(
@@ -200,42 +223,19 @@ def build_coarse_skeleton(
     the discrete stand-in for "the chosen segment node" being unique).
 
     Path emission groups all endpoints of a site and reconstructs them in
-    one lockstep gather per hop level.
+    one lockstep gather per hop level.  Raises ``ValueError`` if an
+    endpoint did not record its site.
     """
     params = params if params is not None else SkeletonParams()
-    network = voronoi.network
-    nodes: Set[int] = set(voronoi.sites)
-    edges: Set[SkeletonEdge] = set()
-    pair_paths: Dict[SitePair, List[int]] = {}
+    engine = voronoi.network.traversal(params.traversal_batch_width)
 
-    # Pass 1 — pick each pair's connector and record which (site, endpoint)
-    # reverse paths realizing it will need.
-    connectors, plans = plan_connectors(
-        voronoi.adjacent_pairs(), voronoi.pair_segments,
-        voronoi.pair_border_edges, index,
-    )
+    def resolve(requests: Dict[int, List[int]]):
+        out: Dict[Tuple[int, int], List[int]] = {}
+        for site, targets in requests.items():
+            paths = engine.reconstruct_paths(
+                voronoi.site_parent_row(site, targets), targets, tracer=tracer)
+            out.update(((site, node), path)
+                       for node, path in zip(targets, paths))
+        return out
 
-    # Pass 2 — resolve every reverse path, batched per site row.
-    requests: Dict[int, List[int]] = {}
-    for _, (sa, na), (sb, nb), _joined in plans:
-        requests.setdefault(sa, []).append(na)
-        requests.setdefault(sb, []).append(nb)
-    resolved = _batched_site_paths(
-        voronoi, requests, params.traversal_batch_width, tracer
-    )
-
-    for pair, (site_a, node_a), (site_b, node_b), joined in plans:
-        full = compose_pair_path(resolved[(site_a, node_a)],
-                                 resolved[(site_b, node_b)], joined)
-        pair_paths[pair] = full
-        nodes.update(full)
-        edges.update(path_edges(full))
-
-    return CoarseSkeleton(
-        network=network,
-        nodes=nodes,
-        edges=edges,
-        sites=list(voronoi.sites),
-        connectors=connectors,
-        pair_paths=pair_paths,
-    )
+    return _coarse_skeleton(voronoi, index, resolve)

@@ -65,8 +65,13 @@ from ..runtime.message import Message
 from ..runtime.protocol import NodeApi, NodeProtocol
 from ..runtime.scheduler import SynchronousScheduler
 from ..runtime.stats import RunStats
+from .coarse import build_coarse_skeleton
+from .neighborhood import IndexData
 from .params import SkeletonParams
-from .voronoi import VoronoiDecomposition, voronoi_from_entries
+from .pipeline import empty_skeleton_result, finish_skeleton, stage_span
+from .result import ComponentResult
+from .voronoi import (VoronoiDecomposition, voronoi_from_entries,
+                      within_alpha_of_best)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Tracer
@@ -615,8 +620,6 @@ def run_distributed_stages(network: SensorNetwork,
     event — sends, deliveries, drops, retries, corrections, timers, crash
     transitions — with virtual-time stamps; it never changes the outcome.
     """
-    from .pipeline import stage_span
-
     params = params if params is not None else SkeletonParams()
     if scheduler not in _SCHEDULERS:
         raise ValueError(f"scheduler must be one of {_SCHEDULERS}")
@@ -694,9 +697,7 @@ def voronoi_from_distributed(
     table = FloodTable(*entries.T.copy())
 
     # Records: the entries within alpha of each node's best distance.
-    best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(best, table.node, table.dist)
-    near = table.dist <= best[table.node] + params.alpha
+    near = within_alpha_of_best(table.node, table.dist, n, params.alpha)
     entries = (table.node[near],
                np.asarray(sites, dtype=np.int64)[table.site_row[near]],
                table.dist[near])
@@ -707,14 +708,6 @@ def _skeleton_from_outcome(outcome: DistributedExtraction,
                            tracer: Optional["Tracer"] = None):
     """Stages 3–4 (coarse skeleton, loop clean-up) over distributed stage
     artifacts, degrading to an empty skeleton when no site was elected."""
-    from .byproducts import detect_boundary_nodes, segmentation_from_voronoi
-    from .coarse import build_coarse_skeleton
-    from .loops import identify_loops
-    from .neighborhood import IndexData
-    from .pipeline import empty_skeleton_result, stage_span
-    from .refine import refine_skeleton
-    from .result import SkeletonResult
-
     network = outcome.network
     params = outcome.params
     index_data = IndexData(
@@ -725,33 +718,15 @@ def _skeleton_from_outcome(outcome: DistributedExtraction,
     voronoi = voronoi_from_distributed(outcome)
     if voronoi is None:
         result = empty_skeleton_result(network, params, index_data=index_data)
-        result.run_stats = outcome.stats
-        return result
-    with stage_span(tracer, "stage3:coarse"):
-        coarse = build_coarse_skeleton(voronoi, index_data.index, params)
-    with stage_span(tracer, "stage4:refine"):
-        boundary = detect_boundary_nodes(
-            network, index_data.khop_sizes, params.boundary_threshold_factor
-        )
-        analysis = identify_loops(
-            coarse, voronoi, params,
-            boundary_nodes=boundary, index=index_data.index,
-        )
-        skeleton = refine_skeleton(coarse, analysis, voronoi, params)
-        segmentation = segmentation_from_voronoi(voronoi)
-    return SkeletonResult(
-        network=network,
-        params=params,
-        index_data=index_data,
-        critical_nodes=sorted(outcome.critical_nodes),
-        voronoi=voronoi,
-        coarse=coarse,
-        loop_analysis=analysis,
-        skeleton=skeleton,
-        segmentation=segmentation,
-        boundary_nodes=boundary,
-        run_stats=outcome.stats,
-    )
+    else:
+        with stage_span(tracer, "stage3:coarse"):
+            coarse = build_coarse_skeleton(voronoi, index_data.index, params,
+                                           tracer=tracer)
+        result = finish_skeleton(network, params, index_data,
+                                 sorted(outcome.critical_nodes), voronoi,
+                                 coarse, tracer=tracer)
+    result.run_stats = outcome.stats
+    return result
 
 
 def _component_outcome(outcome: DistributedExtraction,
@@ -824,8 +799,6 @@ def extract_skeleton_distributed(network: SensorNetwork,
     stages 1–2 and wall-clock spans for stages 3–4; results are
     bit-identical with and without one.
     """
-    from .result import ComponentResult
-
     params = params if params is not None else SkeletonParams()
     outcome = run_distributed_stages(
         network, params, max_rounds=max_rounds,

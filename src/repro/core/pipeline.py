@@ -5,12 +5,15 @@ skeleton node identification, Voronoi cell construction, coarse skeleton
 establishment and final clean-up — over pure connectivity.  Positions and
 the deployment field are never consulted; they ride along solely for
 evaluation.
+
+:func:`finish_skeleton` is the one tail (stage 4, both by-products, the
+:class:`SkeletonResult`) of the monolithic, sharded and distributed runs.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..network.graph import SensorNetwork
 from ..network.traversal import FloodTable
@@ -22,13 +25,13 @@ from .neighborhood import IndexData, compute_indices
 from .params import SkeletonParams
 from .refine import SkeletonGraph, refine_skeleton
 from .result import SkeletonResult
-from .voronoi import build_voronoi, voronoi_from_entries
+from .voronoi import VoronoiDecomposition, build_voronoi, voronoi_from_entries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Tracer
 
 __all__ = ["SkeletonExtractor", "extract_skeleton", "empty_skeleton_result",
-           "stage_span"]
+           "finish_skeleton", "stage_span"]
 
 
 def stage_span(tracer: Optional["Tracer"], name: str):
@@ -67,6 +70,52 @@ def empty_skeleton_result(network: SensorNetwork,
         skeleton=SkeletonGraph(nodes=set(), edges=set()),
         segmentation=Segmentation(segments={}),
         boundary_nodes=set(),
+    )
+
+
+def finish_skeleton(network: SensorNetwork,
+                    params: SkeletonParams,
+                    index_data: IndexData,
+                    critical: List[int],
+                    voronoi: VoronoiDecomposition,
+                    coarse: CoarseSkeleton,
+                    tracer: Optional["Tracer"] = None) -> SkeletonResult:
+    """Stage 4 and both by-products over stage 1–3 artifacts, assembled
+    into the result record.
+
+    Stages 3–4 read only the cells and the index, so every execution —
+    monolithic, sharded, distributed — ends here, whatever built its
+    artifacts.  Runs under one ``stage4:refine`` span.
+    """
+    with stage_span(tracer, "stage4:refine"):
+        # By-product 2 first (Fig. 3b): the boundary nodes double as the
+        # hole evidence for loop classification.
+        boundary = detect_boundary_nodes(
+            network, index_data.khop_sizes, params.boundary_threshold_factor
+        )
+
+        # Stage 4 — identify loops, drop fakes, prune (Fig. 1e–h).
+        analysis = identify_loops(
+            coarse, voronoi, params,
+            boundary_nodes=boundary, index=index_data.index,
+            tracer=tracer,
+        )
+        skeleton = refine_skeleton(coarse, analysis, voronoi, params)
+
+        # By-product 1 (Fig. 3a).
+        segmentation = segmentation_from_voronoi(voronoi)
+
+    return SkeletonResult(
+        network=network,
+        params=params,
+        index_data=index_data,
+        critical_nodes=critical,
+        voronoi=voronoi,
+        coarse=coarse,
+        loop_analysis=analysis,
+        skeleton=skeleton,
+        segmentation=segmentation,
+        boundary_nodes=boundary,
     )
 
 
@@ -117,36 +166,8 @@ class SkeletonExtractor:
             coarse = build_coarse_skeleton(voronoi, index_data.index, params,
                                            tracer=tracer)
 
-        with stage_span(tracer, "stage4:refine"):
-            # By-product 2 first (Fig. 3b): the boundary nodes double as the
-            # hole evidence for loop classification.
-            boundary = detect_boundary_nodes(
-                network, index_data.khop_sizes, params.boundary_threshold_factor
-            )
-
-            # Stage 4 — identify loops, drop fakes, prune (Fig. 1e–h).
-            analysis = identify_loops(
-                coarse, voronoi, params,
-                boundary_nodes=boundary, index=index_data.index,
-                tracer=tracer,
-            )
-            skeleton = refine_skeleton(coarse, analysis, voronoi, params)
-
-            # By-product 1 (Fig. 3a).
-            segmentation = segmentation_from_voronoi(voronoi)
-
-        return SkeletonResult(
-            network=network,
-            params=params,
-            index_data=index_data,
-            critical_nodes=critical,
-            voronoi=voronoi,
-            coarse=coarse,
-            loop_analysis=analysis,
-            skeleton=skeleton,
-            segmentation=segmentation,
-            boundary_nodes=boundary,
-        )
+        return finish_skeleton(network, params, index_data, critical,
+                               voronoi, coarse, tracer=tracer)
 
 
 def extract_skeleton(network: SensorNetwork,

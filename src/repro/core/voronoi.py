@@ -32,8 +32,8 @@ from ..network.traversal import FloodTable
 from .params import SkeletonParams
 
 __all__ = ["VoronoiDecomposition", "build_voronoi", "flood_sites",
-           "recorded_parent_row", "voronoi_from_entries",
-           "border_edges_from_cells"]
+           "recorded_parent_row", "within_alpha_of_best",
+           "voronoi_from_entries", "border_edges_from_cells"]
 
 SitePair = Tuple[int, int]
 """An unordered adjacent-cell pair, stored as (low site id, high site id)."""
@@ -182,6 +182,17 @@ def recorded_parent_row(table: FloodTable, row: int, site: int,
         node = int(np.asarray(nodes)[missing][0])
         raise ValueError(f"node {node} was not reached from site {site}")
     return table.parent_row(row, num_nodes)
+
+
+def within_alpha_of_best(node: np.ndarray, dist: np.ndarray,
+                         num_nodes: int, alpha: int) -> np.ndarray:
+    """Mask of the ``(node, dist)`` entries within *alpha* of their
+    node's best (smallest) distance among all entries: the record
+    filter applied to flood candidates gathered from more than one wave.
+    """
+    best = np.full(num_nodes, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(best, node, dist)
+    return dist <= best[node] + alpha
 
 
 def _first_seen_groups(keys: np.ndarray) -> Tuple[np.ndarray, list, list]:

@@ -1,7 +1,7 @@
 """Sharded skeleton extraction: tile, fan out, merge — bit-identical.
 
-:func:`extract_skeleton_sharded` runs the paper's pipeline over spatial
-tiles (stage 1) and site batches (stages 2–3) via the
+:func:`run_sharded` runs the paper's pipeline over spatial tiles
+(stage 1) and site batches (stages 2–3) via the
 :class:`~repro.perf.ParallelRunner`, then merges the shard outputs into
 the exact artifacts the monolithic :class:`SkeletonExtractor` would have
 produced — same critical nodes, same records, same paths, same loops,
@@ -15,11 +15,14 @@ Phase layout (DESIGN.md §12):
    subgraphs (exact by the halo-radius argument in :mod:`.plan`);
 2. ``shard:flood`` — Voronoi flooding sharded by *site batch* over the
    full graph (exact because flood rows are source-independent);
-3. ``shard:paths`` — reverse-path realization for the planned
-   connectors, sharded the same way;
-4. ``shard:finish`` — border scan, connector planning, seam stitching,
-   boundary detection and loop classification on the merged artifacts.
-   Loop classification must run on the merged site graph: a cycle's
+3. ``shard:paths`` — the monolithic stage-3 build
+   (:mod:`repro.core.coarse`: connector planning, one sorted endpoint
+   list per site, pair-path stitch) with only its reverse-path
+   resolution fanned out to workers by site batch;
+4. ``shard:finish`` — :func:`~repro.core.pipeline.finish_skeleton`, the
+   pipeline's shared tail (boundary detection, loop classification,
+   refinement, segmentation) on the merged artifacts.  Loop
+   classification must run on the merged site graph: a cycle's
    genuineness depends on witnesses and boundary clearance anywhere
    along its realized ring, which no single tile can see.
 """
@@ -31,28 +34,22 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.byproducts import detect_boundary_nodes, segmentation_from_voronoi
-from ..core.coarse import plan_connectors
-from ..core.loops import identify_loops
+from ..core.coarse import _coarse_skeleton
 from ..core.params import SkeletonParams
-from ..core.pipeline import empty_skeleton_result, stage_span
-from ..core.refine import refine_skeleton
+from ..core.pipeline import empty_skeleton_result, finish_skeleton, stage_span
 from ..core.result import SkeletonResult
+from ..core.voronoi import voronoi_from_entries
 from ..network.graph import SensorNetwork
+from ..network.traversal import FloodTable
 from ..perf import ParallelRunner, set_task_context
-from .merge import (
-    assemble_coarse,
-    assemble_voronoi,
-    merge_flood_records,
-    merge_stage1,
-)
+from .merge import merge_flood_records, merge_stage1
 from .plan import TilePlan, plan_tiles
 from .tile import flood_batch_task, paths_batch_task, stage1_tile_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Tracer
 
-__all__ = ["ShardRun", "run_sharded", "extract_skeleton_sharded"]
+__all__ = ["ShardRun", "run_sharded"]
 
 
 @dataclass
@@ -156,67 +153,29 @@ def run_sharded(network: SensorNetwork,
                     "cache_dir": cache_dir} for batch in batches]
         flood_results = run_tasks(flood_batch_task, configs)
         records = merge_flood_records(n, params.alpha, flood_results)
-        voronoi = assemble_voronoi(network, sites, records)
+        # The flood table stays empty: the paths phase re-floods per site
+        # batch, and no later stage reads the table.
+        voronoi = voronoi_from_entries(network, sites, records,
+                                       FloodTable.empty())
 
-    # Phase 3 — connector planning, then sharded path realization.
-    with stage_span(tracer, "shard:paths"):
-        connectors, plans = plan_connectors(
-            voronoi.adjacent_pairs(), voronoi.pair_segments,
-            voronoi.pair_border_edges, index_data.index,
-        )
-        requests_by_site: Dict[int, set] = {}
-        for _pair, (site_a, node_a), (site_b, node_b), _joined in plans:
-            requests_by_site.setdefault(site_a, set()).add(node_a)
-            requests_by_site.setdefault(site_b, set()).add(node_b)
-        site_batches = _group_by_tile(sorted(requests_by_site),
-                                      plan.owner_of)
+    # Phase 3 — the shared stage-3 build; only the reverse-path
+    # resolution fans out, by site batch.
+    def resolve_paths(requests: Dict[int, List[int]]):
         configs = [{
             "network": network, "params": params, "cache_dir": cache_dir,
-            "requests": [(site, tuple(sorted(requests_by_site[site])))
-                         for site in batch],
-        } for batch in site_batches]
-        path_results = run_tasks(paths_batch_task, configs)
+            "requests": [(site, tuple(requests[site])) for site in batch],
+        } for batch in _group_by_tile(list(requests), plan.owner_of)]
         resolved: Dict[Tuple[int, int], List[int]] = {}
-        for part in path_results:
+        for part in run_tasks(paths_batch_task, configs):
             resolved.update(part)
-        coarse = assemble_coarse(network, sites, connectors, plans, resolved)
+        return resolved
 
-    # Phase 4 — merge-side finish: by-products, seam-aware loop
-    # classification on the merged site graph, refinement.
+    with stage_span(tracer, "shard:paths"):
+        coarse = _coarse_skeleton(voronoi, index_data.index, resolve_paths)
+
+    # Phase 4 — the pipeline's shared tail on the merged site graph.
     with stage_span(tracer, "shard:finish"):
-        boundary = detect_boundary_nodes(
-            network, index_data.khop_sizes, params.boundary_threshold_factor
-        )
-        analysis = identify_loops(
-            coarse, voronoi, params,
-            boundary_nodes=boundary, index=index_data.index, tracer=tracer,
-        )
-        skeleton = refine_skeleton(coarse, analysis, voronoi, params)
-        segmentation = segmentation_from_voronoi(voronoi)
-
-    result = SkeletonResult(
-        network=network,
-        params=params,
-        index_data=index_data,
-        critical_nodes=sites,
-        voronoi=voronoi,
-        coarse=coarse,
-        loop_analysis=analysis,
-        skeleton=skeleton,
-        segmentation=segmentation,
-        boundary_nodes=boundary,
-    )
+        result = finish_skeleton(network, params, index_data, sites, voronoi,
+                                 coarse, tracer=tracer)
     return ShardRun(result=result, plan=plan, jobs=runner.jobs,
                     num_flood_batches=len(batches))
-
-
-def extract_skeleton_sharded(network: SensorNetwork,
-                             params: Optional[SkeletonParams] = None,
-                             grid=(2, 2),
-                             jobs: Optional[int] = None,
-                             cache=None,
-                             tracer: Optional["Tracer"] = None,
-                             ) -> SkeletonResult:
-    """One-call sharded extraction, returning just the result record."""
-    return run_sharded(network, params, grid=grid, jobs=jobs, cache=cache,
-                       tracer=tracer).result

@@ -290,9 +290,12 @@ class TestSpans:
     def test_distributed_spans(self, small_network):
         tracer = Tracer()
         extract_skeleton_distributed(small_network, tracer=tracer)
-        names = [s.name for s in tracer.spans]
-        assert names == ["stages1-2:distributed", "stage3:coarse",
-                         "stage4:refine"]
+        stages = [s.name for s in tracer.spans if s.category == "pipeline"]
+        assert stages == ["stages1-2:distributed", "stage3:coarse",
+                          "stage4:refine"]
+        # Stages 3-4 are the monolithic tail, traced the same way.
+        names = {s.name for s in tracer.spans}
+        assert {"loops:rings", "traversal:reconstruct_paths"} <= names
 
     def test_derived_spans_one_per_phase_and_site(self, traced_run):
         tracer, outcome = traced_run

@@ -18,16 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SkeletonParams
-from repro.core.voronoi import build_voronoi
+from repro.core.voronoi import build_voronoi, voronoi_from_entries
 from repro.geometry import make_field
 from repro.network import UnitDiskRadio, build_network
 from repro.network.deployment import uniform_deployment
-from repro.shard import (
-    assemble_voronoi,
-    merge_flood_records,
-    merge_stage1,
-    plan_tiles,
-)
+from repro.network.traversal import FloodTable
+from repro.shard import merge_flood_records, merge_stage1, plan_tiles
 from repro.shard.plan import halo_hops_for
 from repro.shard.tile import flood_batch_task, stage1_tile_task
 
@@ -157,7 +153,8 @@ class TestMergeOrderInvariance:
         def merged_records(results):
             entries = merge_flood_records(network.num_nodes, params.alpha,
                                           results)
-            return assemble_voronoi(network, sites, entries).records
+            return voronoi_from_entries(network, sites, entries,
+                                        FloodTable.empty()).records
 
         reference = merged_records(flood)
         shuffled = list(flood)
