@@ -57,7 +57,9 @@ __all__ = ["ArtifactCache", "CACHE_VERSION", "ARTIFACT_MAGIC",
 #: place of the dense ``dist``/``parent`` matrices.
 #: Version 4: the ``"voronoi"`` artifact holds its records as CSR arrays
 #: and ``cell`` as an int64 array; ``"shard:flood"`` entries lost ``best``.
-CACHE_VERSION = 4
+#: Version 5: ``"shard:flood"`` entries hold the batch's sites and flood
+#: table (parents included); ``"shard:paths"`` entries are no longer written.
+CACHE_VERSION = 5
 
 #: Disk-entry format magic; the trailing newline keeps the header
 #: greppable (``head -c 71`` shows magic + digest).

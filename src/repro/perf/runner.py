@@ -8,6 +8,15 @@ config order — never completion order — and the task functions are pure
 functions of their config, so a parallel run is bit-identical to the
 serial one row for row.
 
+A runner used as a context manager keeps one executor for every
+``map`` inside the ``with`` block; outside one, each ``map`` starts and
+stops a pool of its own.  A runner built with ``network=`` installs that
+network as the :func:`task_network` of its tasks: in the parent for the
+block's duration, and in each pool worker through the pool initializer,
+so configs never carry it.  Under fork the initializer's argument is
+inherited and costs nothing; under spawn or forkserver the network is
+pickled once per worker, not once per config.
+
 Configs and results cross the process boundary via pickle;
 :class:`~repro.network.graph.SensorNetwork` ships as compact arrays
 (positions matrix + CSR index arrays) rather than boxed Python object
@@ -25,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence
 
 __all__ = ["ParallelRunner", "effective_jobs", "set_task_context",
-           "task_context"]
+           "task_context", "task_network"]
 
 _JOBS_ENV = "REPRO_JOBS"
 
@@ -85,6 +94,32 @@ def task_context(cache_dir=None):
     return cache, tracer
 
 
+# The network of the run whose tasks are executing, installed by a
+# ParallelRunner built with ``network=`` (in the parent for its block, in
+# each pool worker by the pool initializer).
+_task_network = None
+
+
+def _install_network(network):
+    """Make *network* the task network; returns the one it replaces.
+    Also the pool initializer, so it must stay module-level."""
+    global _task_network
+    previous, _task_network = _task_network, network
+    return previous
+
+
+def task_network():
+    """The network installed for the currently executing task.
+
+    Raises ``RuntimeError`` outside a :class:`ParallelRunner` that was
+    built with ``network=``.
+    """
+    if _task_network is None:
+        raise RuntimeError("no task network installed: run the task "
+                           "through ParallelRunner(jobs, network=...)")
+    return _task_network
+
+
 class ParallelRunner:
     """Fan a pure task function out over configs, results in config order.
 
@@ -92,10 +127,36 @@ class ParallelRunner:
     tasks inline — no executor, no pickling — which is both the fallback
     and the reference behaviour the parallel path must reproduce
     bit-identically.
+
+    Inside ``with runner:`` every ``map`` shares one executor, sized by
+    the first ``map`` that needs one (``min(jobs, len(configs))``
+    workers) and shut down when the block exits.  *network*, if given,
+    is the :func:`task_network` of every task the runner executes; the
+    previous one is restored on exit.
     """
 
-    def __init__(self, jobs: Optional[int] = None):
+    def __init__(self, jobs: Optional[int] = None, network=None):
         self.jobs = effective_jobs(jobs)
+        self.network = network
+        self._open = False
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._outer = None
+
+    def __enter__(self) -> "ParallelRunner":
+        if self._open:
+            raise RuntimeError("ParallelRunner is already open")
+        self._outer = _install_network(self.network)
+        self._open = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pool, self._pool = self._pool, None
+        self._open = False
+        try:
+            if pool is not None:
+                pool.shutdown()
+        finally:
+            _install_network(self._outer)
 
     def map(self, fn: Callable[[Any], Any],
             configs: Sequence[Any]) -> List[Any]:
@@ -106,10 +167,18 @@ class ParallelRunner:
         its own copy of everything.
         """
         configs = list(configs)
+        if not self._open:
+            with self:
+                return self._map(fn, configs)
+        return self._map(fn, configs)
+
+    def _map(self, fn: Callable[[Any], Any], configs: List[Any]) -> List[Any]:
         if self.jobs == 1 or len(configs) <= 1:
             return [fn(c) for c in configs]
-        workers = min(self.jobs, len(configs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Executor.map preserves submission order, so the result list
-            # is ordered by config regardless of completion interleaving.
-            return list(pool.map(fn, configs))
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(configs)),
+                initializer=_install_network, initargs=(self.network,))
+        # Executor.map preserves submission order, so the result list is
+        # ordered by config regardless of completion interleaving.
+        return list(self._pool.map(fn, configs))

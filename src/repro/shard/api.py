@@ -9,16 +9,20 @@ same final skeleton.  The equivalence battery in
 ``tests/test_shard_equivalence.py`` asserts that identity on every
 fig-4 scenario and tile grid.
 
-Phase layout (DESIGN.md §12):
+Phases 1 and 2 share one worker pool per call, and each worker receives
+the network once, from the pool initializer; configs carry node ids and
+site lists only.  Phase layout (DESIGN.md §12):
 
 1. ``shard:stage1`` — per-tile indices + election on halo-expanded
    subgraphs (exact by the halo-radius argument in :mod:`.plan`);
 2. ``shard:flood`` — Voronoi flooding sharded by *site batch* over the
-   full graph (exact because flood rows are source-independent);
+   full graph (exact because flood rows are source-independent); each
+   batch returns its flood table, parents included;
 3. ``shard:paths`` — the monolithic stage-3 build
    (:mod:`repro.core.coarse`: connector planning, one sorted endpoint
-   list per site, pair-path stitch) with only its reverse-path
-   resolution fanned out to workers by site batch;
+   list per site, pair-path stitch) with each reverse path walked in
+   its site's phase-2 batch table, in the calling process — no second
+   flood, no workers;
 4. ``shard:finish`` — :func:`~repro.core.pipeline.finish_skeleton`, the
    pipeline's shared tail (boundary detection, loop classification,
    refinement, segmentation) on the merged artifacts.  Loop
@@ -95,83 +99,77 @@ def run_sharded(network: SensorNetwork,
     processes; *tracer* records one span per phase so shard runs show up
     in the MetricsReport next to monolithic stage spans.
 
-    The fan-out is fail-fast: any shard task's exception propagates out
-    of this call, and a returned run is always complete.
+    One worker pool serves phases 1 and 2 and is shut down before this
+    call returns; its workers get *network* once each, from the pool
+    initializer, and every config carries node ids only.  The fan-out is
+    fail-fast: any shard task's exception propagates out of this call,
+    and a returned run is always complete.
     """
     params = params if params is not None else SkeletonParams()
-    runner = ParallelRunner(jobs)
+    runner = ParallelRunner(jobs, network=network)
+    with stage_span(tracer, "shard:plan"):
+        plan = plan_tiles(network, grid, params)
+    n = network.num_nodes
+    if n == 0:
+        return ShardRun(result=empty_skeleton_result(network, params),
+                        plan=plan, jobs=runner.jobs)
     cache_dir = (str(cache.disk_dir)
                  if cache is not None and getattr(cache, "disk_dir", None)
                  is not None else None)
 
-    def run_tasks(fn, configs):
-        """Map *fn* over *configs* with the shard task context set."""
-        previous = set_task_context(cache, tracer)
-        try:
-            return runner.map(fn, configs)
-        finally:
-            set_task_context(*previous)
+    previous = set_task_context(cache, tracer)
+    try:
+        with runner:
+            # Phase 1 — per-tile stage 1 over halo-expanded subgraphs.
+            with stage_span(tracer, "shard:stage1"):
+                configs = [{
+                    "tile": flat, "params": params, "cache_dir": cache_dir,
+                    "members": np.asarray(tile.members, dtype=np.int64),
+                    "owned": np.asarray(tile.owned, dtype=np.int64),
+                } for flat, tile in enumerate(plan.tiles) if tile.owned]
+                index_data, sites = merge_stage1(
+                    n, runner.map(stage1_tile_task, configs))
+            if not sites:
+                # Only reachable on degenerate inputs — a non-empty network
+                # always elects at least its global (index, id) maximum.
+                return ShardRun(
+                    result=empty_skeleton_result(network, params,
+                                                 index_data=index_data),
+                    plan=plan, jobs=runner.jobs)
 
-    n = network.num_nodes
-    with stage_span(tracer, "shard:plan"):
-        plan = plan_tiles(network, grid, params)
-    if n == 0:
-        return ShardRun(result=empty_skeleton_result(network, params),
-                        plan=plan, jobs=runner.jobs)
+            # Phase 2 — site-sharded Voronoi flooding over the full graph.
+            with stage_span(tracer, "shard:flood"):
+                batches = _group_by_tile(sites, plan.owner_of)
+                floods = runner.map(flood_batch_task, [
+                    {"sites": batch, "params": params, "cache_dir": cache_dir}
+                    for batch in batches])
+                records = merge_flood_records(n, params.alpha, floods)
+                # The decomposition keeps no table of its own: phase 3
+                # reads each site's parents from its batch's table.
+                voronoi = voronoi_from_entries(network, sites, records,
+                                               FloodTable.empty())
 
-    # Phase 1 — per-tile stage 1 over halo-expanded subgraphs.
-    with stage_span(tracer, "shard:stage1"):
-        configs = []
-        for flat, tile in enumerate(plan.tiles):
-            if not tile.owned:
-                continue
-            members = np.asarray(tile.members, dtype=np.int64)
-            subnet = network.induced_subgraph(tile.members)
-            owned_local = np.searchsorted(members,
-                                          np.asarray(tile.owned,
-                                                     dtype=np.int64))
-            configs.append({
-                "tile": flat, "subnet": subnet, "members": members,
-                "owned_local": owned_local, "params": params,
-                "cache_dir": cache_dir,
-            })
-        tile_results = run_tasks(stage1_tile_task, configs)
-        index_data, sites = merge_stage1(n, tile_results)
+            # Phase 3 — the shared stage-3 build, its reverse paths walked
+            # in the phase-2 tables, in this process.
+            batch_of = {site: b for b, batch in enumerate(batches)
+                        for site in batch}
 
-    if not sites:
-        # Only reachable on degenerate inputs — a non-empty network always
-        # elects at least its global (index, id) maximum.
-        return ShardRun(
-            result=empty_skeleton_result(network, params,
-                                         index_data=index_data),
-            plan=plan, jobs=runner.jobs)
+            def resolve_paths(requests: Dict[int, List[int]]):
+                grouped: Dict[int, List[Tuple[int, List[int]]]] = {}
+                for site, targets in requests.items():
+                    grouped.setdefault(batch_of[site], []).append(
+                        (site, targets))
+                resolved: Dict[Tuple[int, int], List[int]] = {}
+                for b, group in grouped.items():
+                    resolved.update(paths_batch_task(
+                        dict(floods[b], requests=group, params=params)))
+                return resolved
 
-    # Phase 2 — site-sharded Voronoi flooding over the full graph.
-    with stage_span(tracer, "shard:flood"):
-        batches = _group_by_tile(sites, plan.owner_of)
-        configs = [{"network": network, "sites": batch, "params": params,
-                    "cache_dir": cache_dir} for batch in batches]
-        flood_results = run_tasks(flood_batch_task, configs)
-        records = merge_flood_records(n, params.alpha, flood_results)
-        # The flood table stays empty: the paths phase re-floods per site
-        # batch, and no later stage reads the table.
-        voronoi = voronoi_from_entries(network, sites, records,
-                                       FloodTable.empty())
-
-    # Phase 3 — the shared stage-3 build; only the reverse-path
-    # resolution fans out, by site batch.
-    def resolve_paths(requests: Dict[int, List[int]]):
-        configs = [{
-            "network": network, "params": params, "cache_dir": cache_dir,
-            "requests": [(site, tuple(requests[site])) for site in batch],
-        } for batch in _group_by_tile(list(requests), plan.owner_of)]
-        resolved: Dict[Tuple[int, int], List[int]] = {}
-        for part in run_tasks(paths_batch_task, configs):
-            resolved.update(part)
-        return resolved
-
-    with stage_span(tracer, "shard:paths"):
-        coarse = _coarse_skeleton(voronoi, index_data.index, resolve_paths)
+            with stage_span(tracer, "shard:paths"):
+                coarse = _coarse_skeleton(voronoi, index_data.index,
+                                          resolve_paths)
+    finally:
+        set_task_context(*previous)
 
     # Phase 4 — the pipeline's shared tail on the merged site graph.
     with stage_span(tracer, "shard:finish"):

@@ -1,7 +1,7 @@
 """Deterministic merge of per-shard results into global artifacts.
 
 Both reductions here are order-invariant by construction — stage-1 rows
-scatter into disjoint owned slots, and flood candidates re-filter against
+scatter into disjoint owned slots, and flood table entries re-filter against
 an elementwise-minimum best — and everything downstream of them is the
 monolithic code (:func:`~repro.core.voronoi.voronoi_from_entries`, the
 stage-3 build in :mod:`repro.core.coarse`,
@@ -57,20 +57,25 @@ def merge_stage1(num_nodes: int,
 
 def merge_flood_records(num_nodes: int, alpha: int,
                         batch_results: Iterable[Dict]) -> Entries:
-    """Reduce per-batch flood candidates to the global record entries.
+    """Reduce per-batch flood tables to the global record entries.
 
-    The first wave to reach a node is always recorded, so the minimum
-    over all candidates is the node's global best distance; candidates
-    are re-filtered against ``global best + alpha``.  Each batch keeps
-    everything within ``alpha`` of its *batch* best — a superset of what
-    survives the global filter — so the reduction loses nothing and is
-    associative, and order-invariant once
+    Each result is a :func:`~repro.shard.tile.flood_batch_task` output,
+    its ``table`` rows indexing its ``sites``.  The first wave to reach a
+    node is always recorded, so the minimum over all candidates is the
+    node's global best distance; candidates are re-filtered against
+    ``global best + alpha``.  Each batch keeps everything within
+    ``alpha`` of its *batch* best — a superset of what survives the
+    global filter — so the reduction loses nothing and is associative,
+    and order-invariant once
     :func:`~repro.core.voronoi.voronoi_from_entries` sorts.
     """
-    results = list(batch_results)
-    node, site, dist = (
-        np.concatenate([np.empty(0, dtype=np.int64)]
-                       + [np.asarray(r[key], dtype=np.int64) for r in results])
-        for key in ("cand_node", "cand_site", "cand_dist"))
+    empty = np.empty(0, dtype=np.int64)
+    node, site, dist = [empty], [empty], [empty]
+    for result in batch_results:
+        table = result["table"]
+        node.append(table.node)
+        site.append(np.asarray(result["sites"], dtype=np.int64)[table.site_row])
+        dist.append(table.dist)
+    node, site, dist = (np.concatenate(parts) for parts in (node, site, dist))
     keep = within_alpha_of_best(node, dist, num_nodes, alpha)
     return node[keep], site[keep], dist[keep]

@@ -148,13 +148,13 @@ def plan_tiles(network: SensorNetwork, grid=(2, 2),
             members = np.flatnonzero(member_mask)
             tiles.append(Tile(
                 tx=tx, ty=ty,
-                owned=tuple(int(v) for v in owned),
-                members=tuple(int(v) for v in members),
+                owned=tuple(owned.tolist()),
+                members=tuple(members.tolist()),
             ))
     return TilePlan(
         grid=(gx, gy),
         halo_hops=hops,
         halo_width=halo_width,
         tiles=tuple(tiles),
-        owner_of=tuple(int(v) for v in owner),
+        owner_of=tuple(owner.tolist()),
     )

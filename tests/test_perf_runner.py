@@ -1,15 +1,20 @@
 """The parallel executor and its determinism contract (repro.perf.runner).
 
 Worker-count resolution, serial/parallel bit-identity of ``map``, the
-task-context plumbing, and the end-to-end contract on real runners:
+task-context plumbing, the ``with`` block's one executor and task
+network, and the end-to-end contract on real runners:
 ``run_fig4_scenarios`` and the figure suite produce row-identical reports
 serially, with ``jobs=2``, and against a cold or warm artifact cache.
 """
+
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.experiments import run_fig1_pipeline, run_fig4_scenarios
 from repro.experiments.suite import run_figure_suite, suite_shards
+from repro.geometry.primitives import Point
+from repro.network import UnitDiskRadio, build_network
 from repro.observability import Tracer, build_metrics
 from repro.perf import (
     ArtifactCache,
@@ -17,7 +22,9 @@ from repro.perf import (
     effective_jobs,
     set_task_context,
     task_context,
+    task_network,
 )
+from repro.perf import runner as runner_module
 
 SCALE = 0.1  # keep the end-to-end parity runs quick
 FIG4_SUBSET = ["window", "one_hole"]  # two scenarios: parity, not coverage
@@ -88,6 +95,56 @@ class TestParallelRunner:
 
     def test_single_config_runs_inline(self):
         assert ParallelRunner(8).map(_square, [3]) == [9]
+
+
+def _network_size_plus(config):
+    return task_network().num_nodes + config
+
+
+class TestRunnerBlock:
+    def test_block_keeps_one_executor(self, monkeypatch):
+        created = []
+
+        class CountingExecutor(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor",
+                            CountingExecutor)
+        with ParallelRunner(2) as runner:
+            assert runner.map(_square, [1, 2, 3]) == [1, 4, 9]
+            assert runner.map(_square, [4]) == [16]  # inline
+            assert runner.map(_square, [5, 6]) == [25, 36]
+        assert len(created) == 1
+        # Outside a block, each map has a pool of its own.
+        runner = ParallelRunner(2)
+        runner.map(_square, [1, 2])
+        runner.map(_square, [3, 4])
+        assert len(created) == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_network_reaches_every_task_and_is_restored(self, jobs):
+        network = build_network([Point(float(i), 0.0) for i in range(5)],
+                                radio=UnitDiskRadio(1.5))
+        with pytest.raises(RuntimeError, match="no task network"):
+            task_network()
+        with ParallelRunner(jobs, network=network) as runner:
+            assert task_network() is network
+            assert runner.map(_network_size_plus, [0, 1, 2]) == [5, 6, 7]
+        with pytest.raises(RuntimeError, match="no task network"):
+            task_network()
+        # A map outside a block installs the network for its own duration.
+        assert ParallelRunner(jobs, network=network).map(
+            _network_size_plus, [0, 1]) == [5, 6]
+        with pytest.raises(RuntimeError, match="no task network"):
+            task_network()
+
+    def test_block_is_not_reentrant(self):
+        runner = ParallelRunner(1)
+        with runner:
+            with pytest.raises(RuntimeError, match="already open"):
+                runner.__enter__()
 
 
 # -- task context ---------------------------------------------------------

@@ -8,7 +8,10 @@ Three families, each one pillar of the exactness argument in DESIGN.md §12:
 * **ownership partition** — every node is owned by exactly one tile, no
   node is orphaned, and ``owner_of`` agrees with the per-tile lists;
 * **merge order-invariance** — the stage-1 and flood merges are pure
-  reductions: permuting shard result order never changes the output.
+  reductions: permuting shard result order never changes the output;
+* **batch-table exactness** — every pair the monolithic flood records
+  sits in its site's batch table with the same distance and parent, so
+  stage 3 may walk the batch tables instead of flooding again.
 """
 
 import random
@@ -23,6 +26,7 @@ from repro.geometry import make_field
 from repro.network import UnitDiskRadio, build_network
 from repro.network.deployment import uniform_deployment
 from repro.network.traversal import FloodTable
+from repro.perf import ParallelRunner
 from repro.shard import merge_flood_records, merge_stage1, plan_tiles
 from repro.shard.plan import halo_hops_for
 from repro.shard.tile import flood_batch_task, stage1_tile_task
@@ -53,18 +57,16 @@ def _ball(network, source: int, hops: int) -> set:
 
 def _stage1_configs(network, plan, params):
     """The per-tile stage-1 configs exactly as ``run_sharded`` builds them."""
-    configs = []
-    for flat, tile in enumerate(plan.tiles):
-        if not tile.owned:
-            continue
-        members = np.asarray(tile.members, dtype=np.int64)
-        subnet = network.induced_subgraph(tile.members)
-        owned_local = np.searchsorted(
-            members, np.asarray(tile.owned, dtype=np.int64))
-        configs.append({"tile": flat, "subnet": subnet, "members": members,
-                        "owned_local": owned_local, "params": params,
-                        "cache_dir": None})
-    return configs
+    return [{"tile": flat, "params": params, "cache_dir": None,
+             "members": np.asarray(tile.members, dtype=np.int64),
+             "owned": np.asarray(tile.owned, dtype=np.int64)}
+            for flat, tile in enumerate(plan.tiles) if tile.owned]
+
+
+def _run_tasks(network, task, configs):
+    """Run shard *task* over *configs* inline, with *network* installed
+    as the task network the way ``run_sharded``'s runner installs it."""
+    return ParallelRunner(1, network=network).map(task, configs)
 
 
 grids = st.tuples(st.integers(min_value=1, max_value=4),
@@ -121,8 +123,8 @@ class TestMergeOrderInvariance:
         network = _random_network(seed, 80)
         params = SkeletonParams()
         plan = plan_tiles(network, grid, params)
-        results = [stage1_tile_task(c)
-                   for c in _stage1_configs(network, plan, params)]
+        results = _run_tasks(network, stage1_tile_task,
+                             _stage1_configs(network, plan, params))
         reference = merge_stage1(network.num_nodes, results)
         shuffled = list(results)
         order.shuffle(shuffled)
@@ -139,16 +141,16 @@ class TestMergeOrderInvariance:
         network = _random_network(seed, 80)
         params = SkeletonParams()
         plan = plan_tiles(network, (2, 2), params)
-        results = [stage1_tile_task(c)
-                   for c in _stage1_configs(network, plan, params)]
+        results = _run_tasks(network, stage1_tile_task,
+                             _stage1_configs(network, plan, params))
         _, sites = merge_stage1(network.num_nodes, results)
         if not sites:
             return
         batches = [sites[i::num_batches] for i in range(num_batches)]
         batches = [b for b in batches if b]
-        flood = [flood_batch_task({"network": network, "sites": b,
-                                   "params": params, "cache_dir": None})
-                 for b in batches]
+        flood = _run_tasks(network, flood_batch_task,
+                           [{"sites": b, "params": params, "cache_dir": None}
+                            for b in batches])
 
         def merged_records(results):
             entries = merge_flood_records(network.num_nodes, params.alpha,
@@ -169,7 +171,7 @@ class TestMergeOrderInvariance:
         params = SkeletonParams()
         plan = plan_tiles(network, (2, 2), params)
         configs = _stage1_configs(network, plan, params)
-        results = [stage1_tile_task(c) for c in configs]
+        results = _run_tasks(network, stage1_tile_task, configs)
         if len(results) < 2:
             pytest.skip("degenerate tiling: everything in one tile")
         with pytest.raises(ValueError, match="incomplete"):
@@ -180,8 +182,49 @@ class TestMergeOrderInvariance:
         params = SkeletonParams()
         plan = plan_tiles(network, (2, 2), params)
         configs = _stage1_configs(network, plan, params)
-        results = [stage1_tile_task(c) for c in configs]
+        results = _run_tasks(network, stage1_tile_task, configs)
         if len(results) < 2:
             pytest.skip("degenerate tiling: everything in one tile")
         with pytest.raises(ValueError, match="double-owned"):
             merge_stage1(network.num_nodes, results + [results[0]])
+
+
+class TestBatchTableExactness:
+    @given(seed=seeds, order=st.randoms(use_true_random=False),
+           num_batches=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=15, deadline=None)
+    def test_batch_rows_hold_every_monolithic_record(self, seed, order,
+                                                     num_batches):
+        network = _random_network(seed, 90)
+        params = SkeletonParams()
+        plan = plan_tiles(network, (2, 2), params)
+        _, sites = merge_stage1(
+            network.num_nodes,
+            _run_tasks(network, stage1_tile_task,
+                       _stage1_configs(network, plan, params)))
+        if not sites:
+            return
+        # A random batching: any partition, sites in any order per batch.
+        shuffled = list(sites)
+        order.shuffle(shuffled)
+        batches = [b for b in (shuffled[i::num_batches]
+                               for i in range(num_batches)) if b]
+        floods = _run_tasks(network, flood_batch_task,
+                            [{"sites": b, "params": params, "cache_dir": None}
+                             for b in batches])
+        mono = build_voronoi(network, sites, params).table
+        for flood in floods:
+            table = flood["table"]
+            for row, site in enumerate(flood["sites"].tolist()):
+                lo, hi = mono.row_span(sites.index(site))
+                blo, bhi = table.row_span(row)
+                recorded = mono.node[lo:hi]
+                batch_nodes = table.node[blo:bhi]
+                assert table.recorded(row, recorded).all(), (
+                    f"site {site}: a monolithic record is missing from "
+                    f"its batch row")
+                at = np.searchsorted(batch_nodes, recorded)
+                assert np.array_equal(table.dist[blo:bhi][at],
+                                      mono.dist[lo:hi])
+                assert np.array_equal(table.parent[blo:bhi][at],
+                                      mono.parent[lo:hi])
