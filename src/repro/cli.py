@@ -213,8 +213,7 @@ def _shard(args: argparse.Namespace) -> Run:
         print(f"tiles={sharded.plan.num_tiles} "
               f"halo_hops={sharded.plan.halo_hops} "
               f"halo_width={sharded.plan.halo_width:.2f} "
-              f"replication={sharded.plan.replication_factor():.2f} "
-              f"flood_batches={sharded.num_flood_batches}")
+              f"replication={sharded.plan.replication_factor():.2f}")
         timings = {name: seconds for name, seconds
                    in tracer.metrics().stage_timings.items()
                    if name.startswith("shard:")}

@@ -10,8 +10,7 @@ nodes" from here on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..network.graph import SensorNetwork
 from .params import SkeletonParams
@@ -130,9 +129,7 @@ def plan_connectors(
     The connector for a pair is the segment node with the largest index
     among all segment nodes recording both sites (ties broken by node id);
     a pair with no segment node falls back to the best edge crossing its
-    cell border.  Pure function of the cell structures — shared verbatim
-    by :func:`build_coarse_skeleton` and the sharded merge so both plan
-    identical connections.
+    cell border.  Pure function of the cell structures.
     """
     connectors: Dict[SitePair, int] = {}
     plans: List[ConnectorPlan] = []
@@ -164,52 +161,6 @@ def compose_pair_path(path_a: Sequence[int], path_b: Sequence[int],
     return list(reversed(path_a)) + (list(path_b[1:]) if joined else list(path_b))
 
 
-def _coarse_skeleton(voronoi: VoronoiDecomposition, index: Sequence[float],
-                     resolve: Callable[[Dict[int, List[int]]], Dict]
-                     ) -> CoarseSkeleton:
-    """Plan every pair's connection, resolve the reverse paths the plans
-    need, and stitch each pair's path from its two halves.
-
-    *resolve* maps ``{site: sorted endpoints}`` to ``{(site, endpoint):
-    [endpoint, ..., site]}``.  Only it differs between executions: the
-    monolithic build walks its flood table, :func:`repro.shard.run_sharded`
-    fans the requests out to workers; so seam-crossing pair paths come out
-    node for node equal.
-    """
-    # Pass 1 — pick each pair's connector and record which (site, endpoint)
-    # reverse paths realizing it will need.
-    connectors, plans = plan_connectors(
-        voronoi.adjacent_pairs(), voronoi.pair_segments,
-        voronoi.pair_border_edges, index,
-    )
-    requests: Dict[int, Set[int]] = {}
-    for _, (site_a, node_a), (site_b, node_b), _joined in plans:
-        requests.setdefault(site_a, set()).add(node_a)
-        requests.setdefault(site_b, set()).add(node_b)
-
-    # Pass 2 — resolve every reverse path, batched per site.
-    resolved = resolve({site: sorted(requests[site])
-                        for site in sorted(requests)})
-
-    nodes: Set[int] = set(voronoi.sites)
-    edges: Set[SkeletonEdge] = set()
-    pair_paths: Dict[SitePair, List[int]] = {}
-    for pair, (site_a, node_a), (site_b, node_b), joined in plans:
-        full = compose_pair_path(resolved[(site_a, node_a)],
-                                 resolved[(site_b, node_b)], joined)
-        pair_paths[pair] = full
-        nodes.update(full)
-        edges.update(path_edges(full))
-    return CoarseSkeleton(
-        network=voronoi.network,
-        nodes=nodes,
-        edges=edges,
-        sites=list(voronoi.sites),
-        connectors=connectors,
-        pair_paths=pair_paths,
-    )
-
-
 def build_coarse_skeleton(
     voronoi: VoronoiDecomposition,
     index: Sequence[float],
@@ -229,13 +180,41 @@ def build_coarse_skeleton(
     params = params if params is not None else SkeletonParams()
     engine = voronoi.network.traversal(params.traversal_batch_width)
 
-    def resolve(requests: Dict[int, List[int]]):
-        out: Dict[Tuple[int, int], List[int]] = {}
-        for site, targets in requests.items():
-            paths = engine.reconstruct_paths(
-                voronoi.site_parent_row(site, targets), targets, tracer=tracer)
-            out.update(((site, node), path)
-                       for node, path in zip(targets, paths))
-        return out
+    # Pass 1 — pick each pair's connector and record which (site, endpoint)
+    # reverse paths realizing it will need.
+    connectors, plans = plan_connectors(
+        voronoi.adjacent_pairs(), voronoi.pair_segments,
+        voronoi.pair_border_edges, index,
+    )
+    requests: Dict[int, Set[int]] = {}
+    for _, (site_a, node_a), (site_b, node_b), _joined in plans:
+        requests.setdefault(site_a, set()).add(node_a)
+        requests.setdefault(site_b, set()).add(node_b)
 
-    return _coarse_skeleton(voronoi, index, resolve)
+    # Pass 2 — walk every reverse path in the flood table, batched per site.
+    resolved: Dict[Tuple[int, int], List[int]] = {}
+    for site in sorted(requests):
+        targets = sorted(requests[site])
+        paths = engine.reconstruct_paths(
+            voronoi.site_parent_row(site, targets), targets, tracer=tracer)
+        resolved.update(((site, node), path)
+                        for node, path in zip(targets, paths))
+
+    # Pass 3 — stitch each pair's path from its two halves.
+    nodes: Set[int] = set(voronoi.sites)
+    edges: Set[SkeletonEdge] = set()
+    pair_paths: Dict[SitePair, List[int]] = {}
+    for pair, (site_a, node_a), (site_b, node_b), joined in plans:
+        full = compose_pair_path(resolved[(site_a, node_a)],
+                                 resolved[(site_b, node_b)], joined)
+        pair_paths[pair] = full
+        nodes.update(full)
+        edges.update(path_edges(full))
+    return CoarseSkeleton(
+        network=voronoi.network,
+        nodes=nodes,
+        edges=edges,
+        sites=list(voronoi.sites),
+        connectors=connectors,
+        pair_paths=pair_paths,
+    )

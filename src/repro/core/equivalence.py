@@ -4,15 +4,16 @@
 should agree on — a reference run (usually a direct monolithic
 extraction) against a candidate (sharded, served, cached, or run on the
 reference engine) — stage by stage, so a mismatch names the first
-divergent artifact instead of just "skeletons differ".  The per-site
-flood tables are excluded by design: the sharded pipeline never
-materializes them globally (see :mod:`repro.shard.merge`).
+divergent artifact instead of just "skeletons differ".
 """
 
 from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
+from ..network.traversal import FloodTable
 from .result import SkeletonResult
 
 __all__ = ["diff_results", "assert_equivalent"]
@@ -48,6 +49,11 @@ def diff_results(reference: SkeletonResult,
           candidate.critical_nodes, out)
     _diff("stage2.sites", reference.voronoi.sites, candidate.voronoi.sites,
           out)
+    for name, a, b in zip(FloodTable._fields, reference.voronoi.table,
+                          candidate.voronoi.table):
+        if not np.array_equal(a, b):
+            out.append(f"stage2.table.{name}: reference {_brief(a)} != "
+                       f"candidate {_brief(b)}")
     _diff("stage2.records", reference.voronoi.records,
           candidate.voronoi.records, out)
     _diff("stage2.cell_of", reference.voronoi.cell_of,

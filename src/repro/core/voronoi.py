@@ -31,8 +31,7 @@ from ..network.graph import SensorNetwork
 from ..network.traversal import FloodTable
 from .params import SkeletonParams
 
-__all__ = ["VoronoiDecomposition", "build_voronoi", "flood_sites",
-           "recorded_parent_row", "within_alpha_of_best",
+__all__ = ["VoronoiDecomposition", "build_voronoi", "within_alpha_of_best",
            "voronoi_from_entries", "border_edges_from_cells"]
 
 SitePair = Tuple[int, int]
@@ -63,9 +62,7 @@ class VoronoiDecomposition:
         table: the sparse flood records — one ``(site_row, node, dist,
             parent)`` entry per recorded pair, sorted by ``(site_row,
             node)``; ``site_row`` indexes ``sites`` and ``parent`` is the
-            BFS predecessor toward the site.  Empty when no stage reads
-            reverse paths from it (the sharded merge resolves its paths
-            per site batch instead).
+            BFS predecessor toward the site.  Empty in the empty result.
         record_ptr, record_site, record_dist: the records, a CSR over
             nodes sorted by ``(distance, site)`` per node: every site within
             ``alpha`` of the node's best distance, exactly what the node
@@ -134,10 +131,15 @@ class VoronoiDecomposition:
         return sorted(set(self.pair_segments) | set(self.pair_border_edges))
 
     def site_parent_row(self, site: int, nodes: Sequence[int]) -> np.ndarray:
-        """*site*'s recorded parents as a dense length-n row, after checking
-        that every one of *nodes* recorded *site*."""
-        return recorded_parent_row(self.table, self.site_index(site), site,
-                                   nodes, self.network.num_nodes)
+        """*site*'s recorded parents as a dense length-n row, for
+        reverse-path walks; raises ``ValueError`` if one of *nodes* did not
+        record *site*."""
+        row = self.site_index(site)
+        missing = ~self.table.recorded(row, nodes)
+        if missing.any():
+            node = int(np.asarray(nodes)[missing][0])
+            raise ValueError(f"node {node} was not reached from site {site}")
+        return self.table.parent_row(row, self.network.num_nodes)
 
     def sites_recorded_by(self, node: int) -> List[int]:
         lo, hi = self.record_ptr[node:node + 2].tolist()
@@ -162,26 +164,6 @@ class VoronoiDecomposition:
         assigned = cell >= 0
         pairs = np.unique(np.stack([cell[assigned], labels[assigned]]), axis=1)
         return pairs.shape[1] == np.unique(cell[assigned]).size
-
-
-def flood_sites(network: SensorNetwork, sites: Sequence[int],
-                params: SkeletonParams, tracer=None) -> FloodTable:
-    """The α-pruned site flood as a :class:`FloodTable`
-    (:meth:`TraversalEngine.voronoi_flood`)."""
-    engine = network.traversal(params.traversal_batch_width)
-    return engine.voronoi_flood(sites, params.alpha, tracer=tracer)
-
-
-def recorded_parent_row(table: FloodTable, row: int, site: int,
-                        nodes: Sequence[int], num_nodes: int) -> np.ndarray:
-    """Row *row* (site *site*) of *table* as a dense parent row for
-    reverse-path walks; raises ``ValueError`` if one of *nodes* did not
-    record the site."""
-    missing = ~table.recorded(row, nodes)
-    if missing.any():
-        node = int(np.asarray(nodes)[missing][0])
-        raise ValueError(f"node {node} was not reached from site {site}")
-    return table.parent_row(row, num_nodes)
 
 
 def within_alpha_of_best(node: np.ndarray, dist: np.ndarray,
@@ -260,8 +242,8 @@ def voronoi_from_entries(network: SensorNetwork, sites: Sequence[int],
     One lexsort orders the entries by ``(node, dist, site)`` into the
     record CSR; cells, segment and Voronoi nodes, pair segments and
     border edges follow with array operations.  Each ``(site, node)``
-    pair may appear once.  The monolithic build, the sharded merge, the
-    distributed lift and the empty result all assemble theirs here.
+    pair may appear once.  The monolithic build, the distributed lift and
+    the empty result all assemble theirs here.
     """
     node, site, dist = (np.asarray(a, dtype=np.int64) for a in entries)
     order = np.lexsort((site, dist, node))
@@ -318,7 +300,8 @@ def build_voronoi(network: SensorNetwork, sites: Sequence[int],
     # The pruned table holds exactly the record set (and the dense BFS's
     # distances and parents at those pairs).  Nodes no site reaches get no
     # records.
-    table = flood_sites(network, sites, params, tracer=tracer)
+    engine = network.traversal(params.traversal_batch_width)
+    table = engine.voronoi_flood(sites, params.alpha, tracer=tracer)
     entries = (table.node, np.asarray(sites, dtype=np.int64)[table.site_row],
                table.dist)
     return voronoi_from_entries(network, sites, entries, table)

@@ -13,8 +13,7 @@ serial, recompute-everything loop into a production-shaped pipeline:
   ``REPRO_JOBS``, serial by default) and merges the
   results deterministically: output order is the config order, never the
   completion order, so a parallel run is bit-identical to the serial one.
-  As a ``with`` block it keeps one executor across its maps, and a
-  runner built with ``network=`` hands its tasks that network through
+  A runner built with ``network=`` hands its tasks that network through
   :func:`task_network` (the pool initializer installs it per worker).
 
 Cache lookups report hits and misses to the observability

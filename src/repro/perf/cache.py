@@ -59,6 +59,8 @@ __all__ = ["ArtifactCache", "CACHE_VERSION", "ARTIFACT_MAGIC",
 #: and ``cell`` as an int64 array; ``"shard:flood"`` entries lost ``best``.
 #: Version 5: ``"shard:flood"`` entries hold the batch's sites and flood
 #: table (parents included); ``"shard:paths"`` entries are no longer written.
+#: Sharded runs now share the ``"voronoi"`` entry and write no
+#: ``"shard:flood"`` entries; no stage's meaning changed, so still 5.
 CACHE_VERSION = 5
 
 #: Disk-entry format magic; the trailing newline keeps the header

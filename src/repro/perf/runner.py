@@ -8,14 +8,12 @@ config order — never completion order — and the task functions are pure
 functions of their config, so a parallel run is bit-identical to the
 serial one row for row.
 
-A runner used as a context manager keeps one executor for every
-``map`` inside the ``with`` block; outside one, each ``map`` starts and
-stops a pool of its own.  A runner built with ``network=`` installs that
-network as the :func:`task_network` of its tasks: in the parent for the
-block's duration, and in each pool worker through the pool initializer,
-so configs never carry it.  Under fork the initializer's argument is
-inherited and costs nothing; under spawn or forkserver the network is
-pickled once per worker, not once per config.
+Each ``map`` starts and stops a pool of its own.  A runner built with
+``network=`` installs that network as the :func:`task_network` of its
+tasks: in the parent for the ``map``'s duration, and in each pool worker
+through the pool initializer, so configs never carry it.  Under fork the
+initializer's argument is inherited and costs nothing; under spawn or
+forkserver the network is pickled once per worker, not once per config.
 
 Configs and results cross the process boundary via pickle;
 :class:`~repro.network.graph.SensorNetwork` ships as compact arrays
@@ -95,7 +93,7 @@ def task_context(cache_dir=None):
 
 
 # The network of the run whose tasks are executing, installed by a
-# ParallelRunner built with ``network=`` (in the parent for its block, in
+# ParallelRunner built with ``network=`` (in the parent for one map, in
 # each pool worker by the pool initializer).
 _task_network = None
 
@@ -126,37 +124,16 @@ class ParallelRunner:
     ``jobs`` resolves through :func:`effective_jobs`.  One worker runs the
     tasks inline — no executor, no pickling — which is both the fallback
     and the reference behaviour the parallel path must reproduce
-    bit-identically.
-
-    Inside ``with runner:`` every ``map`` shares one executor, sized by
-    the first ``map`` that needs one (``min(jobs, len(configs))``
-    workers) and shut down when the block exits.  *network*, if given,
-    is the :func:`task_network` of every task the runner executes; the
-    previous one is restored on exit.
+    bit-identically.  Otherwise each ``map`` starts a pool of
+    ``min(jobs, len(configs))`` workers and shuts it down before it
+    returns.  *network*, if given, is the :func:`task_network` of every
+    task the runner executes; the previous one is restored when the
+    ``map`` returns.
     """
 
     def __init__(self, jobs: Optional[int] = None, network=None):
         self.jobs = effective_jobs(jobs)
         self.network = network
-        self._open = False
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._outer = None
-
-    def __enter__(self) -> "ParallelRunner":
-        if self._open:
-            raise RuntimeError("ParallelRunner is already open")
-        self._outer = _install_network(self.network)
-        self._open = True
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pool, self._pool = self._pool, None
-        self._open = False
-        try:
-            if pool is not None:
-                pool.shutdown()
-        finally:
-            _install_network(self._outer)
 
     def map(self, fn: Callable[[Any], Any],
             configs: Sequence[Any]) -> List[Any]:
@@ -167,18 +144,17 @@ class ParallelRunner:
         its own copy of everything.
         """
         configs = list(configs)
-        if not self._open:
-            with self:
-                return self._map(fn, configs)
-        return self._map(fn, configs)
-
-    def _map(self, fn: Callable[[Any], Any], configs: List[Any]) -> List[Any]:
-        if self.jobs == 1 or len(configs) <= 1:
-            return [fn(c) for c in configs]
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(configs)),
-                initializer=_install_network, initargs=(self.network,))
-        # Executor.map preserves submission order, so the result list is
-        # ordered by config regardless of completion interleaving.
-        return list(self._pool.map(fn, configs))
+        outer = _install_network(self.network)
+        try:
+            if self.jobs == 1 or len(configs) <= 1:
+                return [fn(c) for c in configs]
+            with ProcessPoolExecutor(
+                    max_workers=min(self.jobs, len(configs)),
+                    initializer=_install_network,
+                    initargs=(self.network,)) as pool:
+                # Executor.map preserves submission order, so the result
+                # list is ordered by config regardless of completion
+                # interleaving.
+                return list(pool.map(fn, configs))
+        finally:
+            _install_network(outer)

@@ -1,29 +1,29 @@
-"""Per-shard task functions, picklable for :class:`~repro.perf.ParallelRunner`.
-
-Three task kinds, one per sharded phase of the pipeline:
+"""The phase functions of :func:`~repro.shard.run_sharded`.
 
 * :func:`stage1_tile_task` — indices + critical-node election on one
-  tile's halo-expanded subgraph, reported for owned nodes only;
-* :func:`flood_batch_task` — α-pruned Voronoi flooding of one batch of
-  sites over the *full* graph, returning the batch's flood table;
-* :func:`paths_batch_task` — reverse-path realization for one batch of
-  sites' connector endpoints, walked in that batch's flood table.
-
-All three are pure functions of their config dicts (the ParallelRunner
-contract).  Configs carry node ids, site lists and tables, never the
-graph: tasks read the run's network from :func:`~repro.perf.task_network`
-and the artifact cache and tracer from :func:`~repro.perf.task_context`.
+  tile's halo-expanded subgraph, reported for owned nodes only.  The one
+  task fanned out through :class:`~repro.perf.ParallelRunner`: a pure
+  function of its config dict, which carries node ids, never the graph —
+  it reads the run's network from :func:`~repro.perf.task_network` and
+  the artifact cache and tracer from :func:`~repro.perf.task_context`.
+* :func:`flood_batch_task` and :func:`paths_batch_task` — stages 2 and 3:
+  the monolithic builders, called in the calling process on the merged
+  stage-1 sites (stage 2 is one flood from all sites at once, so it does
+  not tile).  The names are those of the benchmark's ``shard.*`` rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
+from ..core.coarse import CoarseSkeleton, build_coarse_skeleton
 from ..core.identification import find_critical_nodes
 from ..core.neighborhood import compute_indices
-from ..core.voronoi import flood_sites, recorded_parent_row
+from ..core.params import SkeletonParams
+from ..core.voronoi import VoronoiDecomposition, build_voronoi
+from ..network.graph import SensorNetwork
 from ..perf import task_context, task_network
 
 __all__ = ["stage1_tile_task", "flood_batch_task", "paths_batch_task"]
@@ -64,60 +64,14 @@ def stage1_tile_task(config: Dict) -> Dict:
     }
 
 
-def flood_batch_task(config: Dict) -> Dict:
-    """Voronoi flood for one site batch over the full graph.
-
-    Returns ``{"sites", "table"}``: the batch's sites and its
-    :class:`~repro.network.traversal.FloodTable`, whose ``site_row``
-    indexes them.  The table holds every ``(site, node)`` pair within
-    ``alpha`` of the node's best distance to a batch site, with its
-    distance and parent.  The batch best is never below the global best,
-    so the batch threshold is at least the global one and the union of
-    batch tables is a superset of the monolithic record set — the merge
-    re-filters against the global best, an associative reduction.
-    """
-    cache, tracer = task_context(config.get("cache_dir"))
-    network = task_network()
-    params = config["params"]
-    sites = [int(s) for s in config["sites"]]
-
-    def build() -> Dict:
-        return {"sites": np.asarray(sites, dtype=np.int64),
-                "table": flood_sites(network, sites, params, tracer=tracer)}
-
-    if cache is not None:
-        return cache.get_or_build(
-            "shard:flood",
-            (network.content_hash(), tuple(sites), params.alpha),
-            build, tracer=tracer,
-        )
-    return build()
+def flood_batch_task(network: SensorNetwork, sites: Sequence[int],
+                     params: SkeletonParams, cache=None,
+                     tracer=None) -> VoronoiDecomposition:
+    """Phase 2: the monolithic stage-2 build over the whole network."""
+    return build_voronoi(network, sites, params, cache=cache, tracer=tracer)
 
 
-def paths_batch_task(config: Dict) -> Dict:
-    """Reverse paths from connector endpoints to one batch of sites.
-
-    ``config`` is one :func:`flood_batch_task` result (``sites``,
-    ``table``) plus ``requests``, ``(site, sorted endpoints)`` pairs for
-    sites of that batch, and the ``params``.  Each endpoint's path is
-    walked along the batch table's recorded parents — the kernel the
-    monolithic coarse builder uses.  Pruning against this batch's best
-    only keeps more pairs than the global flood does, and a flood row
-    does not depend on the other sites flooded with it, so every pair the
-    global flood records is in the batch table with the same distance
-    and parent: every path matches node for node.  Returns
-    ``{(site, endpoint): path}`` with paths running endpoint → site.
-    """
-    _cache, tracer = task_context()
-    network = task_network()
-    table = config["table"]
-    row_of = {site: row for row, site in enumerate(
-        np.asarray(config["sites"]).tolist())}
-    engine = network.traversal(config["params"].traversal_batch_width)
-    out: Dict[Tuple[int, int], List[int]] = {}
-    for site, targets in config["requests"]:
-        parent = recorded_parent_row(table, row_of[site], site, targets,
-                                     network.num_nodes)
-        paths = engine.reconstruct_paths(parent, list(targets), tracer=tracer)
-        out.update(((site, node), path) for node, path in zip(targets, paths))
-    return out
+def paths_batch_task(voronoi: VoronoiDecomposition, index: Sequence[float],
+                     params: SkeletonParams, tracer=None) -> CoarseSkeleton:
+    """Phase 3: the monolithic stage-3 build on the phase-2 cells."""
+    return build_coarse_skeleton(voronoi, index, params, tracer=tracer)

@@ -139,7 +139,7 @@ class TestParallelAndCachedRuns:
         def crash(_config):
             raise RuntimeError("shard task crashed")
 
-        monkeypatch.setattr(shard_api, "flood_batch_task", crash)
+        monkeypatch.setattr(shard_api, "stage1_tile_task", crash)
         with pytest.raises(RuntimeError, match="shard task crashed"):
             run_sharded(_network("window"), SkeletonParams(), grid="2x2",
                         jobs=1)

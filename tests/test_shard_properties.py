@@ -7,11 +7,9 @@ Three families, each one pillar of the exactness argument in DESIGN.md §12:
   member set (the geometric halo over-covers the graph ball);
 * **ownership partition** — every node is owned by exactly one tile, no
   node is orphaned, and ``owner_of`` agrees with the per-tile lists;
-* **merge order-invariance** — the stage-1 and flood merges are pure
-  reductions: permuting shard result order never changes the output;
-* **batch-table exactness** — every pair the monolithic flood records
-  sits in its site's batch table with the same distance and parent, so
-  stage 3 may walk the batch tables instead of flooding again.
+* **merge order-invariance** — the stage-1 merge is a pure reduction:
+  permuting tile result order never changes the output, and a missing or
+  double-owned tile is rejected.
 """
 
 import random
@@ -21,15 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SkeletonParams
-from repro.core.voronoi import build_voronoi, voronoi_from_entries
 from repro.geometry import make_field
 from repro.network import UnitDiskRadio, build_network
 from repro.network.deployment import uniform_deployment
-from repro.network.traversal import FloodTable
 from repro.perf import ParallelRunner
-from repro.shard import merge_flood_records, merge_stage1, plan_tiles
+from repro.shard import merge_stage1, plan_tiles
 from repro.shard.plan import halo_hops_for
-from repro.shard.tile import flood_batch_task, stage1_tile_task
+from repro.shard.tile import stage1_tile_task
 
 import numpy as np
 
@@ -134,38 +130,6 @@ class TestMergeOrderInvariance:
         assert permuted[0].index == reference[0].index
         assert permuted[1] == reference[1]
 
-    @given(seed=seeds, order=st.randoms(use_true_random=False),
-           num_batches=st.integers(min_value=1, max_value=4))
-    @settings(max_examples=10, deadline=None)
-    def test_flood_merge_is_order_invariant(self, seed, order, num_batches):
-        network = _random_network(seed, 80)
-        params = SkeletonParams()
-        plan = plan_tiles(network, (2, 2), params)
-        results = _run_tasks(network, stage1_tile_task,
-                             _stage1_configs(network, plan, params))
-        _, sites = merge_stage1(network.num_nodes, results)
-        if not sites:
-            return
-        batches = [sites[i::num_batches] for i in range(num_batches)]
-        batches = [b for b in batches if b]
-        flood = _run_tasks(network, flood_batch_task,
-                           [{"sites": b, "params": params, "cache_dir": None}
-                            for b in batches])
-
-        def merged_records(results):
-            entries = merge_flood_records(network.num_nodes, params.alpha,
-                                          results)
-            return voronoi_from_entries(network, sites, entries,
-                                        FloodTable.empty()).records
-
-        reference = merged_records(flood)
-        shuffled = list(flood)
-        order.shuffle(shuffled)
-        assert merged_records(shuffled) == reference
-        # Batches prune against their own best, a superset of the global
-        # records: the merge recovers the monolithic records exactly.
-        assert reference == build_voronoi(network, sites, params).records
-
     def test_stage1_merge_rejects_missing_tiles(self):
         network = _random_network(3, 60)
         params = SkeletonParams()
@@ -187,44 +151,3 @@ class TestMergeOrderInvariance:
             pytest.skip("degenerate tiling: everything in one tile")
         with pytest.raises(ValueError, match="double-owned"):
             merge_stage1(network.num_nodes, results + [results[0]])
-
-
-class TestBatchTableExactness:
-    @given(seed=seeds, order=st.randoms(use_true_random=False),
-           num_batches=st.integers(min_value=1, max_value=5))
-    @settings(max_examples=15, deadline=None)
-    def test_batch_rows_hold_every_monolithic_record(self, seed, order,
-                                                     num_batches):
-        network = _random_network(seed, 90)
-        params = SkeletonParams()
-        plan = plan_tiles(network, (2, 2), params)
-        _, sites = merge_stage1(
-            network.num_nodes,
-            _run_tasks(network, stage1_tile_task,
-                       _stage1_configs(network, plan, params)))
-        if not sites:
-            return
-        # A random batching: any partition, sites in any order per batch.
-        shuffled = list(sites)
-        order.shuffle(shuffled)
-        batches = [b for b in (shuffled[i::num_batches]
-                               for i in range(num_batches)) if b]
-        floods = _run_tasks(network, flood_batch_task,
-                            [{"sites": b, "params": params, "cache_dir": None}
-                             for b in batches])
-        mono = build_voronoi(network, sites, params).table
-        for flood in floods:
-            table = flood["table"]
-            for row, site in enumerate(flood["sites"].tolist()):
-                lo, hi = mono.row_span(sites.index(site))
-                blo, bhi = table.row_span(row)
-                recorded = mono.node[lo:hi]
-                batch_nodes = table.node[blo:bhi]
-                assert table.recorded(row, recorded).all(), (
-                    f"site {site}: a monolithic record is missing from "
-                    f"its batch row")
-                at = np.searchsorted(batch_nodes, recorded)
-                assert np.array_equal(table.dist[blo:bhi][at],
-                                      mono.dist[lo:hi])
-                assert np.array_equal(table.parent[blo:bhi][at],
-                                      mono.parent[lo:hi])
