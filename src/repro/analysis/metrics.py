@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..geometry.medial_axis import MedialAxisApproximation, approximate_medial_axis
 from ..geometry.polygon import Field
@@ -91,6 +90,8 @@ def network_wraps_point(network: SensorNetwork, target: Point,
                 edges.append((network.positions[u], network.positions[v]))
     if not edges:
         return False
+    from scipy.spatial import cKDTree
+
     mids = np.array([[(a.x + b.x) / 2, (a.y + b.y) / 2] for a, b in edges])
     tree = cKDTree(mids)
     # Longest edge bounds how far a blocking edge's midpoint can be.

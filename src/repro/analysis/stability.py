@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..geometry.primitives import Point
 from ..network.graph import SensorNetwork
@@ -50,6 +49,8 @@ def skeleton_stability(network_a: SensorNetwork, nodes_a: Iterable[int],
     b = _positions(network_b, nodes_b)
     if len(a) == 0 or len(b) == 0:
         return StabilityScore(mean_distance=float("inf"), hausdorff=float("inf"))
+    from scipy.spatial import cKDTree
+
     tree_a = cKDTree(a)
     tree_b = cKDTree(b)
     d_ab, _ = tree_b.query(a)

@@ -173,9 +173,9 @@ def build_coarse_skeleton(
     among all segment nodes recording both sites (ties broken by node id,
     the discrete stand-in for "the chosen segment node" being unique).
 
-    Path emission groups all endpoints of a site and reconstructs them in
-    one lockstep gather per hop level.  Raises ``ValueError`` if an
-    endpoint did not record its site.
+    Path emission walks every ``(site, endpoint)`` reverse path in one
+    lockstep pass over the flood table, one gather per hop level.
+    Raises ``ValueError`` if an endpoint did not record its site.
     """
     params = params if params is not None else SkeletonParams()
     engine = voronoi.network.traversal(params.traversal_batch_width)
@@ -186,19 +186,16 @@ def build_coarse_skeleton(
         voronoi.adjacent_pairs(), voronoi.pair_segments,
         voronoi.pair_border_edges, index,
     )
-    requests: Dict[int, Set[int]] = {}
-    for _, (site_a, node_a), (site_b, node_b), _joined in plans:
-        requests.setdefault(site_a, set()).add(node_a)
-        requests.setdefault(site_b, set()).add(node_b)
+    requests: Set[Tuple[int, int]] = set()
+    for _, end_a, end_b, _joined in plans:
+        requests.update((end_a, end_b))
 
-    # Pass 2 — walk every reverse path in the flood table, batched per site.
-    resolved: Dict[Tuple[int, int], List[int]] = {}
-    for site in sorted(requests):
-        targets = sorted(requests[site])
-        paths = engine.reconstruct_paths(
-            voronoi.site_parent_row(site, targets), targets, tracer=tracer)
-        resolved.update(((site, node), path)
-                        for node, path in zip(targets, paths))
+    # Pass 2 — walk every reverse path in the flood table, in one call.
+    ordered = sorted(requests)
+    paths = engine.reconstruct_paths(
+        voronoi.table, [voronoi.site_index(site) for site, _ in ordered],
+        [node for _, node in ordered], tracer=tracer)
+    resolved = dict(zip(ordered, paths))
 
     # Pass 3 — stitch each pair's path from its two halves.
     nodes: Set[int] = set(voronoi.sites)

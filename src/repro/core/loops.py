@@ -49,9 +49,10 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import count
+from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import count, islice
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple)
 
@@ -83,27 +84,42 @@ class Loop:
         sites: the critical skeleton nodes around the cycle, in ring order.
         ordered: the realized node-level cycle (simple, after shortcutting
             repeated nodes out of the concatenated pair paths).
-        nodes: set view of ``ordered``.
-        edges: the realized cycle's skeleton edges.
         is_fake: classification outcome.
         witnesses: Voronoi nodes that triggered the witness criterion.
         iso_ratio: measured isoperimetric ratio (0 when not evaluated).
         removed_pair: for fake loops, the site pair whose connection was
             dropped to open the cycle.
+
+    ``nodes`` and ``edges`` are derived from ``ordered`` on first read
+    and cached; pickles carry ``ordered`` only.
     """
 
     sites: List[int]
     ordered: List[int]
-    nodes: Set[int]
-    edges: Set[SkeletonEdge]
     is_fake: bool
     witnesses: List[int]
     iso_ratio: float = 0.0
     removed_pair: Optional[SitePair] = None
 
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("nodes", "edges")}
+
     @property
     def length(self) -> int:
         return len(self.ordered)
+
+    @cached_property
+    def nodes(self) -> Set[int]:
+        """Set view of ``ordered``."""
+        return set(self.ordered)
+
+    @cached_property
+    def edges(self) -> Set[SkeletonEdge]:
+        """The realized cycle's skeleton edges."""
+        ordered = self.ordered
+        return {frozenset((ordered[i], ordered[(i + 1) % len(ordered)]))
+                for i in range(len(ordered))}
 
 
 @dataclass
@@ -308,13 +324,22 @@ def _bidirectional_search(view: Callable[[int], Row], source: int,
     push bears on the result when its entry was popped (a stale pop too:
     it flips the direction), it set the final pred of a node the path is
     read through (which covers the final meet and the far-side entry it
-    met), it blocked a later relaxation, or its entry is the only one
-    left in the other fringe.  Deleting any other edge leaves the search
-    unchanged: reading it pushed nothing, or its entries were never
-    popped, never read back and blocked nothing, so the same entries pop
-    in the same order (the shared counter keeps their relative order).
-    Nor can the other fringe run dry: the old path avoids the edge, so
-    the search on the smaller graph still finds a path.
+    met), or its entry is the only one left in the other fringe.
+    Deleting any other edge leaves the search unchanged.  Reading it
+    pushed nothing, or each push P along it, onto node w from one side,
+    was never popped and never read back; its only role was to block
+    later relaxations of w from that side.  Without P the first of
+    those relaxations pushes instead.  Its ``(dist, counter)`` key is no
+    smaller than P's, and P stayed in the heap below it, so it is never
+    popped either; the same entries pop in the same order (the shared
+    counter keeps their relative order) and the same preds are read.
+    Any meet it offers at w was already offered, at no greater total,
+    by the later of the two pushes that let both sides see w; the
+    offers that drop out with P never won, or P would bear as the meet.
+    So the final meet is the same.  Nor can a fringe run dry: it would
+    have held P alone, so P would have been popped or been the last
+    entry in the other fringe, and the old path avoids the edge, so the
+    search on the smaller graph still finds a path.
     """
     if source == target:
         return [source], set()
@@ -376,8 +401,6 @@ def _bidirectional_search(view: Callable[[int], Row], source: int,
                     total = length + far[w]
                     if finaldist is None or finaldist > total:
                         finaldist, meetnode = total, w
-            else:
-                bearing.add(setter[w])
     bearing.discard(-1)
     return None, bearing
 
@@ -437,6 +460,10 @@ class RingEnumerator:
         self.adjacency = adjacency
         #: bidirectional searches run, for instrumentation.
         self.searches = 0
+        #: how many rings the last :meth:`iter_rings` call yields first
+        #: as a replay: the rings the call before yielded first, in the
+        #: same order.
+        self.replayed = 0
         ends = self.edges()
         # Live edges by id, and the id of each endpoint pair.
         self._ends: Dict[int, Tuple[int, int]] = dict(enumerate(ends))
@@ -461,14 +488,14 @@ class RingEnumerator:
         # Per searched edge: (path, total, mask), with path ``None`` when
         # unreachable; the edges bearing on each ring's search, and the
         # reverse index.  Rings not proven invalid wait in a sorted queue
-        # of (total, path, id); invalidated searches in a heap of (lower
-        # bound, id), where every edge starts, unsearched, at -inf.
+        # of (total, path, id); searches not yet run or invalidated in a
+        # heap of (lower bound, id).
         self._found: Dict[int, Tuple[Optional[List[int]], float, int]] = {}
         self._bearing: Dict[int, Set[int]] = {}
         self._users: Dict[int, Set[int]] = {}
         self._queue: List[Tuple[float, List[int], int]] = []
-        self._parked: List[Tuple[float, int]] = [(-math.inf, eid)
-                                                 for eid in self._ends]
+        self._parked: List[Tuple[float, int]] = self._first_bounds(ends)
+        heapify(self._parked)
         # The cycle rank, ``None`` until recounted; the greedy's basis and
         # accepted rings, and its (weight, queue position, accepted) after
         # each complete level.
@@ -478,6 +505,38 @@ class RingEnumerator:
         self._levels: List[Tuple[float, int, int]] = []
         self._calls = 0
         self._version = 0
+
+    def _first_bounds(self, ends: List[Tuple[int, int]]
+                      ) -> List[Tuple[float, int]]:
+        """Every edge's unsearched bound: a ring through (u, v) leaves u
+        and enters v by edges other than (u, v), since it has at least
+        three edges, so it weighs at least w(u, v) plus the lightest
+        other edge at u plus the lightest other edge at v.  Edges with no
+        other edge at an end close no ring and are never searched;
+        self-loops are searched first (they close none, at no cost)."""
+        lightest: Dict[int, List[Tuple[float, int]]] = {}
+        for eid, (u, v) in enumerate(ends):
+            if u != v:
+                cost = self.adjacency[u][v]
+                for node in (u, v):
+                    two = lightest.setdefault(node, [])
+                    two.append((cost, eid))
+                    two.sort()
+                    del two[2:]
+        bounds: List[Tuple[float, int]] = []
+        for eid, (u, v) in enumerate(ends):
+            if u == v:
+                bounds.append((-math.inf, eid))
+                continue
+            total = self.adjacency[u][v]
+            for node in (u, v):
+                other = [cost for cost, e in lightest[node] if e != eid]
+                if not other:
+                    break
+                total += other[0]
+            else:
+                bounds.append((total, eid))
+        return bounds
 
     @classmethod
     def from_edges(cls, nodes: Iterable[int],
@@ -625,6 +684,7 @@ class RingEnumerator:
             self._rank = (len(self._ends) - len(self.adjacency)
                           + self._components())
         if self._rank <= 0:
+            self.replayed = 0
             return iter(())
         if self._start and self._calls:
             # The last call read these start orders; from now on every
@@ -645,6 +705,8 @@ class RingEnumerator:
                 nbrs.update((w, cost) for _, w, cost
                             in self._rows[node][:len(self._row_ids[node])])
         self._calls += 1
+        levels = self._levels
+        self.replayed = min(levels[-1][2] if levels else 0, self._rank)
         return self._greedy(self._rank)
 
     def _greedy(self, rank_target: int) -> Iterator[List[int]]:
@@ -754,13 +816,6 @@ def _realize_site_ring(pair_paths: Dict[SitePair, List[int]],
         walk.extend(path[:-1])  # drop the shared endpoint
     simple = simplify_closed_walk(walk)
     return simple if len(simple) >= 3 else None
-
-
-def _edges_of_cycle(ordered: Sequence[int]) -> Set[SkeletonEdge]:
-    return {
-        frozenset((ordered[i], ordered[(i + 1) % len(ordered)]))
-        for i in range(len(ordered))
-    }
 
 
 class _CycleClassifier:
@@ -896,15 +951,22 @@ def identify_loops(
     # Rings recur across iterations; realizing one depends only on the
     # (fixed) pair paths.
     realized: Dict[Tuple[int, ...], Optional[List[int]]] = {}
+    # What each ring read so far came to, by position: ``None`` when it
+    # does not realize, else its genuine (sites, ordered, ratio).
+    reads: List[Optional[Tuple[List[int], List[int], float]]] = []
     max_iterations = enumerator.num_edges + 1
 
     for _ in range(max_iterations):
         # Each iteration reads the ring family only up to its first fake
         # ring; the span times the enumeration, not the classification.
+        # A call first replays a prefix of the last call's reads, none of
+        # them fake (the opened ring's level is always forgotten), so
+        # what they came to is kept and they are skipped.
         with _span(tracer, "rings"):
             rings = enumerator.iter_rings()
+            del reads[enumerator.replayed:]
+            next(islice(rings, len(reads), len(reads)), None)
         opened = False
-        genuine_rings: List[Tuple[List[int], List[int], float]] = []
         while True:
             with _span(tracer, "rings"):
                 site_ring = next(rings, None)
@@ -915,6 +977,7 @@ def identify_loops(
                 realized[key] = _realize_site_ring(skeleton.pair_paths,
                                                    site_ring)
             if realized[key] is None:
+                reads.append(None)
                 continue
             ordered = list(realized[key])
             is_fake, witnesses, ratio = classifier.classify(site_ring, ordered)
@@ -926,8 +989,6 @@ def identify_loops(
                     Loop(
                         sites=list(site_ring),
                         ordered=ordered,
-                        nodes=set(ordered),
-                        edges=_edges_of_cycle(ordered),
                         is_fake=True,
                         witnesses=witnesses,
                         iso_ratio=ratio,
@@ -936,8 +997,9 @@ def identify_loops(
                 )
                 opened = True
                 break
-            genuine_rings.append((site_ring, ordered, ratio))
+            reads.append((site_ring, ordered, ratio))
         if not opened:
+            genuine_rings = [read for read in reads if read is not None]
             # Deduplicate ring variants: two surviving genuine rings that
             # share most of their nodes wrap the same hole (they differ by
             # a braid strand); open the longer one along a non-shared edge.
@@ -975,8 +1037,6 @@ def identify_loops(
                                 Loop(
                                     sites=list(longer_ring),
                                     ordered=longer_ordered,
-                                    nodes=set(longer_ordered),
-                                    edges=_edges_of_cycle(longer_ordered),
                                     is_fake=True,
                                     witnesses=[],
                                     iso_ratio=ratio,
@@ -992,8 +1052,6 @@ def identify_loops(
                 Loop(
                     sites=list(site_ring),
                     ordered=ordered,
-                    nodes=set(ordered),
-                    edges=_edges_of_cycle(ordered),
                     is_fake=False,
                     witnesses=[],
                     iso_ratio=ratio,

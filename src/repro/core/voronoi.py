@@ -130,17 +130,6 @@ class VoronoiDecomposition:
         """All adjacent site pairs (segment- or border-witnessed), sorted."""
         return sorted(set(self.pair_segments) | set(self.pair_border_edges))
 
-    def site_parent_row(self, site: int, nodes: Sequence[int]) -> np.ndarray:
-        """*site*'s recorded parents as a dense length-n row, for
-        reverse-path walks; raises ``ValueError`` if one of *nodes* did not
-        record *site*."""
-        row = self.site_index(site)
-        missing = ~self.table.recorded(row, nodes)
-        if missing.any():
-            node = int(np.asarray(nodes)[missing][0])
-            raise ValueError(f"node {node} was not reached from site {site}")
-        return self.table.parent_row(row, self.network.num_nodes)
-
     def sites_recorded_by(self, node: int) -> List[int]:
         lo, hi = self.record_ptr[node:node + 2].tolist()
         return self.record_site[lo:hi].tolist()

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .polygon import Field
 from .primitives import Point
@@ -46,10 +45,12 @@ class MedialAxisApproximation:
     clearances: np.ndarray
     boundary_points: np.ndarray
     grid_spacing: float
-    _tree: Optional[cKDTree] = None
+    _tree: Optional["cKDTree"] = None
 
     def __post_init__(self) -> None:
         if len(self.points):
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(self.points)
 
     def __len__(self) -> int:
@@ -80,6 +81,8 @@ class MedialAxisApproximation:
             return 1.0
         if not len(points):
             return 0.0
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(np.array([[p.x, p.y] for p in points]))
         d, _ = tree.query(self.points)
         return float(np.mean(d <= radius))
@@ -132,6 +135,8 @@ def approximate_medial_axis(
             2.0 * grid_spacing,
             1.3 * equidistance_tol / spread,
         )
+
+    from scipy.spatial import cKDTree
 
     boundary = field.sample_boundary(boundary_spacing)
     boundary_arr = np.array([[p.x, p.y] for p in boundary])

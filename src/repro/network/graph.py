@@ -26,7 +26,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from ..geometry.polygon import Field
 from ..geometry.primitives import Point, segments_intersect
@@ -405,6 +404,8 @@ def build_network(
     n = len(positions)
     adjacency: List[List[int]] = [[] for _ in range(n)]
     if n >= 2:
+        from scipy.spatial import cKDTree
+
         arr = np.array([[p.x, p.y] for p in positions])
         tree = cKDTree(arr)
         pairs = tree.query_pairs(r=radio.max_range, output_type="ndarray")

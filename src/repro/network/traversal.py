@@ -78,32 +78,14 @@ class FloodTable(NamedTuple):
         none = np.empty(0, dtype=np.int64)
         return cls(none, none, none, none)
 
-    def row_span(self, row: int) -> Tuple[int, int]:
-        """``[lo, hi)`` bounds of one site row's entries."""
-        lo, hi = np.searchsorted(self.site_row, [row, row + 1])
-        return int(lo), int(hi)
 
-    def recorded(self, row: int, nodes: Sequence[int]) -> np.ndarray:
-        """Boolean mask: which *nodes* recorded site row *row*."""
-        lo, hi = self.row_span(row)
-        return _in_sorted(self.node[lo:hi], np.asarray(nodes, dtype=np.int64))
-
-    def parent_row(self, row: int, n: int) -> np.ndarray:
-        """One site row's parents scattered into a dense length-*n* row
-        (-1 where unrecorded), the input
-        :meth:`TraversalEngine.reconstruct_paths` walks."""
-        lo, hi = self.row_span(row)
-        out = np.full(n, -1, dtype=np.int64)
-        out[self.node[lo:hi]] = self.parent[lo:hi]
-        return out
-
-
-def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Boolean mask: which *keys* occur in the sorted array *sorted_keys*."""
+def _positions(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Where each of *keys* sits in the sorted array *sorted_keys*, -1
+    where it is absent."""
     if not sorted_keys.size:
-        return np.zeros(keys.shape, dtype=bool)
+        return np.full(keys.shape, -1, dtype=np.int64)
     pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return sorted_keys[pos] == keys
+    return np.where(sorted_keys[pos] == keys, pos, -1)
 
 
 def _span(tracer, name: str):
@@ -408,7 +390,7 @@ class TraversalEngine:
             # First occurrences in frontier order.  Dropping a key drops
             # every copy of it, so the others' first occurrences stay.
             uniq, first = np.unique(keys[live], return_index=True)
-            fresh = ~_in_sorted(np.sort(np.concatenate((prev, cur))), uniq)
+            fresh = _positions(np.sort(np.concatenate((prev, cur))), uniq) < 0
             uniq, first = uniq[fresh], live[first[fresh]]
             if uniq.size == 0:
                 break
@@ -590,35 +572,50 @@ class TraversalEngine:
 
     # -- batched reverse-path reconstruction -------------------------------
 
-    def reconstruct_paths(self, parent_row: np.ndarray,
+    def reconstruct_paths(self, table: FloodTable, rows: Sequence[int],
                           nodes: Sequence[int],
                           tracer=None) -> List[List[int]]:
-        """Walk many parent chains of one BFS row in lockstep.
+        """Walk the reverse paths of many ``(row, node)`` pairs of one
+        flood table in lockstep.
 
-        Equivalent to walking each node's parent chain on its own, but
-        every step is a single gather across all still-walking
-        paths, so the per-hop cost is one vectorized op instead of one
-        Python loop iteration per path.  Paths are returned in input order,
-        each ``[node, ..., source]`` exactly as the reference produces.
+        Path ``i`` follows ``nodes[i]``'s recorded parents toward the
+        site of row ``rows[i]``.  Every hop level is one ``searchsorted``
+        of all still-walking ``row · n + node`` keys in the table's
+        sorted keys and one gather of their parents, so the cost per hop
+        is a few vectorized ops whatever the number of paths or rows.
+        Paths are returned in input order, each ``[node, ..., site]``.
+        Raises ``ValueError`` if a node did not record its row's site.
         """
         with _span(tracer, "reconstruct_paths"):
-            parent = np.asarray(parent_row, dtype=np.int64)
+            n = self.n
             cur = np.asarray(list(nodes), dtype=np.int64)
+            row = np.asarray(list(rows), dtype=np.int64)
             m = cur.size
             if m == 0:
                 return []
+            # The table is sorted by (site_row, node), so are its keys.
+            keys = table.site_row * n + table.node
+            base = row * n
+            pos = _positions(keys, base + cur)
+            if (pos < 0).any():
+                missing = int(np.flatnonzero(pos < 0)[0])
+                raise ValueError(
+                    f"node {int(cur[missing])} was not reached from the "
+                    f"site of flood row {int(row[missing])}")
             alive = np.arange(m, dtype=np.int64)
             step_idx = [alive]
             step_col = [cur]
             # Parent chains are acyclic by construction; n steps is the
             # longest possible simple path, so more means corrupt input.
-            for _ in range(self.n + 1):
-                nxt = parent[cur]
+            for _ in range(n + 1):
+                nxt = table.parent[pos]
                 keep = nxt != -1
                 if not keep.any():
                     break
-                alive = alive[keep]
-                cur = nxt[keep]
+                alive, cur, base = alive[keep], nxt[keep], base[keep]
+                pos = _positions(keys, base + cur)
+                if (pos < 0).any():
+                    raise RuntimeError("parent outside the flood table")
                 step_idx.append(alive)
                 step_col.append(cur)
             else:

@@ -61,7 +61,9 @@ __all__ = ["ArtifactCache", "CACHE_VERSION", "ARTIFACT_MAGIC",
 #: table (parents included); ``"shard:paths"`` entries are no longer written.
 #: Sharded runs now share the ``"voronoi"`` entry and write no
 #: ``"shard:flood"`` entries; no stage's meaning changed, so still 5.
-CACHE_VERSION = 5
+#: Version 6: the ``Loop`` records inside ``"serve:result"`` entries pickle
+#: without ``nodes`` and ``edges`` (derived from ``ordered`` on read).
+CACHE_VERSION = 6
 
 #: Disk-entry format magic; the trailing newline keeps the header
 #: greppable (``head -c 71`` shows magic + digest).

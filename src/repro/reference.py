@@ -63,9 +63,10 @@ def is_locally_maximal(network: SensorNetwork, node: int,
                for other in reach if other != node)
 
 
-def path_to_source(parent_row: np.ndarray, node: int) -> List[int]:
+def path_to_source(parent_row, node: int) -> List[int]:
     """The stored reverse path from *node* to the source of one BFS row
-    (the source has parent -1).
+    (the source has parent -1); *parent_row* maps each node to its parent
+    (a dense array, or a dict of the recorded nodes).
 
     Parent chains are acyclic by construction; the cycle guard is kept
     because a wrong ``(dist, parent)`` pairing is an easy bug.
@@ -86,7 +87,8 @@ def path_to_site(voronoi, node: int, site: int) -> List[int]:
     """The recorded reverse path from *node* to *site* (inclusive) in a
     :class:`~repro.core.voronoi.VoronoiDecomposition`; raises
     ``ValueError`` if *node* did not record *site*."""
-    return path_to_source(voronoi.site_parent_row(site, [node]), node)
+    return ReferenceEngine(voronoi.network).reconstruct_paths(
+        voronoi.table, [voronoi.site_index(site)], [node])[0]
 
 
 def per_node_records(num_nodes: int, node: Sequence[int],
@@ -230,10 +232,24 @@ class ReferenceEngine:
                           dist[rows, nodes].astype(np.int64),
                           parent[rows, nodes].astype(np.int64))
 
-    def reconstruct_paths(self, parent_row: np.ndarray, nodes: Sequence[int],
+    def reconstruct_paths(self, table: FloodTable, rows: Sequence[int],
+                          nodes: Sequence[int],
                           tracer=None) -> List[List[int]]:
-        """One :func:`path_to_source` walk per node."""
-        return [path_to_source(parent_row, node) for node in nodes]
+        """One :func:`path_to_source` walk per ``(row, node)`` pair, over
+        that row's recorded parents."""
+        paths = []
+        parents: Dict[int, Dict[int, int]] = {}
+        for row, node in zip(rows, nodes):
+            if row not in parents:
+                mine = table.site_row == row
+                parents[row] = dict(zip(table.node[mine].tolist(),
+                                        table.parent[mine].tolist()))
+            parent = parents[row]
+            if node not in parent:
+                raise ValueError(f"node {node} was not reached from the "
+                                 f"site of flood row {row}")
+            paths.append(path_to_source(parent, node))
+        return paths
 
     # -- distance-only sweeps ----------------------------------------------
 

@@ -16,13 +16,7 @@ def make_graph(edges):
 
 
 def make_loop(nodes, fake=True):
-    ordered = list(nodes)
-    return Loop(
-        sites=[], ordered=ordered, nodes=set(nodes),
-        edges={frozenset((ordered[i], ordered[(i + 1) % len(ordered)]))
-               for i in range(len(ordered))},
-        is_fake=fake, witnesses=[],
-    )
+    return Loop(sites=[], ordered=list(nodes), is_fake=fake, witnesses=[])
 
 
 class TestSkeletonGraph:

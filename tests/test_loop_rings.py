@@ -90,7 +90,10 @@ def oracle_site_cycle_rings(graph: "nx.Graph") -> List[List[int]]:
 
 class OracleEnumerator:
     """:class:`RingEnumerator`'s interface over a networkx graph and the
-    oracle, so ``identify_loops`` can be driven by either."""
+    oracle, so ``identify_loops`` can be driven by either.  Every call
+    enumerates afresh, so none replays the one before."""
+
+    replayed = 0
 
     def __init__(self, graph: "nx.Graph"):
         self.graph = graph
@@ -302,6 +305,24 @@ class TestIncrementalEnumeration:
         assert enumerator.searches - eager_before == 6
         assert lazy.rings() == oracle.rings()
 
+    def test_first_searches_wait_for_their_bounds(self):
+        """An edge is first searched once the greedy reaches its lower
+        bound: its weight plus the lightest other edge at each end.  The
+        unit triangle's ring weighs 3; the square's edges weigh 2, so
+        their bounds are 6 and reading the triangle runs no search for
+        them.  The pendant edge (2, 7) closes no ring and is never
+        searched.  The edges go in in rank order, so no first-call order
+        reruns a search."""
+        nodes = list(range(8))
+        edges = [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 7, 1),
+                 (3, 4, 2), (3, 6, 2), (4, 5, 2), (5, 6, 2)]
+        oracle, enumerator = both(nodes, edges)
+        expected = oracle.rings()
+        assert next(enumerator.iter_rings()) == expected[0] == [0, 2, 1]
+        assert enumerator.searches == 3
+        assert_same_call(oracle, enumerator)
+        assert enumerator.searches == 7
+
     def test_stale_reuse_would_pick_another_tied_path(self):
         """Dropping the pendant edge (0, 4) changes no cycle and lies on
         no cached path, but the search for edge (2, 4) relaxed along it.
@@ -385,6 +406,30 @@ class TestLazyEnumeration:
             enumerator.remove_edge(u, v)
             assert enumerator._rank in (None, rank())
 
+    @given(site_graphs(), st.data())
+    @settings(deadline=None)
+    def test_replay_is_a_prefix_of_the_last_reads(self, graph_spec, data):
+        """``replayed`` counts rings the call yields first that the call
+        before read in the same places, and never the ring an edge was
+        dropped from, as ``identify_loops`` opens a fake ring."""
+        nodes, edges = graph_spec
+        oracle, enumerator = both(nodes, edges)
+        read: List[List[int]] = []
+        while enumerator.edges():
+            expected = oracle.rings()
+            rings = enumerator.iter_rings()
+            replayed = enumerator.replayed
+            assert replayed < len(read) or replayed == len(read) == 0
+            now = list(islice(rings, data.draw(
+                st.integers(replayed, len(expected)))))
+            assert now == expected[:len(now)]
+            assert now[:replayed] == read[:replayed]
+            read = now
+            pool = ring_edges(read[-1]) if read else enumerator.edges()
+            u, v = data.draw(st.sampled_from(pool))
+            oracle.remove_edge(u, v)
+            enumerator.remove_edge(u, v)
+
     def test_iterator_from_before_a_removal_raises(self):
         oracle, enumerator = both(range(4), [(0, 1, 1), (1, 2, 1), (2, 0, 1),
                                              (2, 3, 1), (3, 0, 1)])
@@ -413,16 +458,17 @@ def _has_edge(path, u, v) -> bool:
                for i in range(len(path)))
 
 
-def clause_search(view, source, target, omit=frozenset(), every_push=False):
+def clause_search(view, source, target, omit=frozenset(), every_push=False,
+                  blocked=False):
     """The enumerator's bidirectional search again, with each reason a
     push bears on the result named: ``pop`` (its entry was popped and
     settled a node), ``stale`` (its entry was popped stale), ``pred`` (it
     set the final pred of a path node other than the meet), ``meet`` (it
-    made the final meet, or is the far-side entry that push met),
-    ``blocked`` (it blocked a later relaxation) and ``fringe`` (its entry
-    was the only one left in the other fringe).  The result leaves out
-    the reasons in *omit*; *every_push* counts every push, the rule
-    before bearing."""
+    made the final meet, or is the far-side entry that push met) and
+    ``fringe`` (its entry was the only one left in the other fringe).
+    The result leaves out the reasons in *omit*; *every_push* counts
+    every push, the rule before bearing, and *blocked* also counts a
+    push that blocked a later relaxation, a clause the rule once had."""
     if source == target:
         return [source], set()
     dists = ({}, {})
@@ -483,8 +529,8 @@ def clause_search(view, source, target, omit=frozenset(), every_push=False):
                     total = length + far[w]
                     if finaldist is None or finaldist > total:
                         finaldist, meetnode = total, w
-            else:
-                bear("blocked", pushed[direction][w])
+            elif blocked:
+                bearing.add(pushed[direction][w])
     bearing.discard(-1)
     return None, bearing
 
@@ -493,15 +539,18 @@ class _ClauseVariant(RingEnumerator):
     """An enumerator whose searches run :func:`clause_search`, leaving
     the clauses in ``omit`` out (a wrong variant unless ``omit`` is
     empty); ``every_push`` parks every search that pushed along a dropped
-    edge."""
+    edge, and ``blocked`` also parks every search in which a push along
+    it blocked a later relaxation."""
 
     omit = frozenset()
     every_push = False
+    blocked = False
 
     def _search(self, eid):
         real = loops_module._bidirectional_search
         loops_module._bidirectional_search = partial(
-            clause_search, omit=self.omit, every_push=self.every_push)
+            clause_search, omit=self.omit, every_push=self.every_push,
+            blocked=self.blocked)
         try:
             super()._search(eid)
         finally:
@@ -518,6 +567,13 @@ class _ParkEveryPusher(_ClauseVariant):
     dropped edge."""
 
     every_push = True
+
+
+class _ParkBlockers(_ClauseVariant):
+    """The bearing rule as it was first written: a push that blocked a
+    later relaxation bears on the result too."""
+
+    blocked = True
 
 
 class TestBearingRule:
@@ -572,16 +628,44 @@ class TestBearingRule:
         assert enumerator.rings() == expected
         assert wrong.rings() != expected
 
+    def test_push_that_only_blocked_bears_on_nothing(self):
+        """The search for (1, 3) pushes 2 along (1, 2) at distance 3 and
+        never pops it; that entry only blocks the relaxation 1-0-2 at 5.
+        Without (1, 2) that relaxation pushes instead, is never popped
+        either, and the search returns 1-0-3 again, so it is reused."""
+        nodes = [0, 1, 2, 3]
+        edges = [(0, 2, 2), (1, 2, 3), (1, 3, 3), (0, 3, 3), (0, 1, 3)]
+        oracle, enumerator = both(nodes, edges)
+        blockers = _ParkBlockers.from_edges(nodes, edges)
+        for _ in range(2):
+            assert_same_call(oracle, enumerator)
+            blockers.rings()
+        searched, dropped = edge_id(enumerator, 1, 3), edge_id(
+            enumerator, 1, 2)
+        path = cached_path(enumerator, 1, 3)
+        assert path == [1, 0, 3]
+        assert dropped in blockers._bearing[searched]
+        assert dropped not in enumerator._bearing[searched]
+        before = enumerator.searches
+        for target in (oracle, enumerator, blockers):
+            target.remove_edge(1, 2)
+        assert_same_call(oracle, enumerator)
+        assert cached_path(enumerator, 1, 3) is path
+        assert enumerator.searches - before == 2
+        assert_same_call(oracle, enumerator)
+        assert blockers.rings() == oracle.rings()
+
     def test_bearing_rule_runs_fewer_searches(self, monkeypatch):
-        """``identify_loops`` runs fewer searches than under the
-        park-every-pusher rule, with the same loop analysis, and the cycle
-        rank is counted once, then kept.  Spiral's 7 site edges lose one,
-        and both rules rerun the same searches there."""
+        """``identify_loops`` runs no more searches than under the rule
+        that also parks on blocked relaxations or the park-every-pusher
+        rule (fewer on two_holes), with the same loop analysis; the
+        cycle rank is counted once, then kept."""
+        rules = (RingEnumerator, _ParkBlockers, _ParkEveryPusher)
         counts = {}
         for scenario in ("window", "two_holes", "spiral"):
             network = PAPER_SCENARIOS[scenario].build(seed=1, num_nodes=500)
             runs = {}
-            for rule in (RingEnumerator, _ParkEveryPusher):
+            for rule in rules:
                 made = []
 
                 class Recording(rule):
@@ -599,13 +683,31 @@ class TestBearingRule:
                 (enumerator,) = made
                 runs[rule] = (loop_fields(analysis), enumerator.searches,
                               enumerator.recounts)
-            assert runs[RingEnumerator][0] == runs[_ParkEveryPusher][0]
+            for rule in rules[1:]:
+                assert runs[rule][0] == runs[RingEnumerator][0]
             assert runs[RingEnumerator][2] == 1
-            counts[scenario] = (runs[RingEnumerator][1],
-                                runs[_ParkEveryPusher][1])
-        # (bearing rule, park every pusher)
-        assert counts == {"window": (11, 12), "two_holes": (37, 61),
-                          "spiral": (10, 10)}
+            counts[scenario] = tuple(runs[rule][1] for rule in rules)
+        # (bearing rule, with the blocked clause, park every pusher)
+        assert counts == {"window": (9, 9, 9), "two_holes": (35, 36, 59),
+                          "spiral": (8, 8, 8)}
+
+class TestSearchBudget:
+    def test_paper_networks_stay_within_budget(self, monkeypatch):
+        """Bidirectional searches over the 11 paper networks at seed 1,
+        full scale, default parameters: 2,661 with the bearing rule and
+        the lower-bound first searches (3,724 before)."""
+        made = []
+
+        class Recording(RingEnumerator):
+            def __init__(self, adjacency):
+                super().__init__(adjacency)
+                made.append(self)
+
+        monkeypatch.setattr(loops_module, "RingEnumerator", Recording)
+        for name in sorted(PAPER_SCENARIOS):
+            extract_skeleton(PAPER_SCENARIOS[name].build(seed=1))
+        assert len(made) == len(PAPER_SCENARIOS)
+        assert sum(enumerator.searches for enumerator in made) <= 2661
 
 
 class TestIdentifyLoopsOracle:

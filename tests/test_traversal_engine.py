@@ -40,6 +40,7 @@ from repro.network import (
 from repro.network.deployment import uniform_deployment
 from repro.network.traversal import (
     UNREACHED,
+    FloodTable,
     TraversalEngine,
     _bool_product,
     _ProductBuffer,
@@ -317,12 +318,20 @@ def test_reconstruct_paths_match_path_to_source(seed):
     rng = random.Random(seed)
     sites = sorted(rng.sample(range(net.num_nodes), 5))
     dist, parent = engine.multi_source_distances(sites)
+    # Every reached pair, as the unpruned flood records them.
+    rows, nodes = np.nonzero(dist != UNREACHED)
+    table = FloodTable(rows, nodes, dist[rows, nodes].astype(np.int64),
+                       parent[rows, nodes].astype(np.int64))
+    requests = []
     for si in range(len(sites)):
         reached = [v for v in net.nodes() if dist[si, v] != UNREACHED]
-        targets = rng.sample(reached, min(40, len(reached)))
-        paths = engine.reconstruct_paths(parent[si], targets)
-        assert paths == ReferenceEngine(net).reconstruct_paths(parent[si],
-                                                               targets)
+        requests += [(si, v) for v in
+                     rng.sample(reached, min(40, len(reached)))]
+    rng.shuffle(requests)
+    rows, nodes = [r for r, _ in requests], [v for _, v in requests]
+    paths = engine.reconstruct_paths(table, rows, nodes)
+    assert paths == [path_to_source(parent[r], v) for r, v in requests]
+    assert paths == ReferenceEngine(net).reconstruct_paths(table, rows, nodes)
 
 
 # -- k-hop census and level-capped hop_distances against the BFS oracle -

@@ -11,7 +11,9 @@ beyond the diameter (no pruning):
   ``parent`` restricted to the recorded pairs;
 * closure: every recorded ``(s, v)`` with ``v != s`` has its parent
   recorded for ``s`` too, so reverse paths never leave the table;
-* every endpoint the coarse stage plans resolves to the dense BFS path.
+* every endpoint the coarse stage plans resolves to the dense BFS path;
+* the one-pass reverse-path walk over many ``(row, node)`` pairs equals
+  per-path parent-chain walks, and rejects an unrecorded endpoint.
 
 Also covers the vectorised border scan and the O(n + E) Theorem 4 check
 against their scalar definitions, and the distributed lift's table.
@@ -109,10 +111,11 @@ def check_against_dense(network, sites, alpha):
     assert np.array_equal(table.parent, parent[table.site_row, table.node])
     # Every node a site's wave reaches first is recorded.
     reached = dist != UNREACHED
+    recorded = set(zip(table.site_row.tolist(), table.node.tolist()))
     for node in np.flatnonzero(reached.any(axis=0)):
         best = dist[reached[:, node], node].min()
         for row in np.flatnonzero(reached[:, node]):
-            in_table = table.recorded(int(row), [int(node)])[0]
+            in_table = (int(row), int(node)) in recorded
             assert in_table == (dist[row, node] - best <= alpha)
     return table
 
@@ -125,6 +128,37 @@ def check_closure(table, sites):
             assert par == -1
         else:
             assert (row, par) in keys
+
+
+class TestReversePathWalk:
+    @given(flood_inputs(), st.data())
+    @settings(deadline=None)
+    def test_one_pass_walk_equals_per_path_walks(self, inputs, data):
+        """One lockstep walk over drawn ``(row, node)`` requests, rows
+        mixed and repeated, equals the reference engine's per-path
+        parent-chain walks and the dense BFS paths; one endpoint that did
+        not record its site makes both engines raise."""
+        network, sites, alpha = inputs
+        engine, oracle = network.traversal(), ReferenceEngine(network)
+        table = engine.voronoi_flood(sites, alpha)
+        pairs = list(zip(table.site_row.tolist(), table.node.tolist()))
+        requests = data.draw(st.lists(st.sampled_from(pairs), max_size=60))
+        rows, nodes = [r for r, _ in requests], [v for _, v in requests]
+        paths = engine.reconstruct_paths(table, rows, nodes)
+        assert paths == oracle.reconstruct_paths(table, rows, nodes)
+        _, parent = oracle.multi_source_distances(sites)
+        assert paths == [path_to_source(parent[r], v) for r, v in requests]
+        recorded = set(pairs)
+        unrecorded = [(r, v) for r in range(len(sites))
+                      for v in range(network.num_nodes)
+                      if (r, v) not in recorded]
+        if unrecorded:
+            requests.insert(data.draw(st.integers(0, len(requests))),
+                            data.draw(st.sampled_from(unrecorded)))
+            rows, nodes = [r for r, _ in requests], [v for _, v in requests]
+            for walker in (engine, oracle):
+                with pytest.raises(ValueError, match="not reached"):
+                    walker.reconstruct_paths(table, rows, nodes)
 
 
 class TestPrunedFlood:
