@@ -34,10 +34,6 @@ class ComparisonRow:
     quality: SkeletonQuality
 
 
-def _edges_of(graph) -> set:
-    return set(graph.edges)
-
-
 def compare_extractors(
     network: SensorNetwork,
     params: Optional[SkeletonParams] = None,

@@ -40,21 +40,6 @@ class WitnessField:
     def clearance(self, node: int) -> int:
         return self.distance[node]
 
-    def max_witness_separation(self, network: SensorNetwork, node: int) -> float:
-        """Largest Euclidean separation between this node's witnesses.
-
-        Baselines are entitled to boundary geometry — they operate under
-        the "boundaries are given" assumption the paper removes.
-        """
-        ws = self.witnesses[node]
-        best = 0.0
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                a = network.positions[ws[i]]
-                b = network.positions[ws[j]]
-                best = max(best, a.distance_to(b))
-        return best
-
 
 def _diverse_merge(network: SensorNetwork, current: Tuple[int, ...],
                    incoming: Sequence[int], cap: int) -> Tuple[int, ...]:

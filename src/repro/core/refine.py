@@ -47,10 +47,6 @@ class SkeletonGraph:
     nodes: Set[int]
     edges: Set[SkeletonEdge]
 
-    @staticmethod
-    def from_coarse(skeleton: CoarseSkeleton) -> "SkeletonGraph":
-        return SkeletonGraph(nodes=set(skeleton.nodes), edges=set(skeleton.edges))
-
     def adjacency(self) -> Dict[int, Set[int]]:
         adj: Dict[int, Set[int]] = {v: set() for v in self.nodes}
         for e in self.edges:

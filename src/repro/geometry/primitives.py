@@ -18,7 +18,6 @@ __all__ = [
     "BoundingBox",
     "dist",
     "dist_sq",
-    "segment_length",
     "point_segment_distance",
     "segments_intersect",
     "orientation",
@@ -138,11 +137,6 @@ def dist_sq(a: Point, b: Point) -> float:
 def lerp(a: Point, b: Point, t: float) -> Point:
     """Linear interpolation between *a* (t=0) and *b* (t=1)."""
     return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-
-
-def segment_length(a: Point, b: Point) -> float:
-    """Length of the segment ``ab`` (alias of :func:`dist`)."""
-    return dist(a, b)
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:

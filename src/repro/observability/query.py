@@ -52,9 +52,6 @@ class TraceQuery:
         wanted = set(kinds)
         return [e for e in self._events if e.kind in wanted]
 
-    def of_node(self, node: int) -> List[TraceEvent]:
-        return [e for e in self._events if e.node == node]
-
     # -- message accounting ----------------------------------------------------
 
     def messages_by_phase(self, include_corrections: bool = False

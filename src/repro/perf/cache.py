@@ -206,10 +206,10 @@ class ArtifactCache:
 
         The counted half of :meth:`get_or_build`, exposed for callers —
         the serving layer foremost — that decide *whether* to publish an
-        artifact after computing it (a failed batch task publishes
-        nothing).  The lookup
-        is counted per stage and reported through ``tracer.on_cache``
-        exactly like :meth:`get_or_build`.
+        artifact after computing it (the service publishes only
+        completed results).  The lookup is counted per stage and
+        reported through ``tracer.on_cache`` exactly like
+        :meth:`get_or_build`.
         """
         key = self.make_key(stage, key_parts)
         hit, value = self._lookup(key, stage=stage, tracer=tracer)

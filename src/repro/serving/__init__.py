@@ -1,17 +1,14 @@
 """``repro.serving`` — skeleton-as-a-service over the artifact cache.
 
-The serving layer (DESIGN.md §13) wraps the extraction pipeline in a
-long-lived, in-process request loop:
+The serving layer (DESIGN.md §13) wraps the extraction pipeline in an
+in-process request loop that runs on its callers' threads:
 
 * :class:`SkeletonService` — submit networks, get skeleton /
   segmentation / boundary artifacts back; content-addressed cache
-  serving, request dedup, bounded-queue admission with load shedding,
-  per-request deadlines (full / shed).  Every computation runs the
-  monolithic extractor.
+  serving, request dedup, bounded-queue admission with load shedding.
+  Every computation runs the monolithic extractor.
 * :class:`ServiceConfig` / :class:`SkeletonResponse` / :class:`Ticket` /
   :class:`ServiceStats` — the request-lifecycle vocabulary.
-* :class:`SystemClock` / :class:`VirtualClock` — pluggable time, so the
-  deadline and shedding batteries are deterministic.
 
 The layer's throughput under Zipf repeat traffic is measured by the
 repository benchmark's ``serve_zipf`` workload (``benchmarks/e2e``).
@@ -21,7 +18,6 @@ network — the cache and dedup layers change *when* the pipeline runs,
 never *what* it produces.
 """
 
-from .clock import SystemClock, VirtualClock
 from .service import (
     ARTIFACT_KINDS,
     RESULT_STAGE,
@@ -39,7 +35,5 @@ __all__ = [
     "ServiceStats",
     "SkeletonResponse",
     "SkeletonService",
-    "SystemClock",
     "Ticket",
-    "VirtualClock",
 ]

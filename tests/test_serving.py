@@ -1,13 +1,15 @@
 """The serving-layer correctness battery (DESIGN.md §13).
 
 The contract under test: :class:`~repro.serving.SkeletonService` changes
-*when* the pipeline runs — cache hits, dedup coalescing, shedding,
-deadlines — but never *what* it produces.  Every served artifact must
-be bit-identical to a direct pipeline run on the same network, for every
-artifact kind; the lifecycle semantics (dedup invariants, bounded-queue
-admission, deadline actions, cache-poisoning recovery) are pinned on a
-virtual clock so they are exact statements, not races.
+*when* the pipeline runs — cache hits, dedup coalescing, shedding — but
+never *what* it produces.  Every served artifact must be bit-identical
+to a direct pipeline run on the same network, for every artifact kind;
+the lifecycle semantics (dedup invariants, bounded-queue admission,
+cache-poisoning recovery) are pinned by pausing the service and
+stepping its queue on the test's own thread.
 """
+
+import threading
 
 import pytest
 
@@ -22,8 +24,8 @@ from repro.serving import (
     RESULT_STAGE,
     ServiceConfig,
     SkeletonService,
-    VirtualClock,
 )
+from repro.serving import service as service_module
 from tests.conftest import corrupt_cache_entries
 
 
@@ -78,7 +80,7 @@ def test_all_kinds_share_one_computation(window_net):
     service = SkeletonService()
     service.pause()
     tickets = [service.submit(window_net, kind) for kind in ARTIFACT_KINDS]
-    assert service.queue_depth == 1
+    assert service.stats().queue_depth == 1
     service.resume()
     responses = {kind: t.result() for kind, t in zip(ARTIFACT_KINDS, tickets)}
     stats = service.stats()
@@ -96,7 +98,7 @@ def test_dedup_coalesces_identical_inflight_requests(window_net):
     service = SkeletonService()
     service.pause()
     tickets = [service.submit(window_net) for _ in range(5)]
-    assert service.queue_depth == 1
+    assert service.stats().queue_depth == 1
     service.resume()
     responses = [t.result() for t in tickets]
     assert all(r.status == "ok" for r in responses)
@@ -116,26 +118,12 @@ def test_dedup_coalesces_identical_inflight_requests(window_net):
     assert service.stats().computed == 1
 
 
-def test_threaded_workers_dedup_and_match(window_net):
-    with SkeletonService(ServiceConfig(workers=2)) as service:
-        service.pause()
-        tickets = [service.submit(window_net) for _ in range(6)]
-        service.resume()
-        responses = [t.result(timeout=120) for t in tickets]
-    assert all(r.status == "ok" for r in responses)
-    stats = service.stats()
-    assert stats.computed == 1
-    assert stats.dedup_hits == 5
-    assert all(r.artifact.nodes == responses[0].artifact.nodes
-               for r in responses)
-
-
 def test_different_params_do_not_dedup(window_net):
     service = SkeletonService()
     service.pause()
     a = service.submit(window_net, params=SkeletonParams())
     b = service.submit(window_net, params=SkeletonParams(k=5))
-    assert service.queue_depth == 2
+    assert service.stats().queue_depth == 2
     service.resume()
     assert a.result().content_key != b.result().content_key
     assert service.stats().computed == 2
@@ -166,7 +154,7 @@ def test_dedup_and_cache_hits_bypass_admission(window_net, hole_net):
     service.pause()
     founder = service.submit(window_net)
     rider = service.submit(window_net)  # dedup: no queue slot consumed
-    assert service.queue_depth == 1
+    assert service.stats().queue_depth == 1
     service.resume()
     assert founder.result().status == "ok"
     assert rider.result().status == "ok"
@@ -175,49 +163,6 @@ def test_dedup_and_cache_hits_bypass_admission(window_net, hole_net):
     assert cached.done() and cached.result().from_cache
     service.resume()
     assert service.stats().shed == 0
-
-
-# -- deadlines on the virtual clock ----------------------------------------
-
-
-def test_deadline_full_is_advisory(window_net):
-    clock = VirtualClock()
-    service = SkeletonService(clock=clock)
-    service.pause()
-    ticket = service.submit(window_net, deadline=5.0, deadline_action="full")
-    clock.advance(10.0)
-    service.resume()
-    response = ticket.result()
-    assert response.status == "ok"
-    assert response.deadline_missed
-
-
-def test_deadline_shed_drops_expired_queued_requests(window_net):
-    clock = VirtualClock()
-    service = SkeletonService(clock=clock)
-    service.pause()
-    expired = service.submit(window_net, deadline=5.0, deadline_action="shed")
-    clock.advance(10.0)
-    service.resume()
-    response = expired.result()
-    assert response.status == "shed"
-    assert "deadline expired" in response.error
-    # an unexpired shed-action request is served normally
-    fresh = service.request(window_net, deadline=5.0, deadline_action="shed")
-    assert fresh.status == "ok" and not fresh.deadline_missed
-
-
-@pytest.mark.parametrize("deadline", [-1.0, float("nan"), float("inf")],
-                         ids=["negative", "nan", "inf"])
-def test_deadlines_must_be_finite_and_nonnegative(window_net, deadline):
-    # A NaN deadline would make every expiry comparison false: a "shed"
-    # request could never be shed nor flagged late.
-    with pytest.raises(ValueError, match="default_deadline"):
-        ServiceConfig(default_deadline=deadline)
-    service = SkeletonService()
-    with pytest.raises(ValueError, match="deadline"):
-        service.submit(window_net, deadline=deadline)
-    assert service.stats().submitted == 0
 
 
 # -- cache poisoning recovery ----------------------------------------------
@@ -262,13 +207,15 @@ def test_tracer_and_metrics_integration(window_net):
     assert report.cache_misses.get(RESULT_STAGE) == 1
 
 
-def test_stats_counter_arithmetic_and_latency(window_net, hole_net):
-    clock = VirtualClock()
-    service = SkeletonService(ServiceConfig(max_queue=1), clock=clock)
+def test_stats_counter_arithmetic_and_latency(monkeypatch, window_net,
+                                             hole_net):
+    now = [0.0]
+    monkeypatch.setattr(service_module, "perf_counter", lambda: now[0])
+    service = SkeletonService(ServiceConfig(max_queue=1))
     service.pause()
     tickets = [service.submit(window_net), service.submit(window_net)]
     shed = service.submit(hole_net)
-    clock.advance(2.0)
+    now[0] = 2.0
     service.resume()
     for ticket in tickets:
         ticket.result()
@@ -277,7 +224,7 @@ def test_stats_counter_arithmetic_and_latency(window_net, hole_net):
     assert stats.completed == stats.ok + stats.failed + stats.shed
     assert stats.ok == 2
     assert shed.result().status == "shed"
-    # latency on the virtual clock is exactly the queueing delay
+    # latency on the stubbed clock is exactly the queueing delay
     assert stats.latency_p50 == pytest.approx(2.0)
     assert stats.latency_p99 == pytest.approx(2.0)
     assert stats.latency_max == pytest.approx(2.0)
@@ -287,47 +234,22 @@ def test_stats_counter_arithmetic_and_latency(window_net, hole_net):
 
 
 def test_ticket_timeout_then_resolution(window_net):
+    threads = threading.active_count()
     service = SkeletonService()
     service.pause()
     ticket = service.submit(window_net)
+    # nothing computes a paused service's queue: an unresolved ticket
+    # raises at once rather than waiting
     with pytest.raises(TimeoutError):
-        ticket.result(timeout=0.01)
+        ticket.result(timeout=0)
     service.resume()
-    assert ticket.result().status == "ok"
-
-
-def test_stop_drains_queue_and_refuses_new_work(window_net):
-    service = SkeletonService()
-    service.pause()
-    ticket = service.submit(window_net)
-    service.stop()
-    assert ticket.result().status == "ok"
-    with pytest.raises(RuntimeError, match="stopped"):
-        service.submit(window_net)
+    assert ticket.result(timeout=0).status == "ok"
+    assert threading.active_count() == threads
 
 
 def test_invalid_requests_and_configs_raise(window_net):
     service = SkeletonService()
     with pytest.raises(ValueError, match="kind"):
         service.submit(window_net, "voronoi")
-    with pytest.raises(ValueError, match="deadline_action"):
-        service.submit(window_net, deadline_action="retry")
     with pytest.raises(ValueError, match="max_queue"):
         ServiceConfig(max_queue=0)
-    with pytest.raises(ValueError, match="workers"):
-        ServiceConfig(workers=-1)
-    with pytest.raises(ValueError, match="deadline_action"):
-        ServiceConfig(deadline_action="later")
-    # "partial" (a degraded sharded run) is no longer a deadline action
-    with pytest.raises(ValueError, match="deadline_action"):
-        ServiceConfig(deadline_action="partial")
-
-
-def test_lazy_worker_start_and_stop_refusal(window_net):
-    service = SkeletonService(ServiceConfig(workers=1))
-    # no explicit start(): the first submission spins the workers up
-    ticket = service.submit(window_net)
-    assert ticket.result(timeout=120).status == "ok"
-    service.stop()
-    with pytest.raises(RuntimeError, match="stopped"):
-        service.start()
